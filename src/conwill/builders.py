@@ -16,23 +16,16 @@ precision. Normal-sign conventions are pinned per builder:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .curves import PLANE, SPHERE2, CurvatureCurve, integrate_curve
+from .curves import (PLANE, SPHERE2, CurvatureCurve, _frame_blocks, _half_step_stages,
+                     _on_samples, _orthonormal_frames, _prefix_products,
+                     _rk4_step_matrices, integrate_curve)
 from .errors import AxisContact, BadRadii, LiftDrift, NotArcLength, WrongSpaceForm
 from .geom_core import R3, S3, Grid2D, ParamSurface
-
-try:
-    from numba import njit
-except Exception:  # pragma: no cover
-    def njit(*args, **kwargs):
-        def wrapper(func):
-            return func
-        return wrapper if not (len(args) == 1 and callable(args[0])) else args[0]
 
 
 # ----------------------------------------------------------------------
@@ -171,97 +164,61 @@ def cylinder_over_curve(curve: CurvatureCurve, v_span=(-2.0, 2.0), nu=256, nv=64
 # preimage cylinders/tori of the fibration S^3 -> S^2
 # ----------------------------------------------------------------------
 
-@njit(cache=True)
-def _fib_jacT(q, w):
-    """M(q)^T w for the fibration map (2 z1 conj(z2), |z1|^2 - |z2|^2)."""
-    a1, b1, a2, b2 = q[0], q[1], q[2], q[3]
-    out = np.empty(4)
-    out[0] = 2 * a2 * w[0] - 2 * b2 * w[1] + 2 * a1 * w[2]
-    out[1] = 2 * b2 * w[0] + 2 * a2 * w[1] + 2 * b1 * w[2]
-    out[2] = 2 * a1 * w[0] + 2 * b1 * w[1] - 2 * a2 * w[2]
-    out[3] = 2 * b1 * w[0] - 2 * a1 * w[1] - 2 * b2 * w[2]
-    return out
+def _fib_jac(w):
+    """Matrices J(w), shape (..., 4, 4), with J(w) q = M(q)^T w for the
+    differential M(q) of the fibration map (2 z1 conj(z2), |z1|^2 - |z2|^2),
+    q = (Re z1, Im z1, Re z2, Im z2). J(w) is symmetric and linear in w."""
+    w0, w1, w2 = 2 * w[..., 0], 2 * w[..., 1], 2 * w[..., 2]
+    J = np.zeros(w.shape[:-1] + (4, 4))
+    J[..., 0, 0] = J[..., 1, 1] = w2
+    J[..., 2, 2] = J[..., 3, 3] = -w2
+    J[..., 0, 2] = J[..., 2, 0] = J[..., 1, 3] = J[..., 3, 1] = w0
+    J[..., 1, 2] = J[..., 2, 1] = w1
+    J[..., 0, 3] = J[..., 3, 0] = -w1
+    return J
 
 
-@njit(cache=True)
-def _fib_pi(q):
-    a1, b1, a2, b2 = q[0], q[1], q[2], q[3]
-    out = np.empty(3)
-    out[0] = 2 * (a1 * a2 + b1 * b2)
-    out[1] = 2 * (b1 * a2 - a1 * b2)
-    out[2] = a1 * a1 + b1 * b1 - a2 * a2 - b2 * b2
-    return out
+def _fib_proj(q):
+    """The fibration map S^3 -> S^2 on (..., 4) arrays."""
+    a1, b1, a2, b2 = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    return np.stack([2 * (a1 * a2 + b1 * b2), 2 * (b1 * a2 - a1 * b2),
+                     a1 * a1 + b1 * b1 - a2 * a2 - b2 * b2], axis=-1)
 
 
-@njit(cache=True)
-def _lift_rhs(y, kappa):
-    """d/ds of (p, t, n, q): sphere frame plus horizontal lift at half speed."""
-    out = np.empty(13)
-    p = y[0:3]
-    t = y[3:6]
-    n = y[6:9]
-    q = y[9:13]
-    for i in range(3):
-        out[i] = t[i]
-        out[3 + i] = -p[i] + kappa * n[i]
-        out[6 + i] = -kappa * t[i]
-    dq = _fib_jacT(q, t)
-    for i in range(4):
-        out[9 + i] = 0.25 * dq[i]
-    return out
+def _hopf_lift(F0, q0, kfine, nsteps, h, every):
+    """RK4 on the sphere frame and its horizontal lift q' = J(t) q / 4.
 
-
-@njit(cache=True)
-def _lift_run(kfine, h, nsteps, y0, store_every, nodes):
-    """RK4 on the joint frame+lift system with per-step renormalization.
-
-    kfine holds kappa at half-step resolution: kfine[2i], kfine[2i+1],
-    kfine[2i+2] are kappa at s_i, s_i + h/2, s_i + h. Returns the maximum
-    horizontality/projection defect observed.
+    kfine holds kappa at half-step resolution (2 nsteps + 1 values). The
+    frames come from the blocked frame kernel; the lift is linear in q with
+    the stage tangents t of the frame stage states, and J(t) is symmetric, so
+    the row form q^T' = q^T J(t)/4 has its own RK4 step matrices and prefix
+    scan. Returns the normalized frames (p, t, n) and lifts q at every
+    `every`-th step, and the largest horizontality or projection defect
+    over all steps.
     """
-    y = y0.copy()
-    m = 1
-    nodes[0] = y
-    defect = 0.0
-    for i in range(nsteps):
-        k1 = _lift_rhs(y, kfine[2 * i])
-        k2 = _lift_rhs(y + 0.5 * h * k1, kfine[2 * i + 1])
-        k3 = _lift_rhs(y + 0.5 * h * k2, kfine[2 * i + 1])
-        k4 = _lift_rhs(y + h * k3, kfine[2 * i + 2])
-        y = y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        # renormalize frame and lift
-        p = y[0:3]
-        t = y[3:6]
-        q = y[9:13]
-        pn = math.sqrt(p[0] ** 2 + p[1] ** 2 + p[2] ** 2)
-        for j in range(3):
-            p[j] /= pn
-        dot = p[0] * t[0] + p[1] * t[1] + p[2] * t[2]
-        for j in range(3):
-            t[j] -= dot * p[j]
-        tn = math.sqrt(t[0] ** 2 + t[1] ** 2 + t[2] ** 2)
-        for j in range(3):
-            t[j] /= tn
-        y[6] = p[1] * t[2] - p[2] * t[1]
-        y[7] = p[2] * t[0] - p[0] * t[2]
-        y[8] = p[0] * t[1] - p[1] * t[0]
-        qn = math.sqrt(q[0] ** 2 + q[1] ** 2 + q[2] ** 2 + q[3] ** 2)
-        for j in range(4):
-            q[j] /= qn
-        # horizontality defect: lift velocity against the fiber direction i q
-        dq = _fib_jacT(q, t)
-        hdot = 0.25 * (-dq[0] * q[1] + dq[1] * q[0] - dq[2] * q[3] + dq[3] * q[2])
-        if abs(hdot) > defect:
-            defect = abs(hdot)
-        # projection defect
-        pi_q = _fib_pi(q)
-        e = abs(pi_q[0] - p[0]) + abs(pi_q[1] - p[1]) + abs(pi_q[2] - p[2])
-        if e > defect:
-            defect = e
-        if (i + 1) % store_every == 0:
-            nodes[m] = y
-            m += 1
-    return defect
+    nodes, defects = [], []
+    q = np.asarray(q0, dtype=float)
+    for i0, frames, factors in _frame_blocks(
+            F0, lambda i0, i1: _half_step_stages(kfine[2 * i0:2 * i1 + 1]), nsteps, h):
+        F = frames[:-1]
+        # tangents (column 1) of the frame stage states F S_j, S_1 = I
+        T = np.stack([F[..., 1]] + [(F @ S[..., 1:2])[..., 0] for S in factors], axis=1)
+        M, _ = _rk4_step_matrices(0.25 * _fib_jac(T), h)
+        Q = np.empty((len(frames), 4))
+        Q[0] = q
+        Q[1:] = q @ _prefix_products(M)
+        q = Q[-1]
+        # defects after every step, on the normalized frame and lift
+        p, t, _ = _orthonormal_frames(frames[1:])
+        qn = Q[1:] / np.linalg.norm(Q[1:], axis=-1, keepdims=True)
+        dq = np.einsum("bij,bj->bi", _fib_jac(t), qn)
+        hdot = 0.25 * np.abs(np.sum(dq * _imul(qn), axis=-1))      # against the fiber
+        proj = np.sum(np.abs(_fib_proj(qn) - p), axis=-1)
+        defects += [np.max(hdot), np.max(proj)]
+        nodes.append((_on_samples(frames, i0, every, nsteps), _on_samples(Q, i0, every, nsteps)))
+    P, T, N = _orthonormal_frames(np.concatenate([f for f, _ in nodes]))
+    Q = np.concatenate([g for _, g in nodes])
+    return P, T, N, Q / np.linalg.norm(Q, axis=-1, keepdims=True), float(np.max(defects))
 
 
 def _imul(q):
@@ -325,26 +282,22 @@ def hopf_cylinder(curve: CurvatureCurve, nu=256, nv=64, lift_tol=1e-7) -> ParamS
     q0 = np.array([z1.real, z1.imag, z2.real, z2.imag])
     q0 /= np.linalg.norm(q0)
 
-    y0 = np.concatenate([p0, t0, np.cross(p0, t0), q0])
-    nodes = np.empty((nu + 1, 13))
-    defect = float(_lift_run(kfine, h, nsteps, y0, m, nodes))
-    if defect > lift_tol:
+    F0 = np.stack([p0, t0, np.cross(p0, t0)], axis=-1)
+    # frames that overflow on an unresolved curvature give a nan defect,
+    # which the check below rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        P, T, N, Q, defect = _hopf_lift(F0, q0, kfine, nsteps, h, m)
+    if not defect <= lift_tol:
         raise LiftDrift(f"horizontal lift defect {defect:.2e} exceeds {lift_tol:.0e}")
-
-    P = nodes[:, 0:3]
-    T = nodes[:, 3:6]
-    N = nodes[:, 6:9]
-    Q = nodes[:, 9:13]
     kap = np.asarray(curve.kappa_at(s0 + ds * np.arange(nu + 1)), dtype=float)
 
-    # per-node x-derivatives of the lift from the governing equations
-    lift_x = np.empty((nu + 1, 4))
-    lift_xx = np.empty((nu + 1, 4))
-    for i in range(nu + 1):
-        dq = 0.25 * _fib_jacT(Q[i], T[i])      # d lift / ds
-        lift_x[i] = 2.0 * dq
-        tprime = -P[i] + kap[i] * N[i]
-        lift_xx[i] = 0.5 * _fib_jacT(lift_x[i], T[i]) + _fib_jacT(Q[i], tprime)
+    # x-derivatives of the lift at the nodes from the governing equations:
+    # d lift/ds = J(t) q / 4 and x = s/2
+    JT = _fib_jac(T)
+    lift_x = 0.5 * np.einsum("nij,nj->ni", JT, Q)
+    tprime = -P + kap[:, None] * N
+    lift_xx = (0.5 * np.einsum("nij,nj->ni", JT, lift_x)
+               + np.einsum("nij,nj->ni", _fib_jac(tprime), Q))
 
     closed = curve.closed
     if closed:

@@ -4,11 +4,24 @@ Curves are recovered from their (geodesic) curvature kappa(s) by fixed-step
 classical RK4 integration of the frame equations:
 
 * plane:  theta' = kappa, x' = cos(theta), y' = sin(theta)
-* sphere: p' = t, t' = -p + kappa n, n' = -kappa t  (n = p x t)
+* sphere: F' = F K(kappa) for the frame F = (p | t | n), n = p x t, with
+  K(kappa) = [[0, -1, 0], [1, 0, -kappa], [0, kappa, 0]]
+
+Both are evaluated without a per-step Python loop. In the plane the theta
+stages do not depend on the state, so theta and (x, y) are cumulative sums
+of the RK4 stage formula. On the sphere the frame equation is linear, so
+one RK4 step is a matrix, F_{i+1} = F_i M_i, built from the four stage
+curvatures of the step; `_frame_blocks` builds these step matrices for
+FRAME_BLOCK steps at once and multiplies them out by a log-depth prefix
+scan, carrying the frame from one block to the next. The same kernel
+serves the frame transfer of the shooting method and, through its stage
+factors, the horizontal Hopf lift in `builders`. Frames are not
+renormalized during the integration; their drift from orthonormality is
+the step-size check.
 
 The generalized elastic-curve equation 2 k'' + k^3 + a k + b = 0 and its
-linearly-forced variant k'' + k^3/2 = (a + b s) k are integrated with the
-same stepper; closed spherical solutions are found by shooting on the
+linearly-forced variant k'' + k^3/2 = (a + b s) k are integrated with a
+scalar RK4 stepper; closed spherical solutions are found by shooting on the
 rotation angle of the frame transfer over one curvature period.
 """
 
@@ -23,15 +36,6 @@ from scipy.interpolate import CubicSpline
 
 from .errors import BlowUp, NoSolutionInBox, StepTooLarge
 
-try:
-    from numba import njit
-except Exception:  # pragma: no cover
-    def njit(*args, **kwargs):
-        def wrapper(func):
-            return func
-        return wrapper if not (len(args) == 1 and callable(args[0])) else args[0]
-
-
 PLANE = "Plane"
 SPHERE2 = "Sphere2"
 
@@ -39,6 +43,7 @@ MAX_STEP = 1e-3
 MIN_STEPS_PER_SPAN = 10_000
 BLOWUP_LIMIT = 1e6
 FRAME_DRIFT_TOL = 1e-6
+FRAME_BLOCK = 1024          # RK4 steps per batched block of step matrices
 
 
 def _default_step(span: float) -> float:
@@ -46,15 +51,97 @@ def _default_step(span: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# numba kernels
+# blocked RK4 step matrices for linear ODEs Y' = Y K(s)
 # ----------------------------------------------------------------------
 
-@njit(cache=True)
+def _rk4_step_matrices(K, h):
+    """RK4 step matrices of Y' = Y K(s) from the stage generators K (b, 4, d, d).
+
+    For a linear right-acting system the RK4 stages are Y A_j with A_1 = K_1,
+    A_2 = S_2 K_2, A_3 = S_3 K_3, A_4 = S_4 K_4 for the stage factors
+    S_2 = I + h/2 A_1, S_3 = I + h/2 A_2, S_4 = I + h A_3 (stage j evaluates
+    K_j at the state Y S_j), and one step is Y -> Y M with
+    M = I + h/6 (A_1 + 2 A_2 + 2 A_3 + A_4). Returns M (b, d, d) and the
+    stage factors (S_2, S_3, S_4).
+    """
+    eye = np.eye(K.shape[-1])
+    S2 = eye + 0.5 * h * K[:, 0]
+    A2 = S2 @ K[:, 1]
+    S3 = eye + 0.5 * h * A2
+    A3 = S3 @ K[:, 2]
+    S4 = eye + h * A3
+    A4 = S4 @ K[:, 3]
+    M = eye + h / 6.0 * (K[:, 0] + 2 * A2 + 2 * A3 + A4)
+    return M, (S2, S3, S4)
+
+
+def _prefix_products(M):
+    """Right prefix products M_0, M_0 M_1, ..., M_0 ... M_{b-1} (log-depth scan)."""
+    P = M.copy()
+    d = 1
+    while d < len(P):
+        P[d:] = P[:-d] @ P[d:]
+        d *= 2
+    return P
+
+
+def _frame_blocks(F0, stages, nsteps, h):
+    """RK4 on the sphere frame equation F' = F K(kappa), FRAME_BLOCK steps at a time.
+
+    stages(i0, i1) returns the (i1 - i0, 4) stage curvatures of steps
+    i0 .. i1 - 1. Yields (i0, frames, factors) per block: frames (b + 1, 3, 3)
+    are the frames before steps i0 .. i1 (frames[0] is the frame carried in
+    from the previous block) and factors the RK4 stage factors of
+    `_rk4_step_matrices`. Frames are not renormalized.
+    """
+    F = np.asarray(F0, dtype=float)
+    for i0 in range(0, nsteps, FRAME_BLOCK):
+        i1 = min(i0 + FRAME_BLOCK, nsteps)
+        kap = stages(i0, i1)
+        K = np.zeros(kap.shape + (3, 3))
+        K[..., 1, 0] = 1.0
+        K[..., 0, 1] = -1.0
+        K[..., 2, 1] = kap
+        K[..., 1, 2] = -kap
+        M, factors = _rk4_step_matrices(K, h)
+        frames = np.empty((i1 - i0 + 1, 3, 3))
+        frames[0] = F
+        frames[1:] = F @ _prefix_products(M)
+        F = frames[-1]
+        yield i0, frames, factors
+
+
+def _half_step_stages(kh):
+    """RK4 stage values (k(s), k(s + h/2), k(s + h/2), k(s + h)) per step from
+    samples kh on the half-step grid (2 b + 1 values for b steps)."""
+    mid = kh[1::2]
+    return np.stack([kh[:-1:2], mid, mid, kh[2::2]], axis=-1)
+
+
+def _on_samples(a, i0, every, nsteps, per_step=1):
+    """Entries of a block array (per_step per step, the first at step i0) at
+    the steps 0, every, 2 every, ...; the last entry of a block opens the
+    next block and is kept only at the end of the nsteps steps."""
+    stop = None if i0 + FRAME_BLOCK >= nsteps else -1
+    return a[per_step * ((-i0) % every):stop:per_step * every]
+
+
+def _orthonormal_frames(F):
+    """(p, t, n) from frames F (..., 3, 3): p and t Gram-Schmidt normalized, n = p x t."""
+    p = F[..., 0] / np.linalg.norm(F[..., 0], axis=-1, keepdims=True)
+    t = F[..., 1] - np.sum(F[..., 1] * p, axis=-1, keepdims=True) * p
+    t = t / np.linalg.norm(t, axis=-1, keepdims=True)
+    return p, t, np.cross(p, t)
+
+
+# ----------------------------------------------------------------------
+# scalar elastic-curve steppers
+# ----------------------------------------------------------------------
+
 def _elastica_rhs(k, dk, a, b):
     return dk, -0.5 * (k * k * k + a * k + b)
 
 
-@njit(cache=True)
 def _elastica_run(a, b, k0, dk0, h, nsteps, store_every, out):
     """RK4 on 2 k'' + k^3 + a k + b = 0; returns 0 on success, 1 on blow-up."""
     k, dk = k0, dk0
@@ -77,7 +164,6 @@ def _elastica_run(a, b, k0, dk0, h, nsteps, store_every, out):
     return 0
 
 
-@njit(cache=True)
 def _burstall_run(a, b, k0, dk0, h, nsteps, store_every, out):
     """RK4 on k'' + k^3/2 = (a + b s) k."""
     k, dk = k0, dk0
@@ -106,7 +192,6 @@ def _burstall_run(a, b, k0, dk0, h, nsteps, store_every, out):
     return 0
 
 
-@njit(cache=True)
 def _elastica_step(k, dk, a, b, h):
     k1, l1 = _elastica_rhs(k, dk, a, b)
     k2, l2 = _elastica_rhs(k + 0.5 * h * k1, dk + 0.5 * h * l1, a, b)
@@ -115,7 +200,6 @@ def _elastica_step(k, dk, a, b, h):
     return k + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), dk + h / 6.0 * (l1 + 2 * l2 + 2 * l3 + l4)
 
 
-@njit(cache=True)
 def _elastica_half_period(a, b, k0, h, max_steps):
     """Arc length from (k0, 0) to the next dk = 0 crossing; -1.0 if none."""
     k, dk = _elastica_step(k0, 0.0, a, b, h)
@@ -141,40 +225,33 @@ def _elastica_half_period(a, b, k0, h, max_steps):
     return -1.0
 
 
-@njit(cache=True)
 def _frame_transfer(a, b, k0, T, h_target):
-    """Transfer matrix Psi (3x3) of R' = R K(s) over [0, T], columns (p,t,n)."""
+    """Transfer matrix Psi (3x3) of F' = F K(kappa) over [0, T], columns (p,t,n).
+
+    kappa solves the elastica from (k0, 0) by scalar RK4; the stage values of
+    each step are the stage curvatures of the frame step, as in the joint RK4
+    of (kappa, kappa', F).
+    """
     nsteps = int(math.ceil(T / h_target))
     h = T / nsteps
     k, dk = k0, 0.0
-    P = np.eye(3)
+    kap = []
     for _ in range(nsteps):
-        # joint RK4 for (k, dk, P); K(kappa) = [[0,-1,0],[1,0,-kappa],[0,kappa,0]]
         k1, l1 = _elastica_rhs(k, dk, a, b)
-        P1 = _matK(P, k)
         ka, dka = k + 0.5 * h * k1, dk + 0.5 * h * l1
         k2, l2 = _elastica_rhs(ka, dka, a, b)
-        P2 = _matK(P + 0.5 * h * P1, ka)
         kb, dkb = k + 0.5 * h * k2, dk + 0.5 * h * l2
         k3, l3 = _elastica_rhs(kb, dkb, a, b)
-        P3 = _matK(P + 0.5 * h * P2, kb)
         kc, dkc = k + h * k3, dk + h * l3
         k4, l4 = _elastica_rhs(kc, dkc, a, b)
-        P4 = _matK(P + h * P3, kc)
+        kap.append((k, ka, kb, kc))
         k += h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         dk += h / 6.0 * (l1 + 2 * l2 + 2 * l3 + l4)
-        P = P + h / 6.0 * (P1 + 2 * P2 + 2 * P3 + P4)
+    kap = np.asarray(kap)
+    P = np.eye(3)
+    for _, frames, _ in _frame_blocks(P, lambda i0, i1: kap[i0:i1], nsteps, h):
+        P = frames[-1]
     return P
-
-
-@njit(cache=True)
-def _matK(P, kappa):
-    out = np.empty((3, 3))
-    for i in range(3):
-        out[i, 0] = P[i, 1]
-        out[i, 1] = -P[i, 0] + kappa * P[i, 2]
-        out[i, 2] = -kappa * P[i, 1]
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -298,9 +375,12 @@ def integrate_curve(
     """Recover a curve from its curvature function by frame integration.
 
     kappa may be a callable of arc length or an array of samples uniform
-    over s_span. The result stores n_samples frame samples on the span; a
-    curve whose endpoint frame returns to the start within closed_tol is
-    marked closed (and the duplicate endpoint sample is dropped).
+    over s_span. A callable is evaluated on arrays of arc lengths; one that
+    returns a scalar is taken as constant. The result stores n_samples frame
+    samples on the span; a curve whose endpoint frame returns to the start
+    within closed_tol is marked closed (and the duplicate endpoint sample is
+    dropped). On S^2, StepTooLarge is raised when the frames drift from
+    orthonormality by more than FRAME_DRIFT_TOL.
     """
     s0, s1 = float(s_span[0]), float(s_span[1])
     span = s1 - s0
@@ -318,30 +398,36 @@ def integrate_curve(
     ds = span / (n_samples - 1)
     m = max(1, int(np.ceil(ds / _default_step(span))))
     h = ds / m
+    nsteps = (n_samples - 1) * m
     s = s0 + ds * np.arange(n_samples)
 
+    def kappa_half_steps(i0, i1):
+        # kappa at s0 + j h/2 for the steps i0 .. i1 - 1 (2 (i1 - i0) + 1
+        # values); a callable that returns a scalar is broadcast
+        sh = s0 + 0.5 * h * np.arange(2 * i0, 2 * i1 + 1)
+        return np.broadcast_to(np.asarray(kfun(sh), dtype=float), sh.shape)
+
     if ambient == PLANE:
-        theta = np.empty(n_samples)
-        xy = np.empty((n_samples, 2))
-        th, x, y = 0.0, 0.0, 0.0
-        theta[0] = th
-        xy[0] = (x, y)
-        cur = s0
-        for i in range(1, n_samples):
-            for _ in range(m):
-                # RK4 on (x, y, theta)
-                k1 = (np.cos(th), np.sin(th), kfun(cur))
-                k2 = (np.cos(th + h / 2 * k1[2]), np.sin(th + h / 2 * k1[2]), kfun(cur + h / 2))
-                k3 = (np.cos(th + h / 2 * k2[2]), np.sin(th + h / 2 * k2[2]), kfun(cur + h / 2))
-                k4 = (np.cos(th + h * k3[2]), np.sin(th + h * k3[2]), kfun(cur + h))
-                x += h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-                y += h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-                th += h / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-                cur += h
-            theta[i] = th
-            xy[i] = (x, y)
-        kap = np.asarray([kfun(si) for si in s], dtype=float)
-        return _finish_plane_curve(s, kap, theta, xy, closed_tol)
+        # the theta stages do not depend on the state: theta advances by
+        # h/6 (k(s) + 4 k(s + h/2) + k(s + h)), and x + i y by the RK4 stage
+        # average of e^{i theta} at the stage angles
+        kap, theta, xy = [], [], []
+        th, z = 0.0, 0.0j
+        for i0 in range(0, nsteps, FRAME_BLOCK):
+            i1 = min(i0 + FRAME_BLOCK, nsteps)
+            kh = kappa_half_steps(i0, i1)
+            k1, k2, k4 = kh[:-1:2], kh[1::2], kh[2::2]
+            ths = np.cumsum(np.concatenate([[th], h / 6 * (k1 + 4 * k2 + k4)]))
+            dz = np.exp(1j * ths[:-1]) * (1 + 2 * np.exp(0.5j * h * k1)
+                                          + 2 * np.exp(0.5j * h * k2) + np.exp(1j * h * k2))
+            zs = np.cumsum(np.concatenate([[z], h / 6 * dz]))
+            th, z = ths[-1], zs[-1]
+            kap.append(_on_samples(kh, i0, m, nsteps, 2))
+            theta.append(_on_samples(ths, i0, m, nsteps))
+            xy.append(_on_samples(zs, i0, m, nsteps))
+        xy = np.concatenate(xy)
+        return _finish_plane_curve(s, np.concatenate(kap), np.concatenate(theta),
+                                   np.stack([xy.real, xy.imag], axis=-1), closed_tol)
 
     # sphere
     if p0 is None:
@@ -353,40 +439,29 @@ def integrate_curve(
     p = p / np.linalg.norm(p)
     t = t - (t @ p) * p
     t = t / np.linalg.norm(t)
-    n = np.cross(p, t)
 
-    pos = np.empty((n_samples, 3))
-    tan = np.empty((n_samples, 3))
-    nor = np.empty((n_samples, 3))
-    pos[0], tan[0], nor[0] = p, t, n
-    drift = 0.0
-    cur = s0
-    y = np.concatenate([p, t, n])
+    kap, kept = [], []
 
-    def rhs(yy, si):
-        pp, tt, nn = yy[:3], yy[3:6], yy[6:9]
-        k = kfun(si)
-        return np.concatenate([tt, -pp + k * nn, -k * tt])
+    def stages(i0, i1):
+        kh = kappa_half_steps(i0, i1)
+        kap.append(_on_samples(kh, i0, m, nsteps, 2))
+        return _half_step_stages(kh)
 
-    for i in range(1, n_samples):
-        for _ in range(m):
-            k1 = rhs(y, cur)
-            k2 = rhs(y + h / 2 * k1, cur + h / 2)
-            k3 = rhs(y + h / 2 * k2, cur + h / 2)
-            k4 = rhs(y + h * k3, cur + h)
-            y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            pp, tt = y[:3], y[3:6]
-            drift = max(drift, abs(pp @ pp - 1.0), abs(tt @ tt - 1.0), abs(pp @ tt))
-            pp = pp / np.linalg.norm(pp)
-            tt = tt - (tt @ pp) * pp
-            tt = tt / np.linalg.norm(tt)
-            y = np.concatenate([pp, tt, np.cross(pp, tt)])
-            cur += h
-        pos[i], tan[i], nor[i] = y[:3], y[3:6], y[6:9]
-    if drift > FRAME_DRIFT_TOL:
-        raise StepTooLarge(f"frame drift {drift:.2e} exceeds {FRAME_DRIFT_TOL:.0e}")
+    # an unresolved curvature makes the unnormalized frames overflow; the
+    # drift is then inf or nan, and the comparison below rejects both
+    with np.errstate(over="ignore", invalid="ignore"):
+        F0 = np.stack([p, t, np.cross(p, t)], axis=-1)
+        for i0, frames, _ in _frame_blocks(F0, stages, nsteps, h):
+            pp, tt = frames[:, :, 0], frames[:, :, 1]
+            drift = np.max(np.abs([np.sum(pp * pp, axis=-1) - 1.0,
+                                   np.sum(tt * tt, axis=-1) - 1.0,
+                                   np.sum(pp * tt, axis=-1)]))
+            if not drift <= FRAME_DRIFT_TOL:
+                raise StepTooLarge(f"frame drift {drift:.2e} exceeds {FRAME_DRIFT_TOL:.0e}")
+            kept.append(_on_samples(frames, i0, m, nsteps))
+    pos, tan, nor = _orthonormal_frames(np.concatenate(kept))
+    kap = np.concatenate(kap)
 
-    kap = np.asarray([kfun(si) for si in s], dtype=float)
     gap = float(np.linalg.norm(pos[-1] - pos[0]) + np.linalg.norm(tan[-1] - tan[0]))
     closed = gap < closed_tol
     if closed:

@@ -143,3 +143,13 @@ def closed_elastica():
     found = shoot_closed_elastica([0.2], [0.4], targets=[(1, 4)],
                                   include_circles=False, max_results=1)
     return found[0]
+
+
+@pytest.fixture(scope="session")
+def shot_elastica_13():
+    """The closed elastic curve with 3 lobes and winding 1 at a = 1.0, b = 0.5."""
+    from conwill.curves import shoot_closed_elastica
+
+    found = shoot_closed_elastica([1.0], [0.5], targets=[(1, 3)], kappa0_bracket=(1.6, 2.0),
+                                  n_scan=3, include_circles=False, h=1e-3, max_results=1)
+    return found[0]

@@ -1,5 +1,7 @@
 """Builder conventions: Weingarten forms, chart lattices, cross-checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -161,9 +163,21 @@ def test_lift_drift_guard(latitude_curve):
 def test_frame_step_too_large():
     from conwill.errors import StepTooLarge
 
-    # curvature far beyond what the mandated fixed step resolves
-    with pytest.raises(StepTooLarge):
-        integrate_curve(lambda s: 1e4, "Sphere2", (0.0, 10.0), n_samples=33)
+    # curvature far beyond what the mandated fixed step resolves; the
+    # overflowing frames must not leak floating-point warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepTooLarge):
+            integrate_curve(lambda s: 1e4, "Sphere2", (0.0, 10.0), n_samples=33)
+
+
+def test_hopf_lift_pinned(shot_elastica_13):
+    # the Hopf torus over a shot 3-lobed elastica; the Willmore energy as
+    # recorded before the blocked lift
+    s = hopf_cylinder(shot_elastica_13.curve, 256, 32)
+    assert s.metadata["seam_gap"] <= 1e-9
+    assert s.metadata["lift_defect"] <= 1e-9
+    assert willmore_energy(s) == pytest.approx(118.37349831901972, rel=1e-8, abs=0.0)
 
 
 def test_not_arclength_raises(ellipse_curve):

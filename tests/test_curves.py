@@ -59,6 +59,57 @@ def test_sphere_frame_orthonormal():
     assert np.max(np.abs(np.einsum("ij,ij->i", c.tangent, c.normal))) < 1e-12
 
 
+def test_frame_kernel_matches_stepwise_rk4():
+    # the blocked step-matrix products against plain per-step RK4 of
+    # p' = t, t' = -p + k n, n' = -k t, over more steps than two blocks
+    from conwill.curves import FRAME_BLOCK, _frame_blocks
+
+    rng = np.random.default_rng(3)
+    nsteps, h = 2 * FRAME_BLOCK + 300, 2e-3
+    kap = rng.uniform(-2.0, 2.0, (nsteps, 4))
+
+    def rhs(F, k):
+        return F @ np.array([[0.0, -1.0, 0.0], [1.0, 0.0, -k], [0.0, k, 0.0]])
+
+    F = np.eye(3)
+    ref = [F]
+    for k1, k2, k3, k4 in kap:
+        a = rhs(F, k1)
+        b = rhs(F + h / 2 * a, k2)
+        c = rhs(F + h / 2 * b, k3)
+        d = rhs(F + h * c, k4)
+        F = F + h / 6 * (a + 2 * b + 2 * c + d)
+        ref.append(F)
+    blocks = [f for _, f, _ in _frame_blocks(np.eye(3), lambda i0, i1: kap[i0:i1], nsteps, h)]
+    frames = np.concatenate([f[:-1] for f in blocks] + [blocks[-1][-1:]])
+    assert np.max(np.abs(frames - np.array(ref))) < 1e-12
+
+
+def test_plane_matches_stepwise_rk4():
+    # the cumulative-sum plane integration against per-step RK4 on
+    # (x, y, theta), with samples that do not align with the blocks
+    kfun = lambda s: 1.0 + 0.5 * np.sin(s)
+    c = integrate_curve(kfun, "Plane", (0.0, 2.0), n_samples=21)
+    ds = 2.0 / 20
+    m = int(np.ceil(ds / min(1e-3, 2.0 / 10_000)))
+    h = ds / m
+    x = y = th = cur = 0.0
+    ref = [(x, y, th)]
+    for _ in range(20 * m):
+        k1, k2, k4 = kfun(cur), kfun(cur + h / 2), kfun(cur + h)
+        x += h / 6 * (np.cos(th) + 2 * np.cos(th + h / 2 * k1)
+                      + 2 * np.cos(th + h / 2 * k2) + np.cos(th + h * k2))
+        y += h / 6 * (np.sin(th) + 2 * np.sin(th + h / 2 * k1)
+                      + 2 * np.sin(th + h / 2 * k2) + np.sin(th + h * k2))
+        th += h / 6 * (k1 + 4 * k2 + k4)
+        cur += h
+        ref.append((x, y, th))
+    ref = np.array(ref[::m])
+    assert np.max(np.abs(c.position - ref[:, :2])) < 1e-12
+    assert np.max(np.abs(c.tangent - np.stack([np.cos(ref[:, 2]), np.sin(ref[:, 2])], -1))) < 1e-12
+    assert np.max(np.abs(c.kappa - kfun(c.s))) < 1e-15
+
+
 def test_elastica_constant_root():
     # 1 - 2 + 1 = 0: kappa == 1 solves the cubic for a = -2, b = 1
     sol = elastica_ode(-2.0, 1.0, 1.0, 0.0, (0.0, 10.0))
@@ -135,6 +186,27 @@ def test_shooting_wavelike(closed_elastica):
     fine = integrate_curve(lambda s, spl=sol.curve: spl.kappa_at(s), "Sphere2",
                            (0.0, sol.period), n_samples=8193)
     assert fine.closure_gap < 10 * max(sol.closure_gap, 1e-9)
+
+
+def test_shot_elastica_pinned(shot_elastica_13):
+    # kappa0 and period as recorded before the blocked frame kernel
+    sol = shot_elastica_13
+    assert (sol.n_lobes, sol.winding) == (3, 1)
+    assert abs(sol.kappa0 - 1.794035445816395) < 1e-10
+    assert sol.period == pytest.approx(13.949104190186734, rel=1e-9, abs=0.0)
+    assert sol.closure_gap < 1e-7
+
+
+def test_sphere_end_frame_pinned():
+    # end frame (p, t) over an elastica curvature, as recorded before the
+    # blocked frame kernel
+    sol = elastica_ode(1.0, 0.5, 1.2, 0.0, (0.0, 4.4))
+    c = integrate_curve(sol.as_callable(), "Sphere2", (0.0, 4.4))
+    end = np.concatenate([c.position[-1], c.tangent[-1]])
+    ref = [0.9440241680270142, -0.2500755014427621, 0.21512929544591272,
+           -0.15166025297453697, 0.25012124875819486, 0.9562627926398375]
+    assert np.max(np.abs(end - ref)) < 1e-10
+    assert np.max(np.abs(c.normal[-1] - np.cross(c.position[-1], c.tangent[-1]))) < 1e-15
 
 
 def test_no_solution_in_box():
