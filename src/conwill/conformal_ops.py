@@ -10,6 +10,9 @@ Conventions (verified against closed forms in the test suite):
 * delta(u) = 2 u A0 J  (A0 the trace-free Weingarten part);
 * delta_star(q) = 4 Re(q)(A0 J _ ^ _), the adjoint of delta under the
   pairings  <omega, u> = int omega u  and  <q, R> = int 2 Re(q)(R _ ^ _).
+  It is real-linear in phi; with M = A0 J its coefficient w.r.t. dx ^ dy
+  is the closed form
+      4 (-Re(phi) (M_01 + M_10) + Im(phi) (M_11 - M_00)).
 
 On flat doubly periodic charts the holomorphic quadratic differentials are
 exactly the constant-phi ones, so the default torus basis is {dz^2, i dz^2}.
@@ -24,8 +27,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._stencils import diff_uniform
-from .errors import EmptyBasis, GridMismatch, NotAnticommuting
-from .geom_core import ParamSurface, _check_field, integrate_2form
+from .errors import EmptyBasis, GridMismatch, NonHolomorphicBasis, NotAnticommuting
+from .geom_core import ParamSurface, _check_field, _mul2, anticommutator_defect, integrate_2form
 
 ANTICOMMUTE_TOL = 1e-9
 
@@ -101,14 +104,12 @@ def delta_op(s: ParamSurface, u: np.ndarray) -> np.ndarray:
     """Infinitesimal change of J under the normal variation u: 2 u A0 J."""
     u = _check_field(s.grid, u)
     fd = s.fundamental_data()
-    A0J = np.einsum("...ik,...kj->...ij", fd.A0, fd.J)
-    return 2.0 * u[..., None, None] * A0J
+    return 2.0 * u[..., None, None] * _mul2(fd.A0, fd.J)
 
 
-def _wedge_coeff(M: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Coefficient of the 2-form B(M _ ^ _): (M^T B)_{12} - (M^T B)_{21}."""
-    P = np.einsum("...ki,...kj->...ij", M, B)
-    return P[..., 0, 1] - P[..., 1, 0]
+def _wedge_coeff(M: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Coefficient of the 2-form Re(phi dz^2)(M _ ^ _); phi may be a (k, nu, nv) stack."""
+    return -phi.real * (M[..., 0, 1] + M[..., 1, 0]) + phi.imag * (M[..., 1, 1] - M[..., 0, 0])
 
 
 def delta_star(s: ParamSurface, q: QuadraticDifferential) -> np.ndarray:
@@ -116,8 +117,7 @@ def delta_star(s: ParamSurface, q: QuadraticDifferential) -> np.ndarray:
     if q.surface is not s:
         raise GridMismatch("quadratic differential belongs to a different surface")
     fd = s.fundamental_data()
-    A0J = np.einsum("...ik,...kj->...ij", fd.A0, fd.J)
-    return 4.0 * _wedge_coeff(A0J, q.real_bilinear())
+    return 4.0 * _wedge_coeff(_mul2(fd.A0, fd.J), q.phi)
 
 
 def hopf_differential(s: ParamSurface) -> QuadraticDifferential:
@@ -148,27 +148,28 @@ def dbar_vector_field(s: ParamSurface, X: np.ndarray) -> np.ndarray:
         diff_uniform(X, g.hu, 1, g.periodic_u, axis=0),
         diff_uniform(X, g.hv, 1, g.periodic_v, axis=1),
     ], axis=-1)  # dX[..., k, l] = d_l X^k
-    dJ = np.stack([
-        diff_uniform(J, g.hu, 1, g.periodic_u, axis=0),
-        diff_uniform(J, g.hv, 1, g.periodic_v, axis=1),
-    ], axis=-1)  # dJ[..., k, j, l] = d_l J_{kj}
-    out = np.einsum("...l,...kjl->...kj", X, dJ)
-    out -= np.einsum("...lj,...kl->...kj", J, dX)
-    out += np.einsum("...kl,...lj->...kj", J, dX)
+    out = X[..., 0, None, None] * diff_uniform(J, g.hu, 1, g.periodic_u, axis=0)
+    out += X[..., 1, None, None] * diff_uniform(J, g.hv, 1, g.periodic_v, axis=1)
+    out -= _mul2(dX, J)
+    out += _mul2(J, dX)
     return out
+
+
+def _dbar_norms(s: ParamSurface, phi: np.ndarray) -> np.ndarray:
+    """L2 norms over the chart of d phi_i / d z-bar for a (k, nu, nv) stack."""
+    g, a, b = s.grid, phi.real, phi.imag
+    # 2 d phi / d z-bar = (a_x - b_y) + i (b_x + a_y), squared one part at a time
+    dens = (diff_uniform(a, g.hu, 1, g.periodic_u, axis=1)
+            - diff_uniform(b, g.hv, 1, g.periodic_v, axis=2)) ** 2
+    dens += (diff_uniform(b, g.hu, 1, g.periodic_u, axis=1)
+             + diff_uniform(a, g.hv, 1, g.periodic_v, axis=2)) ** 2
+    wu, wv = s.quadrature()
+    return 0.5 * np.sqrt(np.einsum("i,j,kij->k", wu, wv, dens))
 
 
 def dbar_residual(q: QuadraticDifferential) -> float:
     """L2 norm over the chart of d phi / d z-bar; ~0 iff q is holomorphic."""
-    s = q.surface
-    g = s.grid
-    px = diff_uniform(q.phi.real, g.hu, 1, g.periodic_u, axis=0) \
-        + 1j * diff_uniform(q.phi.imag, g.hu, 1, g.periodic_u, axis=0)
-    py = diff_uniform(q.phi.real, g.hv, 1, g.periodic_v, axis=1) \
-        + 1j * diff_uniform(q.phi.imag, g.hv, 1, g.periodic_v, axis=1)
-    defect = 0.5 * (px + 1j * py)
-    wu, wv = s.quadrature()
-    return float(np.sqrt(np.einsum("i,j,ij->", wu, wv, np.abs(defect) ** 2)))
+    return float(_dbar_norms(q.surface, q.phi[None])[0])
 
 
 def pair_form_function(s: ParamSurface, omega: np.ndarray, u: np.ndarray) -> float:
@@ -183,14 +184,40 @@ def pair_qd_endo(s: ParamSurface, q: QuadraticDifferential, R: np.ndarray,
     """<q, R> = int 2 Re(q)(R _ ^ _) for J-anticommuting R."""
     R = _check_field(s.grid, R, (2, 2))
     if check:
-        J = s.fundamental_data().J
-        D = np.einsum("...ik,...kj->...ij", R, J) + np.einsum("...ik,...kj->...ij", J, R)
         scale = float(np.max(np.abs(R)))
+        defect = anticommutator_defect(s, R) * scale
         # absolute floor keeps roundoff-size fields (e.g. delta(u) on a
         # totally umbilic chart) from tripping the structural gate
-        if float(np.max(np.abs(D))) > max(ANTICOMMUTE_TOL * scale, 1e-12):
-            raise NotAnticommuting(f"R J + J R defect {np.max(np.abs(D)):.2e}")
-    return integrate_2form(s, 2.0 * _wedge_coeff(R, q.real_bilinear()))
+        if defect > max(ANTICOMMUTE_TOL * scale, 1e-12):
+            raise NotAnticommuting(f"R J + J R defect {defect:.2e}")
+    return integrate_2form(s, 2.0 * _wedge_coeff(R, q.phi))
+
+
+def _weighted_design(s: ParamSurface, basis: Sequence[QuadraticDifferential],
+                     holo_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weighted design matrices (D, Q, sw) of a holomorphic basis on s.
+
+    sw = sqrt(wu wv dsigma), so |sw * density| is the L2(dsigma) norm of a
+    density. Column i of D (N x k) is sw delta_star(q_i) / dsigma and of Q
+    (N x k, complex) sw phi_i / e^{2 lambda}, so D^T D and Re Q^H Q are the
+    Gram matrices of the delta_star image and of the basis. Raises
+    GridMismatch or NonHolomorphicBasis (dbar_residual > holo_tol max(1, |q|)).
+    """
+    if any(q.surface is not s for q in basis):
+        raise GridMismatch("basis element belongs to a different surface")
+    k = len(basis)
+    fd = s.fundamental_data()
+    wu, wv = s.quadrature()
+    sw = np.sqrt(np.outer(wu, wv) * fd.dsigma)
+    phi = np.array([q.phi for q in basis], dtype=complex).reshape((k,) + sw.shape)
+    dbar = _dbar_norms(s, phi)
+    Q = (phi * (sw / fd.e2l)).reshape(k, sw.size).T
+    bad = dbar > holo_tol * np.maximum(1.0, np.linalg.norm(Q, axis=0))
+    if np.any(bad):
+        raise NonHolomorphicBasis(
+            f"basis element {basis[int(np.argmax(bad))].label} fails holomorphicity")
+    D = (4.0 * _wedge_coeff(_mul2(fd.A0, fd.J), phi) * (sw / fd.dsigma)).reshape(k, sw.size).T
+    return D, Q, sw
 
 
 @dataclass
@@ -222,34 +249,14 @@ def is_strongly_isothermic(
 
     if len(basis) == 0:
         raise EmptyBasis("strong-isothermicity test needs a basis")
-    for q in basis:
-        if dbar_residual(q) > holo_tol * max(1.0, q.l2_norm()):
-            raise ValueError(f"basis element {q.label} is not holomorphic")
-
-    fd = s.fundamental_data()
-    wu, wv = s.quadrature()
-    wgt = np.outer(wu, wv) * fd.dsigma
-    dens = [delta_star(s, q) / fd.dsigma for q in basis]
-    k = len(basis)
-    Gd = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            Gd[i, j] = Gd[j, i] = float(np.sum(wgt * dens[i] * dens[j]))
-    Gq = np.empty((k, k))
-    qdens = [q.phi / fd.e2l for q in basis]
-    for i in range(k):
-        for j in range(i, k):
-            Gq[i, j] = Gq[j, i] = float(np.sum(wgt * (qdens[i] * np.conj(qdens[j])).real))
-
-    vals, vecs = eigh(Gd, Gq)
+    D, Q, _ = _weighted_design(s, basis, holo_tol)
+    vals, vecs = eigh(D.T @ D, (Q.conj().T @ Q).real)
     lam = max(float(vals[0]), 0.0)
     sigma = float(np.sqrt(lam))
     c = vecs[:, 0]
     if sigma <= tol:
-        qfound = basis[0].scaled(c[0])
-        for ci, qi in zip(c[1:], basis[1:]):
-            qfound = qfound + qi.scaled(ci)
-        qfound.label = "isothermic-direction"
+        phi = np.tensordot(c, np.array([q.phi for q in basis]), axes=1)
+        qfound = QuadraticDifferential(s, phi, "isothermic-direction")
         return IsothermicResult("strongly-isothermic", qfound, c, sigma, tol)
     if sigma > 10.0 * tol:
         return IsothermicResult("not-strongly-isothermic", None, None, sigma, tol)

@@ -221,12 +221,7 @@ class ParamSurface:
 
     def conformality_residual(self) -> float:
         """Max relative deviation of the metric from e^{2 lambda} Id."""
-        fu, fv = self.derivative("fu"), self.derivative("fv")
-        E = np.einsum("ijk,ijk->ij", fu, fu)
-        G = np.einsum("ijk,ijk->ij", fv, fv)
-        F = np.einsum("ijk,ijk->ij", fu, fv)
-        scale = np.maximum(E, G)
-        return float(np.max(np.maximum(np.abs(E - G), 2.0 * np.abs(F)) / scale))
+        return _conformality_residual(*_first_form(self.derivative("fu"), self.derivative("fv")))
 
     def require_conformal(self, tol: float = CONFORMAL_GATE) -> None:
         if not self.conformal:
@@ -266,6 +261,36 @@ class FundamentalData:
     e2l: np.ndarray
 
 
+def _mul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-node matrix product a b of two (..., 2, 2) fields, written out by component."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    for i in (0, 1):
+        for j in (0, 1):
+            out[..., i, j] = a[..., i, 0] * b[..., 0, j] + a[..., i, 1] * b[..., 1, j]
+    return out
+
+
+def _first_form(fu: np.ndarray, fv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficients E, F, G of the induced metric from the coordinate tangents."""
+    return (np.einsum("ijk,ijk->ij", fu, fu), np.einsum("ijk,ijk->ij", fu, fv),
+            np.einsum("ijk,ijk->ij", fv, fv))
+
+
+def _conformality_residual(E: np.ndarray, F: np.ndarray, G: np.ndarray) -> float:
+    """Max of max(|E - G|, 2|F|) / max(E, G) over the chart."""
+    return float(np.max(np.maximum(np.abs(E - G), 2.0 * np.abs(F)) / np.maximum(E, G)))
+
+
+def _complex_structure(E: np.ndarray, F: np.ndarray, G: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """J, the rotation by +90 degrees in the metric (E, F, G); W = sqrt(EG - F^2)."""
+    J = np.empty(E.shape + (2, 2))
+    J[..., 0, 0] = -F / W
+    J[..., 0, 1] = -G / W
+    J[..., 1, 0] = E / W
+    J[..., 1, 1] = F / W
+    return J
+
+
 def _cross4(f: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Vector xi with xi . w = det[f; a; b; w] (rows), per node."""
     # 3x3 minors of the 3x4 row matrix [f; a; b], with column i removed
@@ -294,16 +319,14 @@ def fundamental_data(s: ParamSurface) -> FundamentalData:
     fu, fv = s.derivative("fu"), s.derivative("fv")
     fuu, fuv, fvv = s.derivative("fuu"), s.derivative("fuv"), s.derivative("fvv")
 
-    E = np.einsum("ijk,ijk->ij", fu, fu)
-    F = np.einsum("ijk,ijk->ij", fu, fv)
-    Gm = np.einsum("ijk,ijk->ij", fv, fv)
+    E, F, Gm = _first_form(fu, fv)
     W2 = E * Gm - F * F
     if np.min(W2) <= (IMMERSION_TOL ** 2) * np.max(E * Gm):
         raise DegenerateImmersion("coordinate tangents nearly collinear")
     W = np.sqrt(W2)
 
     if s.conformal:
-        res = s.conformality_residual()
+        res = _conformality_residual(E, F, Gm)
         if res > CONFORMAL_GATE:
             raise NotConformal(f"chart flagged conformal but residual is {res:.3e}")
 
@@ -327,7 +350,7 @@ def fundamental_data(s: ParamSurface) -> FundamentalData:
     inv[..., 0, 1] = -F / W2
     inv[..., 1, 0] = -F / W2
     inv[..., 1, 1] = E / W2
-    A = np.einsum("...ik,...kj->...ij", inv, II)
+    A = _mul2(inv, II)
 
     H = 0.5 * (A[..., 0, 0] + A[..., 1, 1])
     G = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
@@ -335,15 +358,9 @@ def fundamental_data(s: ParamSurface) -> FundamentalData:
     A0[..., 0, 0] -= H
     A0[..., 1, 1] -= H
 
-    J = np.empty_like(g)
-    J[..., 0, 0] = -F / W
-    J[..., 0, 1] = -Gm / W
-    J[..., 1, 0] = E / W
-    J[..., 1, 1] = F / W
-
     return FundamentalData(
         g=g, II=II, A=A, A0=A0, H=H, G=G, xi=xi,
-        dsigma=W, J=J, e2l=0.5 * (E + Gm),
+        dsigma=W, J=_complex_structure(E, F, Gm, W), e2l=0.5 * (E + Gm),
     )
 
 
@@ -376,6 +393,6 @@ def anticommutator_defect(s: ParamSurface, R: np.ndarray) -> float:
     """Sup norm of R J + J R relative to the scale of R."""
     R = _check_field(s.grid, R, (2, 2))
     J = s.fundamental_data().J
-    D = np.einsum("...ik,...kj->...ij", R, J) + np.einsum("...ik,...kj->...ij", J, R)
+    D = _mul2(R, J) + _mul2(J, R)
     scale = max(float(np.max(np.abs(R))), 1e-300)
     return float(np.max(np.abs(D))) / scale

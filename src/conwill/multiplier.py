@@ -4,7 +4,9 @@ An immersion is certified constrained-critical for a functional F when the
 equation  grad(F) = delta_star(q)  has a solution q in the given basis of
 holomorphic quadratic differentials, up to the certification tolerance.
 Residuals are measured in L2(dsigma) after dividing the 2-forms by dsigma,
-so they are parametrization independent.
+so they are parametrization independent. The solve is least squares on the
+sqrt(w)-weighted design matrix (w = quadrature weight times dsigma, one
+column per basis element), taken by lstsq and not by normal equations.
 
 On compact charts (doubly periodic grids) the equation characterizes
 criticality both ways, so a large residual yields "not-critical". On open
@@ -22,10 +24,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .conformal_ops import QuadraticDifferential, dbar_residual, delta_star, hopf_differential
-from .errors import NonHolomorphicBasis, NotCMC, SingularBasis
+from .conformal_ops import QuadraticDifferential, _weighted_design, hopf_differential
+from .errors import NotCMC, SingularBasis
 from .functionals import WILLMORE, _check_kind, gradient
-from .geom_core import ParamSurface, integrate_2form
+from .geom_core import ParamSurface
 
 DEFAULT_TOL = 1e-5
 GRAM_COND_LIMIT = 1e12
@@ -69,10 +71,6 @@ class Certificate:
         return self.verdict == VERDICT_CRITICAL
 
 
-def _l2_dsigma(s: ParamSurface, density: np.ndarray, dsigma: np.ndarray) -> float:
-    return float(np.sqrt(max(integrate_2form(s, density ** 2 * dsigma), 0.0)))
-
-
 def solve_multiplier(
     s: ParamSurface,
     kind: str,
@@ -87,43 +85,15 @@ def solve_multiplier(
     """
     _check_kind(kind)
     fd = s.fundamental_data()
-    for q in basis:
-        if dbar_residual(q) > holo_tol * max(1.0, q.l2_norm()):
-            raise NonHolomorphicBasis(f"basis element {q.label} fails holomorphicity")
-    if len(basis) >= 2:
-        # independence of the basis itself (not of its delta_star image)
-        k = len(basis)
-        Gq = np.empty((k, k))
-        qdens = [q.phi / fd.e2l for q in basis]
-        wu, wv = s.quadrature()
-        wgt = np.outer(wu, wv) * fd.dsigma
-        for i in range(k):
-            for j in range(i, k):
-                Gq[i, j] = Gq[j, i] = float(np.sum(wgt * (qdens[i] * np.conj(qdens[j])).real))
-        if np.linalg.cond(Gq) > GRAM_COND_LIMIT:
-            raise SingularBasis("quadratic-differential basis is numerically dependent")
+    D, Q, sw = _weighted_design(s, basis, holo_tol)
+    # independence of the basis itself (not of its delta_star image)
+    if len(basis) >= 2 and np.linalg.cond((Q.conj().T @ Q).real) > GRAM_COND_LIMIT:
+        raise SingularBasis("quadratic-differential basis is numerically dependent")
 
-    grad_density = gradient(s, kind) / fd.dsigma
-    dens = [delta_star(s, q) / fd.dsigma for q in basis]
-    grad_norm = _l2_dsigma(s, grad_density, fd.dsigma)
-
-    k = len(basis)
-    if k:
-        G = np.empty((k, k))
-        b = np.empty(k)
-        wu, wv = s.quadrature()
-        wgt = np.outer(wu, wv) * fd.dsigma
-        for i in range(k):
-            b[i] = float(np.sum(wgt * dens[i] * grad_density))
-            for j in range(i, k):
-                G[i, j] = G[j, i] = float(np.sum(wgt * dens[i] * dens[j]))
-        coeffs, *_ = np.linalg.lstsq(G, b, rcond=None)
-        resid_density = grad_density - sum(c * d for c, d in zip(coeffs, dens))
-    else:
-        coeffs = np.zeros(0)
-        resid_density = grad_density
-    residual = _l2_dsigma(s, resid_density, fd.dsigma)
-    residual = min(residual, grad_norm) if k == 0 else residual
+    g = (sw * gradient(s, kind) / fd.dsigma).ravel()
+    coeffs = np.linalg.lstsq(D, g, rcond=None)[0] if len(basis) else np.zeros(0)
+    grad_norm = float(np.linalg.norm(g))
+    residual = float(np.linalg.norm(g - D @ coeffs))
 
     compact = s.grid.periodic_u and s.grid.periodic_v
     threshold = tol * max(1.0, grad_norm)

@@ -126,6 +126,12 @@ def random_closed_spherical_curve():
 
 
 @pytest.fixture(scope="session")
+def random_hopf_torus(random_closed_spherical_curve):
+    """Hopf torus over the randomized curve: not strongly isothermic, full-rank delta_star image."""
+    return hopf_cylinder(random_closed_spherical_curve, 192, 16)
+
+
+@pytest.fixture(scope="session")
 def burstall_band():
     """Cylinder over a bounded piece of the linearly-forced elastic curve."""
     from conwill.curves import burstall_ode

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conwill.builders import homogeneous_torus, plane_patch
 from conwill.conformal_ops import (
@@ -16,7 +18,7 @@ from conwill.conformal_ops import (
     pair_form_function,
     pair_qd_endo,
 )
-from conwill.errors import EmptyBasis, NotAnticommuting
+from conwill.errors import EmptyBasis, GridMismatch, NonHolomorphicBasis, NotAnticommuting
 from conwill.geom_core import anticommutator_defect, integrate_2form
 
 
@@ -58,6 +60,18 @@ def test_delta_star_hopf_chart(hopf_latitude):
     qi = QuadraticDifferential.constant(hopf_latitude, 1j)
     assert np.max(np.abs(delta_star(hopf_latitude, q1) + 8 * kappa * fd.dsigma)) < 1e-10
     assert np.max(np.abs(delta_star(hopf_latitude, qi) - 8 * fd.dsigma)) < 1e-10
+
+
+def test_delta_star_closed_form_matches_bilinear(homog_torus, ellipse_cylinder, revolution_torus):
+    # reference: the coefficient (M^T B)_{01} - (M^T B)_{10} of Re(q)(M _ ^ _)
+    # with the matrix B of Re(q), M = A0 J, as explicit matrix products
+    rng = np.random.default_rng(5)
+    for s in (homog_torus, ellipse_cylinder, revolution_torus):
+        fd = s.fundamental_data()
+        q = QuadraticDifferential(s, _random_field(s, rng) + 1j * _random_field(s, rng))
+        P = np.einsum("...ki,...kj->...ij", fd.A0 @ fd.J, q.real_bilinear())
+        expect = 4.0 * (P[..., 0, 1] - P[..., 1, 0])
+        assert np.max(np.abs(delta_star(s, q) - expect)) < 1e-12 * max(1.0, np.max(np.abs(expect)))
 
 
 def test_delta_star_umbilic_zero(sphere_band):
@@ -180,6 +194,24 @@ def test_adjointness_randomized(homog_torus, ellipse_cylinder, revolution_torus)
             assert abs(lhs - rhs) < 1e-7 * max(1.0, abs(lhs))
 
 
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(r1=st.floats(min_value=0.3, max_value=0.95),
+       c=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+       a=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+       m=st.integers(1, 3), n=st.integers(1, 3),
+       p=st.tuples(st.floats(0.0, 2 * np.pi), st.floats(0.0, 2 * np.pi)))
+def test_adjointness_property_homogeneous_tori(r1, c, a, m, n, p):
+    # <delta_star(q), u> = <q, delta(u)> for constant phi and a trigonometric u
+    s = homogeneous_torus(r1, np.sqrt(1.0 - r1 * r1), 48, 40)
+    U, V = s.grid.mesh()
+    u = (a[0] + a[1] * np.cos(2 * np.pi * m * U / s.grid.Lu + p[0])
+         + a[2] * np.sin(2 * np.pi * n * V / s.grid.Lv + p[1]))
+    q = QuadraticDifferential.constant(s, complex(*c))
+    lhs = pair_form_function(s, delta_star(s, q), u)
+    rhs = pair_qd_endo(s, q, delta_op(s, u))
+    assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
+
+
 def test_pair_qd_endo_zero(homog_torus):
     q = QuadraticDifferential.constant(homog_torus, 1.0)
     R = np.zeros(homog_torus.position.shape[:2] + (2, 2))
@@ -235,10 +267,8 @@ def test_strongly_isothermic_cmc_torus(homog_torus):
     assert abs(res.coefficients[0]) < 1e-8
 
 
-def test_not_strongly_isothermic_random_torus(random_closed_spherical_curve):
-    from conwill.builders import hopf_cylinder
-
-    s = hopf_cylinder(random_closed_spherical_curve, 192, 16)
+def test_not_strongly_isothermic_random_torus(random_hopf_torus):
+    s = random_hopf_torus
     res = is_strongly_isothermic(s, make_qd_basis(s), tol=1e-6)
     assert res.verdict == "not-strongly-isothermic"
     assert res.sigma_min > 1e-4
@@ -256,3 +286,16 @@ def test_isothermic_zeros_are_umbilic(ellipse_cylinder, homog_torus):
 def test_empty_basis_raises(homog_torus):
     with pytest.raises(EmptyBasis):
         is_strongly_isothermic(homog_torus, [])
+
+
+def test_isothermic_nonholomorphic_basis_raises(homog_torus):
+    # the same error type as solve_multiplier, inside the ConwillError hierarchy
+    U, _ = homog_torus.grid.mesh()
+    wave = QuadraticDifferential(homog_torus, np.exp(2j * np.pi * U / homog_torus.grid.Lu))
+    with pytest.raises(NonHolomorphicBasis):
+        is_strongly_isothermic(homog_torus, [wave])
+
+
+def test_isothermic_basis_on_other_surface_raises(homog_torus, clifford):
+    with pytest.raises(GridMismatch):
+        is_strongly_isothermic(homog_torus, make_qd_basis(clifford))

@@ -20,6 +20,7 @@ from conwill.geom_core import (
     ParamSurface,
     R3,
     S3,
+    _mul2,
     anticommutator_defect,
     integrate_2form,
     laplace_beltrami,
@@ -33,6 +34,14 @@ def test_grid_invariants():
         Grid2D(64, 64, -1.0, 1.0)
     g = Grid2D(64, 32, 2.0, 1.0, periodic_u=False)
     assert g.hu == 2.0 / 64 and g.hv == 1.0 / 32
+
+
+def test_mul2_matches_matmul():
+    rng = np.random.default_rng(4)
+    a, b = rng.normal(size=(2, 7, 5, 2, 2))
+    assert np.max(np.abs(_mul2(a, b) - a @ b)) < 1e-14
+    # a constant matrix broadcasts against a field
+    assert np.max(np.abs(_mul2(a, b[0, 0]) - a @ b[0, 0])) < 1e-14
 
 
 def test_cylinder_mean_curvature(circle_cylinder):

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conwill.builders import cylinder_over_curve, homogeneous_torus, hopf_cylinder
 from conwill.conformal_ops import (
@@ -13,10 +15,11 @@ from conwill.conformal_ops import (
     make_qd_basis,
 )
 from conwill.curves import burstall_ode, integrate_curve
-from conwill.errors import NonHolomorphicBasis, NotCMC, SingularBasis
+from conwill.errors import GridMismatch, NonHolomorphicBasis, NotCMC, SingularBasis
 from conwill.functionals import AREA, VOLUME, WILLMORE, gradient
 from conwill.geom_core import integrate_2form
 from conwill.multiplier import (
+    GRAM_COND_LIMIT,
     certify_constrained_willmore,
     cmc_multiplier,
     solve_multiplier,
@@ -148,6 +151,70 @@ def test_singular_basis_rejected(homog_torus):
     q2 = QuadraticDifferential.constant(homog_torus, 1.0 + 1e-15)
     with pytest.raises(SingularBasis):
         solve_multiplier(homog_torus, AREA, [q, q2])
+
+
+def test_gram_cond_limit_semantics(homog_torus):
+    # {dz^2, (1 + i eps) dz^2} has basis Gram condition number ~ 4 / eps^2
+    assert 4.0 / 1e-5 ** 2 < GRAM_COND_LIMIT < 4.0 / 1e-6 ** 2
+    q = QuadraticDifferential.constant(homog_torus, 1.0)
+    ok = QuadraticDifferential.constant(homog_torus, 1.0 + 1e-5j)
+    solve_multiplier(homog_torus, AREA, [q, ok])
+    near = QuadraticDifferential.constant(homog_torus, 1.0 + 1e-6j)
+    with pytest.raises(SingularBasis):
+        solve_multiplier(homog_torus, AREA, [q, near])
+
+
+def test_basis_on_other_surface_rejected(homog_torus, clifford):
+    with pytest.raises(GridMismatch):
+        solve_multiplier(homog_torus, AREA, make_qd_basis(clifford))
+
+
+def _normal_equations_reference(s, kind, basis):
+    """Multiplier by explicit Gram loops and normal equations (the reference solve)."""
+    fd = s.fundamental_data()
+    wu, wv = s.quadrature()
+    wgt = np.outer(wu, wv) * fd.dsigma
+    grad = gradient(s, kind) / fd.dsigma
+    dens = [delta_star(s, q) / fd.dsigma for q in basis]
+    k = len(basis)
+    G, b = np.empty((k, k)), np.empty(k)
+    for i in range(k):
+        b[i] = np.sum(wgt * dens[i] * grad)
+        for j in range(i, k):
+            G[i, j] = G[j, i] = np.sum(wgt * dens[i] * dens[j])
+    coeffs = np.linalg.lstsq(G, b, rcond=None)[0]
+    resid = grad - sum(c * d for c, d in zip(coeffs, dens))
+    return coeffs, np.sqrt(np.sum(wgt * resid ** 2)), np.sqrt(np.sum(wgt * grad ** 2))
+
+
+def test_design_matrix_solve_matches_normal_equations(random_hopf_torus):
+    s = random_hopf_torus
+    basis = make_qd_basis(s)
+    for kind in (AREA, VOLUME, WILLMORE):
+        cert = solve_multiplier(s, kind, basis)
+        coeffs, resid, grad_norm = _normal_equations_reference(s, kind, basis)
+        assert np.max(np.abs(cert.coefficients - coeffs)) < 1e-10 * max(1.0, np.max(np.abs(coeffs)))
+        assert abs(cert.residual_l2 - resid) < 1e-10 * max(1.0, resid)
+        assert abs(cert.gradient_l2 - grad_norm) < 1e-10 * max(1.0, grad_norm)
+    # closed forms on this chart: area -1/4 dz^2, volume 1/8 i dz^2
+    assert np.allclose(solve_multiplier(s, AREA, basis).coefficients, [-0.25, 0.0], atol=1e-12)
+    assert np.allclose(solve_multiplier(s, VOLUME, basis).coefficients, [0.0, 0.125], atol=1e-12)
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(r1=st.floats(min_value=0.3, max_value=0.95))
+def test_orientation_flip_property(r1):
+    # flipping the normal negates delta_star and the area and Willmore
+    # gradients but not the volume gradient
+    s = homogeneous_torus(r1, np.sqrt(1.0 - r1 * r1), 48, 40)
+    f = s.with_orientation(-s.orientation)
+    for kind, sign in ((AREA, 1.0), (WILLMORE, 1.0), (VOLUME, -1.0)):
+        c = solve_multiplier(s, kind, make_qd_basis(s))
+        cf = solve_multiplier(f, kind, make_qd_basis(f))
+        assert np.allclose(cf.coefficients, sign * c.coefficients, rtol=1e-9, atol=1e-12)
+        assert abs(cf.residual_l2 - c.residual_l2) < 1e-9 * max(1.0, c.gradient_l2)
+        assert abs(cf.gradient_l2 - c.gradient_l2) < 1e-12 * max(1.0, c.gradient_l2)
+        assert cf.verdict == c.verdict
 
 
 def test_certificate_json_schema(homog_torus):
