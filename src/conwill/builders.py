@@ -24,7 +24,7 @@ import numpy as np
 from .curves import (PLANE, SPHERE2, CurvatureCurve, _frame_blocks, _half_step_stages,
                      _on_samples, _orthonormal_frames, _prefix_products,
                      _rk4_step_matrices, integrate_curve)
-from .errors import AxisContact, BadRadii, LiftDrift, NotArcLength, WrongSpaceForm
+from .errors import AxisContact, BadRadii, GridMismatch, LiftDrift, NotArcLength, WrongSpaceForm
 from .geom_core import R3, S3, Grid2D, ParamSurface
 
 
@@ -199,7 +199,7 @@ def _hopf_lift(F0, q0, kfine, nsteps, h, every):
     nodes, defects = [], []
     q = np.asarray(q0, dtype=float)
     for i0, frames, factors in _frame_blocks(
-            F0, lambda i0, i1: _half_step_stages(kfine[2 * i0:2 * i1 + 1]), nsteps, h):
+            F0, lambda i0, i1: (1.0, _half_step_stages(kfine[2 * i0:2 * i1 + 1])), nsteps, h):
         F = frames[:-1]
         # tangents (column 1) of the frame stage states F S_j, S_1 = I
         T = np.stack([F[..., 1]] + [(F @ S[..., 1:2])[..., 0] for S in factors], axis=1)
@@ -315,8 +315,13 @@ def hopf_cylinder(curve: CurvatureCurve, nu=256, nv=64, lift_tol=1e-7) -> ParamS
                   u0=s0 / 2.0)
 
     def node_index(U):
-        idx = np.rint((U - grid.u0) / grid.hu).astype(int)
-        return np.clip(idx, 0, nu)
+        # the lift is sampled at the nodes only: arguments more than 1e-6 hu
+        # off a node, or outside the nodes 0 .. nu, are refused, not snapped
+        x = (np.asarray(U, dtype=float) - grid.u0) / grid.hu
+        idx = np.rint(x)
+        if np.any(np.abs(x - idx) > 1e-6) or np.any((idx < 0) | (idx > nu)):
+            raise GridMismatch("hopf_cylinder callbacks take grid-node arguments only")
+        return idx.astype(int)
 
     def make_cb(base, fiber_i):
         # base: (nu+1, 4) node samples along x; value e^{-i y} base[x],

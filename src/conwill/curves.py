@@ -20,21 +20,27 @@ renormalized during the integration; their drift from orthonormality is
 the step-size check.
 
 The generalized elastic-curve equation 2 k'' + k^3 + a k + b = 0 and its
-linearly-forced variant k'' + k^3/2 = (a + b s) k are integrated with a
-scalar RK4 stepper; closed spherical solutions are found by shooting on the
-rotation angle of the frame transfer over one curvature period.
+linearly-forced variant k'' + k^3/2 = (a + b s) k are integrated by one
+scalar RK4 stepper for k'' = f(s, k). Closed spherical solutions are found by
+shooting on the rotation angle of the frame transfer over one curvature
+period, and both come from the first integral E = k'^2 + V(k),
+V = k^4/4 + a k^2/2 + b k, without stepping the curvature: between the
+turning points lo, hi the substitution k = m + r sin(theta) gives the smooth
+2 pi-periodic speed ds/dtheta, so the period is a trapezoid sum in theta and
+the transfer is the frame kernel run in theta over one turn (THETA_STEPS
+steps). An orbit too close to its separatrix for that fixed theta grid
+raises NearSeparatrix.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import BlowUp, NoSolutionInBox, StepTooLarge
+from .errors import BlowUp, NearSeparatrix, NoSolutionInBox, StepTooLarge
 
 PLANE = "Plane"
 SPHERE2 = "Sphere2"
@@ -44,6 +50,9 @@ MIN_STEPS_PER_SPAN = 10_000
 BLOWUP_LIMIT = 1e6
 FRAME_DRIFT_TOL = 1e-6
 FRAME_BLOCK = 1024          # RK4 steps per batched block of step matrices
+PERIOD_NODES = 256          # trapezoid nodes in theta for the curvature period
+THETA_STEPS = 4096          # RK4 steps in theta for the frame transfer over one period
+SEPARATRIX_TOL = 1e-12      # relative change of the period sum on every other node
 
 
 def _default_step(span: float) -> float:
@@ -86,23 +95,25 @@ def _prefix_products(M):
 
 
 def _frame_blocks(F0, stages, nsteps, h):
-    """RK4 on the sphere frame equation F' = F K(kappa), FRAME_BLOCK steps at a time.
+    """RK4 on the sphere frame equation F' = F sigma K(kappa), FRAME_BLOCK steps at a time.
 
-    stages(i0, i1) returns the (i1 - i0, 4) stage curvatures of steps
-    i0 .. i1 - 1. Yields (i0, frames, factors) per block: frames (b + 1, 3, 3)
-    are the frames before steps i0 .. i1 (frames[0] is the frame carried in
-    from the previous block) and factors the RK4 stage factors of
-    `_rk4_step_matrices`. Frames are not renormalized.
+    stages(i0, i1) returns the speeds sigma and the (i1 - i0, 4) stage
+    curvatures of steps i0 .. i1 - 1; sigma = ds/dt is 1 in arc length and
+    broadcasts against the curvatures. Yields (i0, frames, factors) per
+    block: frames (b + 1, 3, 3) are the frames before steps i0 .. i1
+    (frames[0] is the frame carried in from the previous block) and factors
+    the RK4 stage factors of `_rk4_step_matrices`. Frames are not
+    renormalized.
     """
     F = np.asarray(F0, dtype=float)
     for i0 in range(0, nsteps, FRAME_BLOCK):
         i1 = min(i0 + FRAME_BLOCK, nsteps)
-        kap = stages(i0, i1)
+        sigma, kap = stages(i0, i1)
         K = np.zeros(kap.shape + (3, 3))
-        K[..., 1, 0] = 1.0
-        K[..., 0, 1] = -1.0
-        K[..., 2, 1] = kap
-        K[..., 1, 2] = -kap
+        K[..., 1, 0] = sigma
+        K[..., 0, 1] = -sigma
+        K[..., 2, 1] = sigma * kap
+        K[..., 1, 2] = -sigma * kap
         M, factors = _rk4_step_matrices(K, h)
         frames = np.empty((i1 - i0 + 1, 3, 3))
         frames[0] = F
@@ -135,52 +146,25 @@ def _orthonormal_frames(F):
 
 
 # ----------------------------------------------------------------------
-# scalar elastic-curve steppers
+# scalar curvature stepper
 # ----------------------------------------------------------------------
 
-def _elastica_rhs(k, dk, a, b):
-    return dk, -0.5 * (k * k * k + a * k + b)
-
-
-def _elastica_run(a, b, k0, dk0, h, nsteps, store_every, out):
-    """RK4 on 2 k'' + k^3 + a k + b = 0; returns 0 on success, 1 on blow-up."""
-    k, dk = k0, dk0
-    out[0, 0] = k
-    out[0, 1] = dk
-    m = 1
-    for i in range(nsteps):
-        k1, l1 = _elastica_rhs(k, dk, a, b)
-        k2, l2 = _elastica_rhs(k + 0.5 * h * k1, dk + 0.5 * h * l1, a, b)
-        k3, l3 = _elastica_rhs(k + 0.5 * h * k2, dk + 0.5 * h * l2, a, b)
-        k4, l4 = _elastica_rhs(k + h * k3, dk + h * l3, a, b)
-        k += h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        dk += h / 6.0 * (l1 + 2 * l2 + 2 * l3 + l4)
-        if abs(k) > BLOWUP_LIMIT:
-            return 1
-        if (i + 1) % store_every == 0:
-            out[m, 0] = k
-            out[m, 1] = dk
-            m += 1
-    return 0
-
-
-def _burstall_run(a, b, k0, dk0, h, nsteps, store_every, out):
-    """RK4 on k'' + k^3/2 = (a + b s) k."""
+def _rk4_run(f, k0, dk0, h, nsteps, store_every, out):
+    """RK4 on k'' = f(s, k) from s = 0; returns 0 on success, 1 on blow-up."""
     k, dk = k0, dk0
     s = 0.0
     out[0, 0] = k
     out[0, 1] = dk
     m = 1
     for i in range(nsteps):
-        k1 = dk
-        l1 = (a + b * s) * k - 0.5 * k ** 3
+        l1 = f(s, k)
         k2 = dk + 0.5 * h * l1
-        l2 = (a + b * (s + 0.5 * h)) * (k + 0.5 * h * k1) - 0.5 * (k + 0.5 * h * k1) ** 3
+        l2 = f(s + 0.5 * h, k + 0.5 * h * dk)
         k3 = dk + 0.5 * h * l2
-        l3 = (a + b * (s + 0.5 * h)) * (k + 0.5 * h * k2) - 0.5 * (k + 0.5 * h * k2) ** 3
+        l3 = f(s + 0.5 * h, k + 0.5 * h * k2)
         k4 = dk + h * l3
-        l4 = (a + b * (s + h)) * (k + h * k3) - 0.5 * (k + h * k3) ** 3
-        k += h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        l4 = f(s + h, k + h * k3)
+        k += h / 6.0 * (dk + 2 * k2 + 2 * k3 + k4)
         dk += h / 6.0 * (l1 + 2 * l2 + 2 * l3 + l4)
         s += h
         if abs(k) > BLOWUP_LIMIT:
@@ -190,68 +174,6 @@ def _burstall_run(a, b, k0, dk0, h, nsteps, store_every, out):
             out[m, 1] = dk
             m += 1
     return 0
-
-
-def _elastica_step(k, dk, a, b, h):
-    k1, l1 = _elastica_rhs(k, dk, a, b)
-    k2, l2 = _elastica_rhs(k + 0.5 * h * k1, dk + 0.5 * h * l1, a, b)
-    k3, l3 = _elastica_rhs(k + 0.5 * h * k2, dk + 0.5 * h * l2, a, b)
-    k4, l4 = _elastica_rhs(k + h * k3, dk + h * l3, a, b)
-    return k + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), dk + h / 6.0 * (l1 + 2 * l2 + 2 * l3 + l4)
-
-
-def _elastica_half_period(a, b, k0, h, max_steps):
-    """Arc length from (k0, 0) to the next dk = 0 crossing; -1.0 if none."""
-    k, dk = _elastica_step(k0, 0.0, a, b, h)
-    s = h
-    if abs(dk) < 1e-300:
-        return -1.0
-    for _ in range(max_steps):
-        kn, dkn = _elastica_step(k, dk, a, b, h)
-        if abs(kn) > BLOWUP_LIMIT:
-            return -2.0
-        if dk * dkn < 0.0:
-            lo, hi = 0.0, h
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                _, dmid = _elastica_step(k, dk, a, b, mid)
-                if dk * dmid < 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-            return s + 0.5 * (lo + hi)
-        k, dk = kn, dkn
-        s += h
-    return -1.0
-
-
-def _frame_transfer(a, b, k0, T, h_target):
-    """Transfer matrix Psi (3x3) of F' = F K(kappa) over [0, T], columns (p,t,n).
-
-    kappa solves the elastica from (k0, 0) by scalar RK4; the stage values of
-    each step are the stage curvatures of the frame step, as in the joint RK4
-    of (kappa, kappa', F).
-    """
-    nsteps = int(math.ceil(T / h_target))
-    h = T / nsteps
-    k, dk = k0, 0.0
-    kap = []
-    for _ in range(nsteps):
-        k1, l1 = _elastica_rhs(k, dk, a, b)
-        ka, dka = k + 0.5 * h * k1, dk + 0.5 * h * l1
-        k2, l2 = _elastica_rhs(ka, dka, a, b)
-        kb, dkb = k + 0.5 * h * k2, dk + 0.5 * h * l2
-        k3, l3 = _elastica_rhs(kb, dkb, a, b)
-        kc, dkc = k + h * k3, dk + h * l3
-        k4, l4 = _elastica_rhs(kc, dkc, a, b)
-        kap.append((k, ka, kb, kc))
-        k += h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        dk += h / 6.0 * (l1 + 2 * l2 + 2 * l3 + l4)
-    kap = np.asarray(kap)
-    P = np.eye(3)
-    for _, frames, _ in _frame_blocks(P, lambda i0, i1: kap[i0:i1], nsteps, h):
-        P = frames[-1]
-    return P
 
 
 # ----------------------------------------------------------------------
@@ -445,7 +367,7 @@ def integrate_curve(
     def stages(i0, i1):
         kh = kappa_half_steps(i0, i1)
         kap.append(_on_samples(kh, i0, m, nsteps, 2))
-        return _half_step_stages(kh)
+        return 1.0, _half_step_stages(kh)
 
     # an unresolved curvature makes the unnormalized frames overflow; the
     # drift is then inf or nan, and the comparison below rejects both
@@ -553,7 +475,7 @@ def elastica_first_integral(kappa, dkappa, a, b):
     return np.asarray(dkappa) ** 2 + 0.25 * k ** 4 + 0.5 * a * k ** 2 + b * k
 
 
-def _run_ode(kernel, a, b, k0, dk0, s_span, step, max_stored):
+def _run_ode(f, k0, dk0, s_span, step, max_stored):
     s0, s1 = map(float, s_span)
     span = s1 - s0
     if span <= 0:
@@ -564,8 +486,7 @@ def _run_ode(kernel, a, b, k0, dk0, s_span, step, max_stored):
     store_every = max(1, int(np.ceil(nsteps / (max_stored - 1))))
     nstored = nsteps // store_every + 1
     out = np.empty((nstored, 2))
-    status = kernel(a, b, float(k0), float(dk0), h, nsteps, store_every, out)
-    if status != 0:
+    if _rk4_run(f, float(k0), float(dk0), h, nsteps, store_every, out) != 0:
         raise BlowUp(f"|kappa| exceeded {BLOWUP_LIMIT:.0e}")
     s = s0 + h * store_every * np.arange(nstored)
     return s, out[:, 0], out[:, 1]
@@ -573,7 +494,8 @@ def _run_ode(kernel, a, b, k0, dk0, s_span, step, max_stored):
 
 def elastica_ode(a, b, k0, dk0, s_span, step=None, max_stored=200_001) -> OdeSolution:
     """Integrate 2 k'' + k^3 + a k + b = 0 and monitor its first integral."""
-    s, k, dk = _run_ode(_elastica_run, a, b, k0, dk0, s_span, step, max_stored)
+    s, k, dk = _run_ode(lambda s, k: -0.5 * (k * k * k + a * k + b),
+                        k0, dk0, s_span, step, max_stored)
     E = elastica_first_integral(k, dk, a, b)
     scale = max(float(np.max(np.abs(E))), 1.0)
     drift = float(np.max(np.abs(E - E[0]))) / scale
@@ -582,7 +504,8 @@ def elastica_ode(a, b, k0, dk0, s_span, step=None, max_stored=200_001) -> OdeSol
 
 def burstall_ode(a, b, k0, dk0, s_span, step=None, max_stored=200_001) -> OdeSolution:
     """Integrate k'' + k^3/2 = (a + b s) k (no conserved quantity)."""
-    s, k, dk = _run_ode(_burstall_run, a, b, k0, dk0, s_span, step, max_stored)
+    s, k, dk = _run_ode(lambda s, k: (a + b * s) * k - 0.5 * k ** 3,
+                        k0, dk0, s_span, step, max_stored)
     return OdeSolution(a, b, s, k, dk)
 
 
@@ -606,21 +529,63 @@ def _rotation_angle(R: np.ndarray) -> float:
     return float(np.arccos(np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)))
 
 
-def _kappa_period(a, b, k0, h=2e-4):
-    half = _elastica_half_period(a, b, k0, h, int(2e6))
-    if half == -2.0:
-        raise BlowUp("kappa blew up during period search")
-    if half < 0:
-        return None
-    return 2.0 * half
+def _theta_orbit(a, b, k0):
+    """Period and theta-parametrization of the elastica orbit through (k0, 0).
+
+    With E = V(k0), 4 (V(k) - V(k0)) = (k - k0) (k - k1) S(k) for the turning
+    point k1, the root of the quotient cubic next to k0 in the direction of
+    -V'(k0), and a monic quadratic S that is positive between them. Then
+    k'^2 = (hi - k) (k - lo) S(k) / 4, and on k = m + r sin(theta) the speed
+    ds/dtheta = 2 / sqrt(S(k)) is smooth and 2 pi-periodic; one turn in theta
+    is one curvature period. The period is the trapezoid sum over
+    PERIOD_NODES nodes, which converges spectrally. Near a separatrix S has a
+    root close to [lo, hi], the speed peaks too sharply for the fixed theta
+    grid, and the sum over every other node moves by more than
+    SEPARATRIX_TOL: NearSeparatrix is raised. V is coercive, so every other
+    orbit is bounded. Returns T and orbit(theta) -> (ds/dtheta, k).
+    """
+    # quotient cubic c(k) = 4 (V(k) - V(k0)) / (k - k0); c(k0) = 4 V'(k0)
+    c2, c1 = k0, k0 * k0 + 2 * a
+    roots = np.roots([1.0, c2, c1, k0 ** 3 + 2 * a * k0 + 4 * b])
+    real = roots.real[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))]
+    if k0 ** 3 + a * k0 + b > 0:
+        k1 = real[real < k0].max()
+    else:
+        k1 = real[real > k0].min()
+    s1 = c2 + k1
+    s0 = c1 + k1 * s1
+    m, r = 0.5 * (k0 + k1), 0.5 * abs(k0 - k1)
+
+    def orbit(theta):
+        k = m + r * np.sin(theta)
+        # a root of S inside [lo, hi] (a misread double root) gives nan
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return 2.0 / np.sqrt(k * k + s1 * k + s0), k
+
+    sigma = orbit(2 * np.pi / PERIOD_NODES * np.arange(PERIOD_NODES))[0]
+    T = 2 * np.pi * float(np.mean(sigma))
+    change = abs(T - 2 * np.pi * float(np.mean(sigma[::2])))
+    if not change <= SEPARATRIX_TOL * T:
+        raise NearSeparatrix(f"elastica orbit (a, b, k0) = ({a}, {b}, {k0}) is too close "
+                             f"to its separatrix: period sums differ by {change:.1e}")
+    return T, orbit
 
 
-def _monodromy_angle(a, b, k0, h=2e-4):
-    T = _kappa_period(a, b, k0, h)
-    if T is None:
-        return None, None
-    ang = _rotation_angle(_frame_transfer(a, b, k0, T, h))
-    return ang, T
+def _monodromy_angle(a, b, k0):
+    """Rotation angle of the frame transfer over one curvature period, and the period.
+
+    The transfer solves F_theta = F sigma(theta) K(k(theta)) over one turn
+    in theta by the frame kernel; it starts at k(0) = m and not at k0, which
+    conjugates it and leaves its rotation angle unchanged.
+    """
+    T, orbit = _theta_orbit(a, b, k0)
+    H = 2 * np.pi / THETA_STEPS
+    sigma, k = map(_half_step_stages, orbit(0.5 * H * np.arange(2 * THETA_STEPS + 1)))
+    P = np.eye(3)
+    for _, frames, _ in _frame_blocks(P, lambda i0, i1: (sigma[i0:i1], k[i0:i1]),
+                                      THETA_STEPS, H):
+        P = frames[-1]
+    return _rotation_angle(P), T
 
 
 def shoot_closed_elastica(
@@ -639,7 +604,9 @@ def shoot_closed_elastica(
     geodesic curvature c, length 2 pi / sqrt(1 + c^2)). Oscillatory closed
     solutions are located by matching the rotation angle of the frame
     transfer over one curvature period to 2 pi m / n for target (m, n); the
-    curve then closes after n periods with winding m.
+    curve then closes after n periods with winding m. Period and angle come
+    from the theta quadrature; h is the `elastica_ode` step of the returned
+    curves. Scan points and brackets too close to a separatrix are skipped.
     """
     from scipy.optimize import brentq
 
@@ -660,16 +627,13 @@ def shoot_closed_elastica(
 
             k_grid = np.linspace(*kappa0_bracket, n_scan)
             angles = np.full(n_scan, np.nan)
-            periods = np.full(n_scan, np.nan)
             for i, k0 in enumerate(k_grid):
                 if abs(k0 ** 3 + a * k0 + b) < 1e-9:
                     continue
                 try:
-                    ang, T = _monodromy_angle(a, b, float(k0), h)
-                except BlowUp:
+                    angles[i] = _monodromy_angle(a, b, float(k0))[0]
+                except NearSeparatrix:
                     continue
-                if ang is not None:
-                    angles[i], periods[i] = ang, T
             for (mw, nl) in targets:
                 target = 2 * np.pi * mw / nl
                 if not (0.0 < target < np.pi):
@@ -679,9 +643,12 @@ def shoot_closed_elastica(
                     if np.isnan(gvals[i]) or np.isnan(gvals[i + 1]):
                         continue
                     if gvals[i] * gvals[i + 1] < 0:
-                        f = lambda k0: _monodromy_angle(a, b, float(k0), h)[0] - target
-                        k0 = brentq(f, k_grid[i], k_grid[i + 1], xtol=1e-12, rtol=8.9e-16)
-                        T = _kappa_period(a, b, k0, h)
+                        f = lambda k0: _monodromy_angle(a, b, float(k0))[0] - target
+                        try:
+                            k0 = brentq(f, k_grid[i], k_grid[i + 1], xtol=1e-12, rtol=8.9e-16)
+                        except NearSeparatrix:
+                            continue
+                        T = _theta_orbit(a, b, k0)[0]
                         sol = elastica_ode(a, b, k0, 0.0, (0.0, nl * T), step=h,
                                            max_stored=8193)
                         curve = integrate_curve(sol.as_callable(), SPHERE2,

@@ -73,6 +73,10 @@ class BlowUp(ConwillError):
     """ODE solution left the admissible range."""
 
 
+class NearSeparatrix(ConwillError):
+    """Elastica orbit too close to its separatrix for the fixed theta quadrature."""
+
+
 class NoSolutionInBox(ConwillError):
     """Shooting found no closed solution in the search box."""
 

@@ -229,17 +229,9 @@ def conformal_completion_revolution(s: ParamSurface, u: np.ndarray) -> Variation
     alpha = fd.A0[..., 0, 0].mean(axis=1)
     uprof = u[:, 0]
     x = s.grid.u_coords()
-    rhs = CubicSpline(x, 2.0 * uprof * alpha)
-
-    # RK4 on psi' = rhs(x), aligned with the grid nodes
-    psi = np.zeros_like(x)
-    h = s.grid.hu
-    for i in range(len(x) - 1):
-        x0 = x[i]
-        k1 = rhs(x0)
-        k2 = rhs(x0 + h / 2)
-        k4 = rhs(x0 + h)
-        psi[i + 1] = psi[i] + h / 6.0 * (k1 + 4 * k2 + k4)
+    # psi' = 2 u A0_11 on the cubic spline of its node values, integrated
+    # exactly from the left margin
+    psi = CubicSpline(x, 2.0 * uprof * alpha).antiderivative()(x)
 
     X = np.zeros(u.shape + (2,))
     X[..., 0] = psi[:, None]

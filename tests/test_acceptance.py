@@ -261,6 +261,8 @@ def test_criterion_11_elastica_conservation():
     # ~10^3 oscillations of the (a, b, kappa0) = (0.2, 0.4, 1) orbit
     sol = elastica_ode(0.2, 0.4, 1.0, 0.0, (0.0, 7600.0))
     assert sol.energy_drift < 1e-8
+    E = elastica_first_integral(sol.kappa, sol.dkappa, 0.2, 0.4)
+    assert np.max(np.abs(E - E[0])) / max(1.0, abs(E[0])) < 1e-8
     burst = burstall_ode(0.2, 0.02, 1.0, 0.0, (0.0, 60.0))
     assert np.all(np.isfinite(burst.kappa))
     assert float(np.max(np.abs(burst.kappa))) < 1e6

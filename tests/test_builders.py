@@ -16,7 +16,7 @@ from conwill.builders import (
     torus_profile,
 )
 from conwill.curves import integrate_curve
-from conwill.errors import AxisContact, BadRadii, NotArcLength, WrongSpaceForm
+from conwill.errors import AxisContact, BadRadii, GridMismatch, NotArcLength, WrongSpaceForm
 from conwill.functionals import area, willmore_energy
 
 
@@ -178,6 +178,17 @@ def test_hopf_lift_pinned(shot_elastica_13):
     assert s.metadata["seam_gap"] <= 1e-9
     assert s.metadata["lift_defect"] <= 1e-9
     assert willmore_energy(s) == pytest.approx(118.37349831901972, rel=1e-8, abs=0.0)
+
+
+def test_hopf_callbacks_refuse_off_grid(hopf_latitude):
+    # the lift is known at the grid nodes only; other arguments raise
+    U, V = hopf_latitude.grid.mesh()
+    for name, cb in hopf_latitude.callbacks.items():
+        assert cb(U, V).shape == U.shape + (4,)
+        with pytest.raises(GridMismatch):
+            cb(U + 0.3 * hopf_latitude.grid.hu, V)
+    with pytest.raises(GridMismatch):
+        hopf_latitude.callbacks["f"](U - hopf_latitude.grid.hu, V)
 
 
 def test_not_arclength_raises(ellipse_curve):

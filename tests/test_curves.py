@@ -5,14 +5,15 @@ import pytest
 
 from conwill.curves import (
     OdeSolution,
+    _monodromy_angle,
+    _theta_orbit,
     burstall_ode,
     curve_from_parametric,
-    elastica_first_integral,
     elastica_ode,
     integrate_curve,
     shoot_closed_elastica,
 )
-from conwill.errors import BlowUp, NoSolutionInBox
+from conwill.errors import BlowUp, NearSeparatrix, NoSolutionInBox
 
 
 def test_unit_circle_closure():
@@ -80,7 +81,8 @@ def test_frame_kernel_matches_stepwise_rk4():
         d = rhs(F + h * c, k4)
         F = F + h / 6 * (a + 2 * b + 2 * c + d)
         ref.append(F)
-    blocks = [f for _, f, _ in _frame_blocks(np.eye(3), lambda i0, i1: kap[i0:i1], nsteps, h)]
+    blocks = [f for _, f, _ in _frame_blocks(np.eye(3), lambda i0, i1: (1.0, kap[i0:i1]),
+                                          nsteps, h)]
     frames = np.concatenate([f[:-1] for f in blocks] + [blocks[-1][-1:]])
     assert np.max(np.abs(frames - np.array(ref))) < 1e-12
 
@@ -120,14 +122,6 @@ def test_elastica_constant_root():
 def test_elastica_zero_equilibrium():
     sol = elastica_ode(0.0, 0.0, 0.0, 0.0, (0.0, 5.0))
     assert np.max(np.abs(sol.kappa)) == 0.0
-
-
-def test_elastica_first_integral_long_run():
-    # ~10^3 oscillations: period near 7.5 for this orbit
-    sol = elastica_ode(0.2, 0.4, 1.0, 0.0, (0.0, 7500.0))
-    assert sol.energy_drift < 1e-8
-    E = elastica_first_integral(sol.kappa, sol.dkappa, 0.2, 0.4)
-    assert np.max(np.abs(E - E[0])) / max(1.0, abs(E[0])) < 1e-8
 
 
 def test_elastica_blowup():
@@ -207,6 +201,36 @@ def test_sphere_end_frame_pinned():
            -0.15166025297453697, 0.25012124875819486, 0.9562627926398375]
     assert np.max(np.abs(end - ref)) < 1e-10
     assert np.max(np.abs(c.normal[-1] - np.cross(c.position[-1], c.tangent[-1]))) < 1e-15
+
+
+@pytest.mark.parametrize("a, b, k0, period, angle", [
+    (1.0, 0.5, 1.8, 4.640291656455351, 2.090086553182765),
+    (0.2, 0.4, 1.0, 7.544710295251052, 1.5423754750060605),
+])
+def test_theta_quadrature_pinned(a, b, k0, period, angle):
+    # period and monodromy angle as recorded from step-by-step RK4 at h = 2e-4
+    ang, T = _monodromy_angle(a, b, k0)
+    assert T == pytest.approx(period, rel=1e-11, abs=0.0)
+    assert abs(ang - angle) < 1e-10
+    # the quadrature period closes the elastica ODE orbit
+    sol = elastica_ode(a, b, k0, 0.0, (0.0, T))
+    assert abs(sol.kappa[-1] - k0) < 1e-9 and abs(sol.dkappa[-1]) < 1e-9
+
+
+def test_separatrix_raises():
+    # (a, b) = (-2, 0): the orbit through k0 = 2 is homoclinic to k = 0
+    T = _theta_orbit(-2.0, 0.0, 1.999)[0]
+    sol = elastica_ode(-2.0, 0.0, 1.999, 0.0, (0.0, T))
+    assert abs(sol.kappa[-1] - 1.999) < 1e-9 and abs(sol.dkappa[-1]) < 1e-9
+    with pytest.raises(NearSeparatrix):
+        _theta_orbit(-2.0, 0.0, 2.0 - 1e-9)
+    with pytest.raises(NearSeparatrix):
+        _monodromy_angle(-2.0, 0.0, 2.0 - 1e-9)
+    # the angle changes sign against 2 pi/3 across the separatrix; the root
+    # search runs into it and the bracket is skipped
+    with pytest.raises(NoSolutionInBox):
+        shoot_closed_elastica([-2.0], [0.0], targets=[(1, 3)], include_circles=False,
+                              kappa0_bracket=(1.98, 2.06), n_scan=2)
 
 
 def test_no_solution_in_box():
