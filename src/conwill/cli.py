@@ -50,6 +50,8 @@ def _check_resolution(n: int) -> int:
 
 
 def build_surface(args) -> "builders.ParamSurface":
+    if not 1 <= len(args.resolution) <= 2:
+        raise ConfigError(f"resolution takes one or two values, got {args.resolution}")
     nu = _check_resolution(args.resolution[0])
     nv = _check_resolution(args.resolution[1] if len(args.resolution) > 1 else args.resolution[0])
     name = args.builder
@@ -125,13 +127,16 @@ def load_job(path) -> dict:
     unknown = set(job) - JOB_KEYS
     if unknown:
         raise ConfigError(f"unknown job keys: {sorted(unknown)}")
-    if "tol" in job and not job["tol"] > 0:
-        raise ConfigError("tolerance must be positive")
+    # exact JSON types: a bool is not a number here
+    if "tol" in job and not (type(job["tol"]) in (int, float) and 0 < job["tol"] < np.inf):
+        raise ConfigError(f"tolerance must be a positive real number, got {job['tol']!r}")
     if "resolution" in job:
         res = job["resolution"]
         res = res if isinstance(res, list) else [res]
+        if any(type(n) is not int for n in res):
+            raise ConfigError(f"resolution must be integers, got {job['resolution']!r}")
         for n in res:
-            _check_resolution(int(n))
+            _check_resolution(n)
     return job
 
 
@@ -254,9 +259,8 @@ def cmd_check_gradients(args) -> int:
     out = args.out or "gradients.csv"
     with open(out, "w") as fh:
         fh.write("functional,step,analytic,fd,rel_err\n")
-        for r in rows:
-            fh.write("%s,%s,%s,%s,%s\n" % (r[0], export.FLT % r[1], export.FLT % r[2],
-                                           export.FLT % r[3], export.FLT % r[4]))
+        export._write_rows(fh, "%s," + ",".join([export.FLT] * 4) + "\n",
+                           np.array(rows, dtype=object))
     worst = max(r[4] for r in rows if r[1] == 0.0)
     print(f"wrote {out}; worst extrapolated rel_err = {worst:.3e}")
     return 0
@@ -282,6 +286,8 @@ def _support_window(s) -> np.ndarray:
 
 
 def cmd_export(args) -> int:
+    if not (args.obj or args.csv):
+        raise ConfigError("export needs --obj and/or --csv")
     s = build_surface(args)
     if args.obj:
         export.write_obj(args.obj, s)
@@ -289,8 +295,6 @@ def cmd_export(args) -> int:
     if args.csv:
         export.write_surface_csv(args.csv, s)
         print(f"wrote {args.csv}")
-    if not (args.obj or args.csv):
-        raise ConfigError("export needs --obj and/or --csv")
     return 0
 
 

@@ -139,8 +139,45 @@ def test_build_from_job_file(tmp_path, capsys):
     assert summary["builder"] == "homogeneous-torus"
 
 
+@pytest.mark.parametrize("key, value", [
+    ("resolution", "abc"),
+    ("resolution", 32.0),
+    ("resolution", [32.5]),
+    ("resolution", [32, True]),
+    ("resolution", []),
+    ("resolution", [32, 32, 64]),
+    ("tol", "1e-5"),
+    ("tol", 0),
+    ("tol", True),
+])
+def test_job_file_rejects_malformed_values(tmp_path, capsys, key, value):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({key: value}))
+    code = run(["build", "--builder", "plane", "--spec", str(job),
+                "--out", str(tmp_path / "surf")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error (build):")
+    assert ("resolution" if key == "resolution" else "tolerance") in err
+    assert not (tmp_path / "surf.obj").exists()
+
+
+def test_export_checks_arguments_before_building(monkeypatch, capsys):
+    import conwill.cli as cli
+
+    def no_build(args):
+        raise AssertionError("build_surface called")
+
+    monkeypatch.setattr(cli, "build_surface", no_build)
+    assert run(["export", "--builder", "plane"]) == 1
+    assert "error (export): export needs --obj and/or --csv" in capsys.readouterr().err
+
+
 def test_resolution_bounds():
     code = run(["energy", "--builder", "clifford", "--resolution", "4"])
+    assert code == 1
+    # a third value names no axis, so it is an error, not ignored
+    code = run(["energy", "--builder", "clifford", "--resolution", "32", "32", "5000"])
     assert code == 1
 
 

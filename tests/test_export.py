@@ -1,16 +1,131 @@
 """OBJ / CSV writers and the stereographic projection."""
 
 import numpy as np
+import pytest
 
-from conwill.builders import plane_patch
+from conwill.builders import homogeneous_torus, plane_patch
 from conwill.conformal_ops import hopf_differential
 from conwill.export import (
+    FLT,
+    _write_rows,
     stereographic_project,
     write_curve_csv,
     write_obj,
     write_qd_csv,
     write_surface_csv,
 )
+from conwill.geom_core import SPHERE3
+
+
+# Reference writers: one value per `%`, node by node. The package writers
+# format whole blocks of rows at once and must reproduce these bytes.
+
+def _ref_triangles(nu, nv, periodic_u, periodic_v):
+    iu = nu if periodic_u else nu - 1
+    iv = nv if periodic_v else nv - 1
+    tris = []
+    for i in range(iu):
+        i1 = (i + 1) % nu
+        for j in range(iv):
+            j1 = (j + 1) % nv
+            a = i * nv + j
+            b = i1 * nv + j
+            c = i1 * nv + j1
+            d = i * nv + j1
+            tris.append((a, b, c))
+            tris.append((a, c, d))
+    return np.asarray(tris, dtype=int)
+
+
+def ref_write_obj(path, s):
+    pts = s.position
+    if s.space_form.kind == SPHERE3:
+        pts = stereographic_project(pts)
+    g = s.grid
+    tris = _ref_triangles(g.nu, g.nv, g.periodic_u, g.periodic_v)
+    with open(path, "w") as fh:
+        for p in pts.reshape(-1, 3):
+            fh.write("v " + " ".join(FLT % c for c in p) + "\n")
+        for t in tris:
+            fh.write("f %d %d %d\n" % (t[0] + 1, t[1] + 1, t[2] + 1))
+
+
+def ref_write_surface_csv(path, s):
+    fd = s.fundamental_data()
+    g = s.grid
+    dim = s.space_form.ambient_dim
+    cols = ["i", "j"] + [f"x{k}" for k in range(dim)] + ["H", "G", "dsigma"]
+    with open(path, "w") as fh:
+        fh.write(",".join(cols) + "\n")
+        for i in range(g.nu):
+            for j in range(g.nv):
+                row = [str(i), str(j)]
+                row += [FLT % c for c in s.position[i, j]]
+                row += [FLT % fd.H[i, j], FLT % fd.G[i, j], FLT % fd.dsigma[i, j]]
+                fh.write(",".join(row) + "\n")
+
+
+def ref_write_qd_csv(path, qd):
+    g = qd.surface.grid
+    with open(path, "w") as fh:
+        fh.write("i,j,re_phi,im_phi\n")
+        for i in range(g.nu):
+            for j in range(g.nv):
+                fh.write("%d,%d,%s,%s\n" % (
+                    i, j, FLT % qd.phi[i, j].real, FLT % qd.phi[i, j].imag))
+
+
+def ref_write_curve_csv(path, curve):
+    dim = curve.position.shape[-1]
+    cols = ["s", "kappa", "x", "y"] + (["z"] if dim == 3 else [])
+    with open(path, "w") as fh:
+        fh.write(",".join(cols) + "\n")
+        for k in range(len(curve.s)):
+            row = [FLT % curve.s[k], FLT % curve.kappa[k]]
+            row += [FLT % c for c in curve.position[k]]
+            fh.write(",".join(row) + "\n")
+
+
+def _same_bytes(tmp_path, writer, ref_writer, obj):
+    new, ref = tmp_path / "new.out", tmp_path / "ref.out"
+    writer(new, obj)
+    ref_writer(ref, obj)
+    assert new.read_bytes() == ref.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def two_block_torus():
+    # 160 x 128 = 20480 vertex rows and 40960 face rows: both cross a block boundary
+    return homogeneous_torus(0.6, 0.8, 160, 128)
+
+
+@pytest.mark.parametrize("name", ["revolution_torus", "homog_torus", "sphere_band",
+                                  "plane", "two_block_torus"])
+def test_surface_writers_match_reference(tmp_path, request, name):
+    s = plane_patch(1.5, 1.0, 40, 28) if name == "plane" else request.getfixturevalue(name)
+    _same_bytes(tmp_path, write_obj, ref_write_obj, s)
+    _same_bytes(tmp_path, write_surface_csv, ref_write_surface_csv, s)
+
+
+def test_qd_csv_matches_reference(tmp_path, homog_torus):
+    _same_bytes(tmp_path, write_qd_csv, ref_write_qd_csv, hopf_differential(homog_torus))
+
+
+@pytest.mark.parametrize("name", ["circle_curve", "latitude_curve"])
+def test_curve_csv_matches_reference(tmp_path, request, name):
+    _same_bytes(tmp_path, write_curve_csv, ref_write_curve_csv, request.getfixturevalue(name))
+
+
+def test_write_rows_object_table(tmp_path):
+    # the check-gradients layout: a %s text column beside %.17g floats
+    rows = [("area", 1e-4, np.float64(0.1), -0.0, 3.0e-300),
+            ("willmore", 0.0, 2.0 / 3.0, np.float64(np.nan), 1e17)]
+    path = tmp_path / "rows.csv"
+    with open(path, "w") as fh:
+        _write_rows(fh, "%s," + ",".join([FLT] * 4) + "\n", np.array(rows, dtype=object))
+    expected = "".join("%s,%s,%s,%s,%s\n" % (r[0], FLT % r[1], FLT % r[2], FLT % r[3],
+                                               FLT % r[4]) for r in rows)
+    assert path.read_text() == expected
 
 
 def test_stereographic_projection_values():
@@ -39,6 +154,17 @@ def test_obj_face_counts(tmp_path, homog_torus, sphere_band):
     nu2, nv2 = sphere_band.grid.nu, sphere_band.grid.nv
     faces = sum(1 for ln in path2.read_text().splitlines() if ln.startswith("f "))
     assert faces == 2 * (nu2 - 1) * nv2
+
+    # open in both directions: no wrapped faces
+    nu3, nv3 = 20, 13
+    path3 = tmp_path / "plane.obj"
+    write_obj(path3, plane_patch(1.0, 1.0, nu3, nv3))
+    tris = np.array([ln.split()[1:] for ln in path3.read_text().splitlines()
+                     if ln.startswith("f ")], dtype=int)
+    assert len(tris) == 2 * (nu3 - 1) * (nv3 - 1)
+    assert tris.min() == 1 and tris.max() == nu3 * nv3
+    assert np.all((tris[:, 0] != tris[:, 1]) & (tris[:, 1] != tris[:, 2])
+                  & (tris[:, 0] != tris[:, 2]))
 
 
 def test_surface_csv_columns(tmp_path, homog_torus):
