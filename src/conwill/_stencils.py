@@ -69,29 +69,47 @@ def diff_uniform(values: np.ndarray, h: float, order: int, periodic: bool, axis:
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    v = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
-    n = v.shape[0]
+    v = np.asarray(values, dtype=float)
+    n = v.shape[axis]
     if n < 8:
         raise ValueError("need at least 8 samples along the differentiated axis")
     cw = _C1 if order == 1 else _C2
-    out = np.zeros_like(v)
     if periodic:
-        for k, c in zip(range(-2, 3), cw):
-            if c != 0.0:
-                out += c * np.roll(v, -k, axis=0)
-    else:
-        for k, c in zip(range(-2, 3), cw):
-            if c != 0.0:
-                out[2:n - 2] += c * v[2 + k:n - 2 + k]
-        bw = _B1 if order == 1 else _B2
-        npts = bw.shape[1]
-        for i in range(2):
-            out[i] = np.tensordot(bw[i], v[:npts], axes=(0, 0))
-            # mirrored stencil at the far end; odd orders flip sign
-            sign = -1.0 if order == 1 else 1.0
-            out[n - 1 - i] = sign * np.tensordot(bw[i], v[n - npts:][::-1], axes=(0, 0))
+        out = _diff_periodic(v, cw, axis % v.ndim)
+        out /= h ** order
+        return out
+    v = np.moveaxis(v, axis, 0)
+    out = np.zeros_like(v)
+    for k, c in zip(range(-2, 3), cw):
+        if c != 0.0:
+            out[2:n - 2] += c * v[2 + k:n - 2 + k]
+    bw = _B1 if order == 1 else _B2
+    npts = bw.shape[1]
+    for i in range(2):
+        out[i] = np.tensordot(bw[i], v[:npts], axes=(0, 0))
+        # mirrored stencil at the far end; odd orders flip sign
+        sign = -1.0 if order == 1 else 1.0
+        out[n - 1 - i] = sign * np.tensordot(bw[i], v[n - npts:][::-1], axes=(0, 0))
     out /= h ** order
     return np.moveaxis(out, 0, axis)
+
+
+def _diff_periodic(v: np.ndarray, cw: np.ndarray, axis: int) -> np.ndarray:
+    """Unscaled sum of c_k v[i + k] along a periodic axis.
+
+    The axis is wrap-padded by two nodes at each end once, and each stencil
+    tap is a slice of the padded array, so no shifted copy of v is made.
+    """
+    n = v.shape[axis]
+    pre = (slice(None),) * axis
+    vp = np.concatenate((v[pre + (slice(n - 2, n),)], v, v[pre + (slice(0, 2),)]), axis=axis)
+    taps = [(c, vp[pre + (slice(2 + k, 2 + k + n),)]) for k, c in zip(range(-2, 3), cw) if c != 0.0]
+    c, tap = taps[0]
+    out = c * tap
+    tmp = np.empty_like(out)
+    for c, tap in taps[1:]:
+        out += np.multiply(c, tap, out=tmp)
+    return out
 
 
 def quadrature_weights(n: int, h: float, periodic: bool, margin: int = 2) -> np.ndarray:

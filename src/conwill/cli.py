@@ -224,8 +224,15 @@ def cmd_curve(args) -> int:
 def cmd_check_gradients(args) -> int:
     from concurrent.futures import ThreadPoolExecutor
 
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be at least 1, got {args.trials}")
+    if (not all(np.isfinite(t) and t > 0 for t in args.steps)
+            or len(set(args.steps)) < len(args.steps)):
+        raise ConfigError(f"--steps must be distinct positive finite numbers, got {args.steps}")
     s = build_surface(args)
-    s.fundamental_data()  # warm the lazy caches before the worker pool shares s
+    # fills every derivative and chart stage of s (and s._fund) before the
+    # worker pool shares s, so no worker writes to its caches
+    s.fundamental_data()
     rng = np.random.default_rng(args.seed)
     U, V = s.grid.mesh()
     rows = []

@@ -8,6 +8,8 @@ Gradients (as 2-forms, paired with normal variations u by <omega, u>):
 
 The Willmore energy is int (H^2 + Kbar) dsigma with Kbar the ambient
 sectional curvature (0 in R^3, 1 in S^3); in R^3 it coincides with int H^2.
+The values read only the chart stages they need (W for the area, W and xi
+for the volume, W and H for the Willmore energy), never `fundamental_data`.
 Enclosed volume is only evaluated for closed surfaces in R^3, via the
 divergence theorem V = 1/3 int <f, xi> dsigma; its gradient form dsigma is
 available everywhere.
@@ -18,7 +20,15 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotClosed, WrongSpaceForm
-from .geom_core import EUCLIDEAN3, ParamSurface, integrate_2form, laplace_beltrami
+from .geom_core import (
+    EUCLIDEAN3,
+    ParamSurface,
+    _first_stage,
+    _normal_stage,
+    _second_stage,
+    integrate_2form,
+    laplace_beltrami,
+)
 
 AREA = "area"
 VOLUME = "volume"
@@ -33,13 +43,15 @@ def _check_kind(kind: str) -> str:
 
 
 def area(s: ParamSurface) -> float:
-    return integrate_2form(s, s.fundamental_data().dsigma)
+    *_, W = _first_stage(s)
+    return integrate_2form(s, W)
 
 
 def willmore_energy(s: ParamSurface) -> float:
-    fd = s.fundamental_data()
+    *_, W = _first_stage(s)
+    *_, H = _second_stage(s)
     kbar = s.space_form.sectional_curvature
-    return integrate_2form(s, (fd.H ** 2 + kbar) * fd.dsigma)
+    return integrate_2form(s, (H ** 2 + kbar) * W)
 
 
 def _boundary_ring_spread(ring: np.ndarray) -> float:
@@ -75,8 +87,8 @@ def enclosed_volume(s: ParamSurface) -> float:
         raise WrongSpaceForm("enclosed volume is only defined in R^3")
     if not is_closed_surface(s):
         raise NotClosed("surface has genuinely open ends")
-    fd = s.fundamental_data()
-    integrand = np.einsum("ijk,ijk->ij", s.position, fd.xi) * fd.dsigma
+    *_, W = _first_stage(s)
+    integrand = np.einsum("ijk,ijk->ij", s.position, _normal_stage(s)) * W
     return integrate_2form(s, integrand) / 3.0
 
 

@@ -2,9 +2,21 @@
 
 A surface is a map f(u, v) into the ambient space form sampled on a uniform
 (optionally periodic) grid, together with optional analytic derivative
-callbacks. All first/second order data (metric, second fundamental form,
-Weingarten operator, mean/Gauss curvature, unit normal, area element,
-complex structure J) is assembled per node in `fundamental_data`.
+callbacks. Its geometry is computed in stages, each cached on the surface
+the first time it is asked for, as the position derivatives are:
+
+* first form  -- E, F, G, W^2 = EG - F^2 and the area element W, from f_u
+  and f_v; this stage holds the DegenerateImmersion and NotConformal gates;
+* unit normal -- xi, from f_u and f_v (and f in S^3);
+* second form -- e, f, g and the mean curvature H, from xi and the second
+  derivatives.
+
+`fundamental_data` assembles the full per-node data (metric, second
+fundamental form, Weingarten operator, mean/Gauss curvature, unit normal,
+area element, complex structure J) from these stages. Callers that need
+less read the stages directly: the functional values in `functionals` never
+build the 2x2 fields, and the area never differentiates to second order.
+A surface shared between threads must have its stages filled first.
 
 Field conventions used throughout the package:
 
@@ -20,6 +32,7 @@ part and the signed enclosed volume), never the chart orientation or J.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -162,6 +175,7 @@ class ParamSurface:
         self.quotient_seam = quotient_seam
         self.metadata = dict(metadata or {})
         self._deriv_cache: dict[str, np.ndarray] = {}
+        self._stage_cache: dict[str, object] = {}
         self._fund: Optional[FundamentalData] = None
         if quotient_seam and not self.has_analytic_derivatives:
             raise ValueError("quotient-seam charts require analytic derivative callbacks")
@@ -291,77 +305,137 @@ def _complex_structure(E: np.ndarray, F: np.ndarray, G: np.ndarray, W: np.ndarra
     return J
 
 
+def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-node cross product of two (..., 3) fields, written out by component."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
+    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
+    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    return out
+
+
 def _cross4(f: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vector xi with xi . w = det[f; a; b; w] (rows), per node."""
-    # 3x3 minors of the 3x4 row matrix [f; a; b], with column i removed
-    cols = [f, a, b]
+    """Vector xi with xi . w = det[f; a; b; w] (rows), per node.
 
-    def minor(i):
-        idx = [j for j in range(4) if j != i]
-        m = [[cols[r][..., c] for c in idx] for r in range(3)]
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
+    xi_i is the signed 3x3 minor of [f; a; b] without column i, expanded
+    along f over the Plücker coordinates p_kl = a_k b_l - a_l b_k of (a, b),
+    each of which is formed once.
+    """
+    p = {(k, l): a[..., k] * b[..., l] - a[..., l] * b[..., k]
+         for k, l in itertools.combinations(range(4), 2)}
+    out = np.empty(np.broadcast_shapes(f.shape, a.shape, b.shape))
+    for i, sign in enumerate((-1.0, 1.0, -1.0, 1.0)):
+        j0, j1, j2 = (j for j in range(4) if j != i)
+        out[..., i] = sign * (f[..., j0] * p[j1, j2] - f[..., j1] * p[j0, j2]
+                              + f[..., j2] * p[j0, j1])
+    return out
 
-    signs = (-1.0, 1.0, -1.0, 1.0)
-    return np.stack([signs[i] * minor(i) for i in range(4)], axis=-1)
+
+def _first_stage(s: ParamSurface) -> tuple[np.ndarray, ...]:
+    """E, F, G, W^2 = EG - F^2 and W of the induced metric, gated and cached.
+
+    Raises DegenerateImmersion for nearly collinear tangents and NotConformal
+    for a chart flagged conformal whose metric is not.
+    """
+    stage = s._stage_cache.get("first")
+    if stage is None:
+        E, F, Gm = _first_form(s.derivative("fu"), s.derivative("fv"))
+        EG = E * Gm
+        W2 = EG - F * F
+        if np.min(W2) <= (IMMERSION_TOL ** 2) * np.max(EG):
+            raise DegenerateImmersion("coordinate tangents nearly collinear")
+        if s.conformal:
+            res = _conformality_residual(E, F, Gm)
+            if res > CONFORMAL_GATE:
+                raise NotConformal(f"chart flagged conformal but residual is {res:.3e}")
+        stage = s._stage_cache["first"] = (E, F, Gm, W2, np.sqrt(W2))
+    return stage
+
+
+def _normal_stage(s: ParamSurface) -> np.ndarray:
+    """Unit normal xi, times the orientation flag, cached.
+
+    For Sphere3 charts xi lies in T_f S^3: the ambient 4-vector orthogonal
+    to f, f_u and f_v.
+    """
+    xi = s._stage_cache.get("normal")
+    if xi is None:
+        _first_stage(s)  # the immersion gate runs before |xi| divides
+        fu, fv = s.derivative("fu"), s.derivative("fv")
+        if s.space_form.kind == EUCLIDEAN3:
+            xi = _cross3(fu, fv)
+        else:
+            xi = _cross4(s.position, fu, fv)
+        # |xi|^2 summed in component order: the bits of np.linalg.norm
+        # without its squared copy of xi
+        r2 = xi[..., 0] * xi[..., 0]
+        for k in range(1, xi.shape[-1]):
+            r2 += xi[..., k] * xi[..., k]
+        xi /= np.sqrt(r2)[..., None]
+        if s.orientation < 0:
+            np.negative(xi, out=xi)
+        s._stage_cache["normal"] = xi
+    return xi
+
+
+def _second_stage(s: ParamSurface) -> tuple[np.ndarray, ...]:
+    """Second-form coefficients e, f, g and the mean curvature H, cached.
+
+    H = (G e - 2 F f + E g) / (2 W^2), evaluated as half the trace of the
+    Weingarten operator A = g^-1 II, term by term as `fundamental_data`
+    forms A's diagonal, so both carry the same bits.
+    """
+    stage = s._stage_cache.get("second")
+    if stage is None:
+        E, F, Gm, W2, _ = _first_stage(s)
+        xi = _normal_stage(s)
+        e = np.einsum("ijk,ijk->ij", s.derivative("fuu"), xi)
+        f2 = np.einsum("ijk,ijk->ij", s.derivative("fuv"), xi)
+        g2 = np.einsum("ijk,ijk->ij", s.derivative("fvv"), xi)
+        bf = (F / W2) * f2
+        H = 0.5 * (((Gm / W2) * e - bf) + ((E / W2) * g2 - bf))
+        stage = s._stage_cache["second"] = (e, f2, g2, H)
+    return stage
 
 
 def fundamental_data(s: ParamSurface) -> FundamentalData:
     """Assemble metric, shape operator, curvatures, normal, area form, J.
 
-    For Sphere3 charts the unit normal is computed inside T_f S^3 (the
-    ambient 4-vector orthogonal to f, f_u, f_v) and G is the extrinsic
-    det A; the induced intrinsic curvature is G + 1.
+    Built from the cached first-form, normal and second-form stages. For
+    Sphere3 charts G is the extrinsic det A; the induced intrinsic
+    curvature is G + 1.
     """
-    fu, fv = s.derivative("fu"), s.derivative("fv")
-    fuu, fuv, fvv = s.derivative("fuu"), s.derivative("fuv"), s.derivative("fvv")
-
-    E, F, Gm = _first_form(fu, fv)
-    W2 = E * Gm - F * F
-    if np.min(W2) <= (IMMERSION_TOL ** 2) * np.max(E * Gm):
-        raise DegenerateImmersion("coordinate tangents nearly collinear")
-    W = np.sqrt(W2)
-
-    if s.conformal:
-        res = _conformality_residual(E, F, Gm)
-        if res > CONFORMAL_GATE:
-            raise NotConformal(f"chart flagged conformal but residual is {res:.3e}")
-
-    if s.space_form.kind == EUCLIDEAN3:
-        xi = np.cross(fu, fv)
-    else:
-        xi = _cross4(s.position, fu, fv)
-    xi = s.orientation * xi / np.linalg.norm(xi, axis=-1, keepdims=True)
-
-    e = np.einsum("ijk,ijk->ij", fuu, xi)
-    f2 = np.einsum("ijk,ijk->ij", fuv, xi)
-    g2 = np.einsum("ijk,ijk->ij", fvv, xi)
+    E, F, Gm, W2, W = _first_stage(s)
+    xi = _normal_stage(s)
+    e, f2, g2, H = _second_stage(s)
 
     g = np.empty(E.shape + (2, 2))
     g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1] = E, F, F, Gm
     II = np.empty_like(g)
     II[..., 0, 0], II[..., 0, 1], II[..., 1, 0], II[..., 1, 1] = e, f2, f2, g2
 
-    inv = np.empty_like(g)
-    inv[..., 0, 0] = Gm / W2
-    inv[..., 0, 1] = -F / W2
-    inv[..., 1, 0] = -F / W2
-    inv[..., 1, 1] = E / W2
-    A = _mul2(inv, II)
+    # A = g^-1 II with g^-1 = [[a, -b], [-b, c]]
+    a, b, c = Gm / W2, F / W2, E / W2
+    A = np.empty_like(g)
+    A[..., 0, 0] = a * e - b * f2
+    A[..., 0, 1] = a * f2 - b * g2
+    A[..., 1, 0] = c * f2 - b * e
+    A[..., 1, 1] = c * g2 - b * f2
 
-    H = 0.5 * (A[..., 0, 0] + A[..., 1, 1])
     G = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
     A0 = A.copy()
     A0[..., 0, 0] -= H
     A0[..., 1, 1] -= H
 
-    return FundamentalData(
+    fd = FundamentalData(
         g=g, II=II, A=A, A0=A0, H=H, G=G, xi=xi,
         dsigma=W, J=_complex_structure(E, F, Gm, W), e2l=0.5 * (E + Gm),
     )
+    # point the stages at the entries of g and II, so that a chart keeps one
+    # copy of E, F, G, e, f, g and not two
+    s._stage_cache["first"] = (g[..., 0, 0], g[..., 0, 1], g[..., 1, 1], W2, W)
+    s._stage_cache["second"] = (II[..., 0, 0], II[..., 0, 1], II[..., 1, 1], H)
+    return fd
 
 
 def laplace_beltrami(s: ParamSurface, phi: np.ndarray) -> np.ndarray:

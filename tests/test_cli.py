@@ -194,3 +194,62 @@ def test_threads_env(monkeypatch):
     assert max_threads() == 3
     monkeypatch.setenv("CONWILL_THREADS", "junk")
     assert max_threads() >= 1
+
+
+@pytest.mark.parametrize("extra", [
+    ["--trials", "0"],
+    ["--trials", "-2"],
+    ["--steps", "1e-4", "1e-4"],
+    ["--steps", "1e-4", "5e-5", "1e-4"],
+    ["--steps", "0"],
+    ["--steps", "-0.0001"],
+    ["--steps", "nan"],
+    ["--steps", "inf", "1e-4"],
+])
+def test_check_gradients_rejects_bad_arguments(tmp_path, capsys, extra):
+    out = tmp_path / "g.csv"
+    code = run(["check-gradients", "--builder", "plane", "--resolution", "16",
+                "--out", str(out)] + extra)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error (check-gradients):")
+    assert not out.exists()
+
+
+def test_check_gradients_pool_leaves_shared_caches_alone(monkeypatch, tmp_path, capsys):
+    """The warm-up fills every cache of the shared surface before the pool starts,
+    so no worker thread adds or replaces an entry."""
+    import threading
+
+    import conwill.cli as cli
+
+    build, fd_derivative = cli.build_surface, cli.fd_functional_derivative
+    shared, seen, threads = [], [], set()
+    lock = threading.Lock()
+
+    def caches(s):
+        return {"deriv": dict(s._deriv_cache), "stage": dict(s._stage_cache), "fund": s._fund}
+
+    def keep(args):
+        shared.append(build(args))
+        return shared[0]
+
+    def snapshot_first(s, *a, **kw):
+        with lock:
+            threads.add(threading.get_ident())
+            if not seen:
+                seen.append(caches(s))
+        return fd_derivative(s, *a, **kw)
+
+    monkeypatch.setenv("CONWILL_THREADS", "2")
+    monkeypatch.setattr(cli, "build_surface", keep)
+    monkeypatch.setattr(cli, "fd_functional_derivative", snapshot_first)
+    assert run(["check-gradients", "--builder", "homogeneous-torus", "--resolution", "32",
+                "--trials", "3", "--out", str(tmp_path / "g.csv")]) == 0
+    assert threads and threading.get_ident() not in threads
+    before, after = seen[0], caches(shared[0])
+    assert set(before["deriv"]) == {"fu", "fv", "fuu", "fuv", "fvv"}
+    assert set(before["stage"]) == {"first", "normal", "second"}
+    assert before["fund"] is not None and after["fund"] is before["fund"]
+    for name in ("deriv", "stage"):
+        assert after[name].keys() == before[name].keys()
+        assert all(after[name][k] is before[name][k] for k in before[name])

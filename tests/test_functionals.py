@@ -9,7 +9,7 @@ from conwill.builders import (
     surface_of_revolution,
     torus_profile,
 )
-from conwill.errors import NotClosed, WrongSpaceForm
+from conwill.errors import DegenerateImmersion, NotClosed, WrongSpaceForm
 from conwill.functionals import (
     AREA,
     VOLUME,
@@ -18,9 +18,11 @@ from conwill.functionals import (
     enclosed_volume,
     gradient,
     is_closed_surface,
+    value,
     willmore_energy,
 )
-from conwill.geom_core import integrate_2form
+from conwill.geom_core import R3, Grid2D, ParamSurface, integrate_2form
+from conwill.variations import deform
 
 
 def test_area_values(homog_torus, clifford):
@@ -108,3 +110,69 @@ def test_line_energy_identity_latitude(hopf_latitude, latitude_curve):
     ds = latitude_curve.length / len(latitude_curve.s)
     line = np.pi * float(np.sum((latitude_curve.kappa ** 2 + 1.0)) * ds)
     assert abs(w - line) < 1e-5 * w
+
+
+def _fresh(s):
+    """The same chart with empty caches."""
+    return s.with_orientation(s.orientation)
+
+
+def _bump(s):
+    U, V = s.grid.mesh()
+    return 0.2 * (1.0 + np.cos(2 * np.pi * U / s.grid.Lu) + np.sin(2 * np.pi * V / s.grid.Lv))
+
+
+def _sheared_torus(n=64):
+    """A torus chart with F != 0 and f != 0, finite-differenced."""
+    grid = Grid2D(n, n, 2 * np.pi, 2 * np.pi)
+    U, V = grid.mesh()
+    th, ph = U + 0.3 * np.sin(V), V + 0.2 * np.cos(U)
+    r = 2.0 + 0.5 * np.cos(th)
+    return ParamSurface(R3, grid, np.stack([r * np.cos(ph), r * np.sin(ph), 0.5 * np.sin(th)], -1))
+
+
+def test_values_match_fundamental_data_integrals(revolution_torus, homog_torus, sphere_band,
+                                                  hopf_latitude):
+    """The staged value path agrees with integrals of the full per-node fields."""
+    charts = [revolution_torus, homog_torus, sphere_band, hopf_latitude, _sheared_torus(),
+              plane_patch(2.0, 1.5, 40, 32),
+              deform(revolution_torus, _bump(revolution_torus), 1e-3),
+              deform(homog_torus, _bump(homog_torus), 1e-3)]
+    volumes = 0
+    for s in charts:
+        got = {AREA: area(_fresh(s)), WILLMORE: willmore_energy(_fresh(s))}
+        fd = s.fundamental_data()
+        H = 0.5 * np.trace(fd.A, axis1=-2, axis2=-1)
+        kbar = s.space_form.sectional_curvature
+        want = {AREA: integrate_2form(s, fd.dsigma),
+                WILLMORE: integrate_2form(s, (H ** 2 + kbar) * fd.dsigma)}
+        if s.space_form.kind == "Euclidean3" and is_closed_surface(s):
+            got[VOLUME] = enclosed_volume(_fresh(s))
+            want[VOLUME] = integrate_2form(
+                s, np.einsum("ijk,ijk->ij", s.position, fd.xi) * fd.dsigma) / 3.0
+            volumes += 1
+        for kind, w in want.items():
+            assert abs(got[kind] - w) <= 1e-14 * max(abs(w), 1e-300), (s.metadata, kind)
+    assert volumes == 3  # the revolution torus, its deformation and the sheared torus
+
+
+def test_value_reads_only_the_stages_it_needs(revolution_torus):
+    d = deform(revolution_torus, _bump(revolution_torus), 1e-3)
+    area(d)
+    assert set(d._deriv_cache) == {"fu", "fv"}
+    assert set(d._stage_cache) == {"first"}
+    enclosed_volume(d)
+    assert set(d._deriv_cache) == {"fu", "fv"}
+    assert set(d._stage_cache) == {"first", "normal"}
+    for kind in (AREA, VOLUME, WILLMORE):
+        value(d, kind)
+    assert d._fund is None
+
+
+def test_value_raises_on_degenerate_chart():
+    grid = Grid2D(16, 16, 1.0, 1.0, False, False)
+    U, V = grid.mesh()
+    s = ParamSurface(R3, grid, np.stack([U, U, V * 0.0], axis=-1))  # fu parallel fv
+    for kind in (AREA, WILLMORE):
+        with pytest.raises(DegenerateImmersion):
+            value(s, kind)

@@ -8,6 +8,7 @@ from conwill.builders import (
     homogeneous_torus,
     plane_patch,
 )
+from conwill._stencils import diff_uniform
 from conwill.curves import integrate_curve
 from conwill.errors import (
     BadRadii,
@@ -20,6 +21,8 @@ from conwill.geom_core import (
     ParamSurface,
     R3,
     S3,
+    _cross3,
+    _cross4,
     _mul2,
     anticommutator_defect,
     integrate_2form,
@@ -242,3 +245,41 @@ def test_quotient_seam_requires_callbacks(hopf_clifford):
         # stripping callbacks makes position FD illegal on the seam chart
         ParamSurface(S3, hopf_clifford.grid, hopf_clifford.position, None,
                      conformal=True, quotient_seam=True)
+
+
+def _roll_diff(v, h, order, axis):
+    """Periodic 5-point stencil as a sum of shifted copies of v."""
+    cw = ([1.0, -8.0, 0.0, 8.0, -1.0] if order == 1 else [-1.0, 16.0, -30.0, 16.0, -1.0])
+    out = sum(c / 12.0 * np.roll(v, -k, axis=axis) for k, c in zip(range(-2, 3), cw))
+    return out / h ** order
+
+
+@pytest.mark.parametrize("shape", [(24, 19), (24, 19, 3)])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_periodic_diff_matches_roll_reference(shape, order, axis):
+    v = np.random.default_rng(3).normal(size=shape) * 5.0
+    h = 0.07
+    got = diff_uniform(v, h, order, True, axis=axis)
+    assert got.shape == v.shape
+    tol = 4 * np.finfo(float).eps * np.max(np.abs(v)) / h ** order
+    assert np.max(np.abs(got - _roll_diff(v, h, order, axis))) <= tol
+
+
+def test_cross3_matches_numpy():
+    a, b = np.random.default_rng(4).normal(size=(2, 30, 20, 3))
+    tol = 4 * np.finfo(float).eps * np.max(np.abs(a)) * np.max(np.abs(b))
+    assert np.max(np.abs(_cross3(a, b) - np.cross(a, b))) <= tol
+
+
+def test_cross4_matches_determinant():
+    f, a, b, w = np.random.default_rng(5).normal(size=(4, 200, 4))
+    xi = _cross4(f, a, b)
+    rows = np.stack([f, a, b], axis=1)
+    for i in range(4):
+        e = np.zeros((200, 1, 4))
+        e[..., i] = 1.0
+        det = np.linalg.det(np.concatenate([rows, e], axis=1))
+        assert np.max(np.abs(xi[:, i] - det)) < 1e-13 * np.max(np.abs(det))
+    det_w = np.linalg.det(np.concatenate([rows, w[:, None, :]], axis=1))
+    assert np.max(np.abs(np.einsum("ij,ij->i", xi, w) - det_w)) < 1e-12
