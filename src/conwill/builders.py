@@ -21,9 +21,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .curves import (PLANE, SPHERE2, CurvatureCurve, _frame_blocks, _half_step_stages,
-                     _on_samples, _orthonormal_frames, _prefix_products,
-                     _rk4_step_matrices, integrate_curve)
+from .curves import (PLANE, SPHERE2, CurvatureCurve, _check_frame_drift, _frame_blocks,
+                     _half_step_stages, _on_samples, _orthonormal_frames, integrate_curve)
 from .errors import AxisContact, BadRadii, GridMismatch, LiftDrift, NotArcLength, WrongSpaceForm
 from .geom_core import R3, S3, Grid2D, ParamSurface
 
@@ -185,40 +184,47 @@ def _fib_proj(q):
                      a1 * a1 + b1 * b1 - a2 * a2 - b2 * b2], axis=-1)
 
 
-def _hopf_lift(F0, q0, kfine, nsteps, h, every):
-    """RK4 on the sphere frame and its horizontal lift q' = J(t) q / 4.
+def _frame_quaternions(F):
+    """Unit quaternions (w, x, y, z) of the rotations F (b, 3, 3) by the largest
+    pivot (Shepperd): K below is 4 u u^T, so its row with the largest
+    diagonal entry, normalized, is u."""
+    t = np.trace(F, axis1=1, axis2=2)
+    K = np.empty((len(F), 4, 4))
+    K[:, 0, 0] = 1 + t
+    K[:, 0, 1:] = K[:, 1:, 0] = (F - F.transpose(0, 2, 1))[:, [2, 0, 1], [1, 2, 0]]
+    K[:, 1:, 1:] = F + F.transpose(0, 2, 1) + (1 - t)[:, None, None] * np.eye(3)
+    u = K[np.arange(len(F)), np.argmax(np.einsum("bii->bi", K), axis=-1)]
+    return u / np.linalg.norm(u, axis=-1, keepdims=True)
 
-    kfine holds kappa at half-step resolution (2 nsteps + 1 values). The
-    frames come from the blocked frame kernel; the lift is linear in q with
-    the stage tangents t of the frame stage states, and J(t) is symmetric, so
-    the row form q^T' = q^T J(t)/4 has its own RK4 step matrices and prefix
-    scan. Returns the normalized frames (p, t, n) and lifts q at every
-    `every`-th step, and the largest horizontality or projection defect
-    over all steps.
+
+def _hopf_lift(F0, q0, kfine, nsteps, h, every):
+    """Normalized frames (p, t, n) and horizontal lift q at every `every`-th step.
+
+    With U(s) the SU(2) lift of the frame F(s), its sign continuous from
+    step to step, U(s) U(0)^{-1} q0 lies over the curve and turns along the
+    fiber at rate kappa/2, so q = e^{-i Phi/2} U U(0)^{-1} q0, Phi = int kappa ds
+    by the RK4 (Simpson) sum over kfine, kappa at half steps (2 nsteps + 1).
     """
-    nodes, defects = [], []
-    q = np.asarray(q0, dtype=float)
-    for i0, frames, factors in _frame_blocks(
+    nodes, sign = [], 1.0
+    for i0, frames in _frame_blocks(
             F0, lambda i0, i1: (1.0, _half_step_stages(kfine[2 * i0:2 * i1 + 1])), nsteps, h):
-        F = frames[:-1]
-        # tangents (column 1) of the frame stage states F S_j, S_1 = I
-        T = np.stack([F[..., 1]] + [(F @ S[..., 1:2])[..., 0] for S in factors], axis=1)
-        M, _ = _rk4_step_matrices(0.25 * _fib_jac(T), h)
-        Q = np.empty((len(frames), 4))
-        Q[0] = q
-        Q[1:] = q @ _prefix_products(M)
-        q = Q[-1]
-        # defects after every step, on the normalized frame and lift
-        p, t, _ = _orthonormal_frames(frames[1:])
-        qn = Q[1:] / np.linalg.norm(Q[1:], axis=-1, keepdims=True)
-        dq = np.einsum("bij,bj->bi", _fib_jac(t), qn)
-        hdot = 0.25 * np.abs(np.sum(dq * _imul(qn), axis=-1))      # against the fiber
-        proj = np.sum(np.abs(_fib_proj(qn) - p), axis=-1)
-        defects += [np.max(hdot), np.max(proj)]
-        nodes.append((_on_samples(frames, i0, every, nsteps), _on_samples(Q, i0, every, nsteps)))
+        _check_frame_drift(frames)
+        u = _frame_quaternions(frames)
+        # u[0] repeats the last quaternion of the previous block
+        flips = np.where(np.sum(u[1:] * u[:-1], axis=-1) < 0, -1.0, 1.0)
+        signs = sign * np.cumprod(np.concatenate([[1.0], flips]))
+        sign = signs[-1]
+        nodes.append((_on_samples(frames, i0, every, nsteps),
+                      _on_samples(u * signs[:, None], i0, every, nsteps)))
     P, T, N = _orthonormal_frames(np.concatenate([f for f, _ in nodes]))
-    Q = np.concatenate([g for _, g in nodes])
-    return P, T, N, Q / np.linalg.norm(Q, axis=-1, keepdims=True), float(np.max(defects))
+    w, x, y, z = np.concatenate([g for _, g in nodes]).T
+    # SU(2) in the convention of `_fib_proj`: the fibration map of U q is
+    # the rotation of u applied to that of q
+    U = np.moveaxis(np.array([[w + 1j * z, 1j * x - y], [1j * x + y, w - 1j * z]]), -1, 0)
+    phi = np.cumsum(h / 6 * (kfine[:-1:2] + 4 * kfine[1::2] + kfine[2::2]))
+    turn = np.exp(-0.5j * np.concatenate([[0.0], phi[every - 1::every]]))
+    q = turn[:, None] * (U @ (U[0].conj().T @ (q0[0::2] + 1j * q0[1::2])))
+    return P, T, N, np.stack([q.real, q.imag], axis=-1).reshape(-1, 4)
 
 
 def _imul(q):
@@ -249,7 +255,10 @@ def hopf_cylinder(curve: CurvatureCurve, nu=256, nv=64, lift_tol=1e-7) -> ParamS
     lift (x = s/2) and y the fiber arc length; the chart is isometric. For a
     closed curve of length L the surface is a torus represented on the
     rectangular fundamental domain [0, L/2) x [0, 2 pi) with a fiber-shift
-    seam in x (see ParamSurface.quotient_seam).
+    seam in x (see ParamSurface.quotient_seam). The lift is read off the
+    frames in closed form; StepTooLarge is raised when they drift as in
+    `integrate_curve`, LiftDrift when the projection defect |pi(lift) - p|
+    at the nodes, metadata["lift_defect"], exceeds lift_tol.
     """
     if curve.ambient != SPHERE2:
         raise WrongSpaceForm("hopf_cylinder needs a curve on S^2")
@@ -283,12 +292,12 @@ def hopf_cylinder(curve: CurvatureCurve, nu=256, nv=64, lift_tol=1e-7) -> ParamS
     q0 /= np.linalg.norm(q0)
 
     F0 = np.stack([p0, t0, np.cross(p0, t0)], axis=-1)
-    # frames that overflow on an unresolved curvature give a nan defect,
-    # which the check below rejects
+    # frames that overflow on an unresolved curvature fail the drift check
     with np.errstate(over="ignore", invalid="ignore"):
-        P, T, N, Q, defect = _hopf_lift(F0, q0, kfine, nsteps, h, m)
+        P, T, N, Q = _hopf_lift(F0, q0, kfine, nsteps, h, m)
+    defect = float(np.max(np.linalg.norm(_fib_proj(Q) - P, axis=-1)))
     if not defect <= lift_tol:
-        raise LiftDrift(f"horizontal lift defect {defect:.2e} exceeds {lift_tol:.0e}")
+        raise LiftDrift(f"lift projection defect {defect:.2e} exceeds {lift_tol:.0e}")
     kap = np.asarray(curve.kappa_at(s0 + ds * np.arange(nu + 1)), dtype=float)
 
     # x-derivatives of the lift at the nodes from the governing equations:

@@ -14,10 +14,10 @@ one RK4 step is a matrix, F_{i+1} = F_i M_i, built from the four stage
 curvatures of the step; `_frame_blocks` builds these step matrices for
 FRAME_BLOCK steps at once and multiplies them out by a log-depth prefix
 scan, carrying the frame from one block to the next. The same kernel
-serves the frame transfer of the shooting method and, through its stage
-factors, the horizontal Hopf lift in `builders`. Frames are not
-renormalized during the integration; their drift from orthonormality is
-the step-size check.
+serves the frame transfer of the shooting method and the Hopf lift in
+`builders`, which reads the lift off the frames in closed form. Frames are
+not renormalized during the integration; their drift from orthonormality
+is the step-size check (`_check_frame_drift`).
 
 The generalized elastic-curve equation 2 k'' + k^3 + a k + b = 0 and its
 linearly-forced variant k'' + k^3/2 = (a + b s) k are integrated by one
@@ -64,34 +64,18 @@ def _default_step(span: float) -> float:
 # ----------------------------------------------------------------------
 
 def _rk4_step_matrices(K, h):
-    """RK4 step matrices of Y' = Y K(s) from the stage generators K (b, 4, d, d).
+    """RK4 step matrices M (b, d, d) of Y' = Y K(s) from the stage generators K (b, 4, d, d).
 
-    For a linear right-acting system the RK4 stages are Y A_j with A_1 = K_1,
-    A_2 = S_2 K_2, A_3 = S_3 K_3, A_4 = S_4 K_4 for the stage factors
-    S_2 = I + h/2 A_1, S_3 = I + h/2 A_2, S_4 = I + h A_3 (stage j evaluates
-    K_j at the state Y S_j), and one step is Y -> Y M with
-    M = I + h/6 (A_1 + 2 A_2 + 2 A_3 + A_4). Returns M (b, d, d) and the
-    stage factors (S_2, S_3, S_4).
+    The RK4 stages of a linear right-acting system are Y A_j with A_1 = K_1
+    and A_j = S_j K_j for S_2 = I + h/2 A_1, S_3 = I + h/2 A_2, S_4 = I + h A_3
+    (stage j evaluates K_j at the state Y S_j); one step is Y -> Y M with
+    M = I + h/6 (A_1 + 2 A_2 + 2 A_3 + A_4).
     """
     eye = np.eye(K.shape[-1])
-    S2 = eye + 0.5 * h * K[:, 0]
-    A2 = S2 @ K[:, 1]
-    S3 = eye + 0.5 * h * A2
-    A3 = S3 @ K[:, 2]
-    S4 = eye + h * A3
-    A4 = S4 @ K[:, 3]
-    M = eye + h / 6.0 * (K[:, 0] + 2 * A2 + 2 * A3 + A4)
-    return M, (S2, S3, S4)
-
-
-def _prefix_products(M):
-    """Right prefix products M_0, M_0 M_1, ..., M_0 ... M_{b-1} (log-depth scan)."""
-    P = M.copy()
-    d = 1
-    while d < len(P):
-        P[d:] = P[:-d] @ P[d:]
-        d *= 2
-    return P
+    A2 = (eye + 0.5 * h * K[:, 0]) @ K[:, 1]
+    A3 = (eye + 0.5 * h * A2) @ K[:, 2]
+    A4 = (eye + h * A3) @ K[:, 3]
+    return eye + h / 6.0 * (K[:, 0] + 2 * A2 + 2 * A3 + A4)
 
 
 def _frame_blocks(F0, stages, nsteps, h):
@@ -99,11 +83,9 @@ def _frame_blocks(F0, stages, nsteps, h):
 
     stages(i0, i1) returns the speeds sigma and the (i1 - i0, 4) stage
     curvatures of steps i0 .. i1 - 1; sigma = ds/dt is 1 in arc length and
-    broadcasts against the curvatures. Yields (i0, frames, factors) per
-    block: frames (b + 1, 3, 3) are the frames before steps i0 .. i1
-    (frames[0] is the frame carried in from the previous block) and factors
-    the RK4 stage factors of `_rk4_step_matrices`. Frames are not
-    renormalized.
+    broadcasts against the curvatures. Yields (i0, frames) per block: frames
+    (b + 1, 3, 3) are the frames before steps i0 .. i1 (frames[0] is the
+    frame carried in from the previous block). Frames are not renormalized.
     """
     F = np.asarray(F0, dtype=float)
     for i0 in range(0, nsteps, FRAME_BLOCK):
@@ -114,12 +96,25 @@ def _frame_blocks(F0, stages, nsteps, h):
         K[..., 0, 1] = -sigma
         K[..., 2, 1] = sigma * kap
         K[..., 1, 2] = -sigma * kap
-        M, factors = _rk4_step_matrices(K, h)
-        frames = np.empty((i1 - i0 + 1, 3, 3))
-        frames[0] = F
-        frames[1:] = F @ _prefix_products(M)
+        # right prefix products M_0, M_0 M_1, ... by a log-depth scan
+        P, d = _rk4_step_matrices(K, h), 1
+        while d < len(P):
+            P[d:] = P[:-d] @ P[d:]
+            d *= 2
+        frames = np.concatenate([F[None], F @ P])
         F = frames[-1]
-        yield i0, frames, factors
+        yield i0, frames
+
+
+def _check_frame_drift(frames):
+    """Raise StepTooLarge when frames (b, 3, 3) drift from orthonormality by
+    more than FRAME_DRIFT_TOL, or overflowed to an inf or nan drift."""
+    pp, tt = frames[:, :, 0], frames[:, :, 1]
+    drift = np.max(np.abs([np.sum(pp * pp, axis=-1) - 1.0,
+                           np.sum(tt * tt, axis=-1) - 1.0,
+                           np.sum(pp * tt, axis=-1)]))
+    if not drift <= FRAME_DRIFT_TOL:
+        raise StepTooLarge(f"frame drift {drift:.2e} exceeds {FRAME_DRIFT_TOL:.0e}")
 
 
 def _half_step_stages(kh):
@@ -369,17 +364,11 @@ def integrate_curve(
         kap.append(_on_samples(kh, i0, m, nsteps, 2))
         return 1.0, _half_step_stages(kh)
 
-    # an unresolved curvature makes the unnormalized frames overflow; the
-    # drift is then inf or nan, and the comparison below rejects both
+    # frames that overflow on an unresolved curvature fail the drift check
     with np.errstate(over="ignore", invalid="ignore"):
         F0 = np.stack([p, t, np.cross(p, t)], axis=-1)
-        for i0, frames, _ in _frame_blocks(F0, stages, nsteps, h):
-            pp, tt = frames[:, :, 0], frames[:, :, 1]
-            drift = np.max(np.abs([np.sum(pp * pp, axis=-1) - 1.0,
-                                   np.sum(tt * tt, axis=-1) - 1.0,
-                                   np.sum(pp * tt, axis=-1)]))
-            if not drift <= FRAME_DRIFT_TOL:
-                raise StepTooLarge(f"frame drift {drift:.2e} exceeds {FRAME_DRIFT_TOL:.0e}")
+        for i0, frames in _frame_blocks(F0, stages, nsteps, h):
+            _check_frame_drift(frames)
             kept.append(_on_samples(frames, i0, m, nsteps))
     pos, tan, nor = _orthonormal_frames(np.concatenate(kept))
     kap = np.concatenate(kap)
@@ -582,8 +571,8 @@ def _monodromy_angle(a, b, k0):
     H = 2 * np.pi / THETA_STEPS
     sigma, k = map(_half_step_stages, orbit(0.5 * H * np.arange(2 * THETA_STEPS + 1)))
     P = np.eye(3)
-    for _, frames, _ in _frame_blocks(P, lambda i0, i1: (sigma[i0:i1], k[i0:i1]),
-                                      THETA_STEPS, H):
+    for _, frames in _frame_blocks(P, lambda i0, i1: (sigma[i0:i1], k[i0:i1]),
+                                   THETA_STEPS, H):
         P = frames[-1]
     return _rotation_angle(P), T
 

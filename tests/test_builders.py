@@ -15,8 +15,9 @@ from conwill.builders import (
     surface_of_revolution,
     torus_profile,
 )
-from conwill.curves import integrate_curve
-from conwill.errors import AxisContact, BadRadii, GridMismatch, NotArcLength, WrongSpaceForm
+from conwill.curves import CurvatureCurve, integrate_curve
+from conwill.errors import (AxisContact, BadRadii, GridMismatch, NotArcLength, StepTooLarge,
+                            WrongSpaceForm)
 from conwill.functionals import area, willmore_energy
 
 
@@ -178,6 +179,94 @@ def test_hopf_lift_pinned(shot_elastica_13):
     assert s.metadata["seam_gap"] <= 1e-9
     assert s.metadata["lift_defect"] <= 1e-9
     assert willmore_energy(s) == pytest.approx(118.37349831901972, rel=1e-8, abs=0.0)
+
+
+def _arc(kappa, length, n=65):
+    """Arc-length samples of the circle on S^2 with geodesic curvature kappa."""
+    r, c = 1 / np.sqrt(1 + kappa * kappa), kappa / np.sqrt(1 + kappa * kappa)
+    s = np.linspace(0.0, length, n)
+    cs, sn, one = np.cos(s / r), np.sin(s / r), np.ones_like(s)
+    pos = np.stack([r * cs, r * sn, c * one], axis=-1)
+    tan = np.stack([-sn, cs, np.zeros_like(s)], axis=-1)
+    return CurvatureCurve("Sphere2", s, kappa * one, pos, tan, np.cross(pos, tan))
+
+
+@pytest.mark.parametrize("kappa", [150.0, 1000.0])
+def test_hopf_lift_rejects_frame_drift(kappa):
+    # the lift's frames pass the drift check of integrate_curve: at kappa
+    # 150 and 1000 the mandated step leaves them off orthonormal by 7e-6
+    # and 0.46, which integrate_curve refuses too
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepTooLarge):
+            integrate_curve(lambda s: kappa, "Sphere2", (0.0, 6.0), n_samples=65)
+        with pytest.raises(StepTooLarge):
+            hopf_cylinder(_arc(kappa, 6.0), 64, 8)
+
+
+def _stepwise_lift(curve, nu, q0):
+    """Plain per-step RK4 of the frame and its horizontal lift on the step
+    grid of hopf_cylinder: F' = F K(kappa) and q' = Dpi(q)^T t / 4 for the
+    fibration map pi and the tangent t = F[:, 1]. Returns q at the nodes."""
+    L = curve.length if curve.closed else float(curve.s[-1] - curve.s[0])
+    s0 = float(curve.s[0])
+    ds = L / nu
+    m = max(1, int(np.ceil(ds / min(1e-3, L / 1e4))))
+    h = ds / m
+    kh = curve.kappa_at(s0 + 0.5 * h * np.arange(2 * nu * m + 1))
+    p0, t0 = curve.position_at(s0), curve.tangent_at(s0)
+
+    def rhs(F, q, k):
+        a1, b1, a2, b2 = q
+        dpi = 2 * np.array([[a2, b2, a1, b1], [-b2, a2, b1, -a1], [a1, b1, -a2, -b2]])
+        K = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, -k], [0.0, k, 0.0]])
+        return F @ K, dpi.T @ F[:, 1] / 4
+
+    F, q = np.stack([p0, t0, np.cross(p0, t0)], axis=-1), q0
+    out = [q]
+    for i in range(nu * m):
+        k1, k2, k4 = kh[2 * i:2 * i + 3]
+        a = rhs(F, q, k1)
+        b = rhs(F + h / 2 * a[0], q + h / 2 * a[1], k2)
+        c = rhs(F + h / 2 * b[0], q + h / 2 * b[1], k2)
+        d = rhs(F + h * c[0], q + h * c[1], k4)
+        F = F + h / 6 * (a[0] + 2 * b[0] + 2 * c[0] + d[0])
+        q = q + h / 6 * (a[1] + 2 * b[1] + 2 * c[1] + d[1])
+        if (i + 1) % m == 0:
+            out.append(q)
+    out = np.array(out)
+    return out / np.linalg.norm(out, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("nu", [8, 256])
+@pytest.mark.parametrize("name", ["shot_elastica_13", "random_closed_spherical_curve",
+                                  "latitude_curve", "arc"])
+def test_hopf_lift_matches_stepwise_rk4(request, name, nu):
+    # the closed-form lift against RK4 of the joint (frame, lift) system;
+    # at nu = 8 the elastica's nodes are 1.74 apart
+    if name == "arc":
+        curve = integrate_curve(lambda s: 0.5 + 0.3 * np.sin(s), "Sphere2", (0.0, 3.0))
+    else:
+        curve = request.getfixturevalue(name)
+        if name == "shot_elastica_13":
+            curve = curve.curve
+    s = hopf_cylinder(curve, nu, 8)
+    U = s.grid.u0 + s.grid.hu * np.arange(nu + 1)
+    lift = s.callbacks["f"](U, np.zeros_like(U))
+    assert np.max(np.abs(lift - _stepwise_lift(curve, nu, lift[0]))) <= 1e-11
+
+
+@pytest.mark.parametrize("name", ["shot_elastica_13", "random_closed_spherical_curve"])
+def test_hopf_lattice_shift_is_half_enclosed_area(request, name):
+    # Pinkall's lattice: one curve period shifts the fiber by half the
+    # enclosed area A, and by Gauss-Bonnet A = 2 pi - int kappa ds
+    curve = request.getfixturevalue(name)
+    if name == "shot_elastica_13":
+        curve = curve.curve
+    shift = hopf_cylinder(curve, 128, 8).metadata["fiber_shift"]
+    total = float(np.sum(curve.kappa)) * curve.ds
+    err = np.mod(shift + np.pi - 0.5 * total, 2 * np.pi)
+    assert min(err, 2 * np.pi - err) <= 1e-10
 
 
 def test_hopf_callbacks_refuse_off_grid(hopf_latitude):

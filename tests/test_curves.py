@@ -81,8 +81,8 @@ def test_frame_kernel_matches_stepwise_rk4():
         d = rhs(F + h * c, k4)
         F = F + h / 6 * (a + 2 * b + 2 * c + d)
         ref.append(F)
-    blocks = [f for _, f, _ in _frame_blocks(np.eye(3), lambda i0, i1: (1.0, kap[i0:i1]),
-                                          nsteps, h)]
+    blocks = [f for _, f in _frame_blocks(np.eye(3), lambda i0, i1: (1.0, kap[i0:i1]),
+                                       nsteps, h)]
     frames = np.concatenate([f[:-1] for f in blocks] + [blocks[-1][-1:]])
     assert np.max(np.abs(frames - np.array(ref))) < 1e-12
 
