@@ -2,7 +2,13 @@
 
 All builders produce positively oriented charts with analytic derivative
 callbacks where closed forms exist, so that conformality holds to machine
-precision. Normal-sign conventions are pinned per builder:
+precision. Every chart is separable (each component a sum of products of a
+function of u and a function of v), and its callbacks are called on the
+open mesh (U of shape (nu, 1), V of shape (1, nv)): they evaluate each factor
+once per row or column and size their output by broadcasting U against V,
+so they accept the dense mesh as well. Each builder takes its position from
+its "f" callback on the same open mesh. Normal-sign conventions are pinned
+per builder:
 
 * cylinder over a plane curve: outward normal on the unit circle, so the
   Weingarten operator is diag(-kappa, 0) and H = -kappa/2;
@@ -37,7 +43,7 @@ def plane_patch(Lu=1.0, Lv=1.0, nu=64, nv=64, u0=0.0, v0=0.0) -> ParamSurface:
 
     def vec(c0, c1, c2):
         def cb(U, V):
-            out = np.empty(U.shape + (3,))
+            out = np.empty(np.broadcast_shapes(U.shape, V.shape) + (3,))
             out[..., 0] = c0(U, V)
             out[..., 1] = c1(U, V)
             out[..., 2] = c2(U, V)
@@ -53,7 +59,7 @@ def plane_patch(Lu=1.0, Lv=1.0, nu=64, nv=64, u0=0.0, v0=0.0) -> ParamSurface:
         "fuv": vec(zero, zero, zero),
         "fvv": vec(zero, zero, zero),
     }
-    U, V = grid.mesh()
+    U, V = grid.open_mesh()
     return ParamSurface(R3, grid, cbs["f"](U, V), cbs, orientation=1, conformal=True,
                         metadata={"builder": "plane"})
 
@@ -76,7 +82,7 @@ def homogeneous_torus(r1: float, r2: float, nu=128, nv=128) -> ParamSurface:
         # n-th x-derivative of r1 e^{i x/r1} is r1^{1-n} e^{i(x/r1 + n pi/2)};
         # the first complex coordinate depends only on x, the second only on y
         def cb(U, V):
-            out = np.zeros(U.shape + (4,))
+            out = np.zeros(np.broadcast_shapes(U.shape, V.shape) + (4,))
             if dv == 0:
                 out[..., 0] = r1 ** (1 - du) * np.cos(U / r1 + du * np.pi / 2)
                 out[..., 1] = r1 ** (1 - du) * np.sin(U / r1 + du * np.pi / 2)
@@ -94,7 +100,7 @@ def homogeneous_torus(r1: float, r2: float, nu=128, nv=128) -> ParamSurface:
         "fuv": make(1, 1),
         "fvv": make(0, 2),
     }
-    U, V = grid.mesh()
+    U, V = grid.open_mesh()
     return ParamSurface(S3, grid, cbs["f"](U, V), cbs, orientation=-1, conformal=True,
                         metadata={"builder": "homogeneous-torus", "r1": r1, "r2": r2})
 
@@ -127,31 +133,34 @@ def cylinder_over_curve(curve: CurvatureCurve, v_span=(-2.0, 2.0), nu=256, nv=64
                   periodic_u=curve.closed, periodic_v=False,
                   u0=float(curve.s[0]), v0=float(v_span[0]))
 
+    def shape3(U, V):
+        return np.broadcast_shapes(U.shape, V.shape) + (3,)
+
     def cb_f(U, V):
-        out = np.empty(U.shape + (3,))
+        out = np.empty(shape3(U, V))
         out[..., :2] = curve.position_at(U)
         out[..., 2] = V
         return out
 
     def cb_fu(U, V):
-        out = np.zeros(U.shape + (3,))
+        out = np.zeros(shape3(U, V))
         out[..., :2] = curve.tangent_at(U)
         return out
 
     def cb_fv(U, V):
-        out = np.zeros(U.shape + (3,))
+        out = np.zeros(shape3(U, V))
         out[..., 2] = 1.0
         return out
 
     def cb_fuu(U, V):
-        out = np.zeros(U.shape + (3,))
+        out = np.zeros(shape3(U, V))
         out[..., :2] = curve.second_derivative_at(U)
         return out
 
-    zero3 = lambda U, V: np.zeros(U.shape + (3,))
+    zero3 = lambda U, V: np.zeros(shape3(U, V))
     cbs = {"f": cb_f, "fu": cb_fu, "fv": cb_fv, "fuu": cb_fuu,
            "fuv": zero3, "fvv": zero3}
-    U, V = grid.mesh()
+    U, V = grid.open_mesh()
     pos = cb_f(U, V)
     return ParamSurface(R3, grid, pos, cbs if analytic else None, orientation=1,
                         conformal=True,
@@ -351,7 +360,7 @@ def hopf_cylinder(curve: CurvatureCurve, nu=256, nv=64, lift_tol=1e-7) -> ParamS
         "fuv": make_cb(lift_x, 1),
         "fvv": make_cb(Q, 2),
     }
-    U, V = grid.mesh()
+    U, V = grid.open_mesh()
     pos = cbs["f"](U, V)
     return ParamSurface(
         S3, grid, pos, cbs, orientation=1, conformal=True,
@@ -547,7 +556,7 @@ def surface_of_revolution(profile: RevolutionProfile, x_span=None, nu=128, nv=12
             hh = np.asarray([profile.h, profile.dh, profile.d2h][order_x](U))
             cy = np.cos(V + order_y * np.pi / 2)
             sy = np.sin(V + order_y * np.pi / 2)
-            out = np.empty(U.shape + (3,))
+            out = np.empty(np.broadcast_shapes(U.shape, V.shape) + (3,))
             out[..., 0] = r * cy
             out[..., 1] = r * sy
             out[..., 2] = hh if order_y == 0 else 0.0
@@ -556,7 +565,7 @@ def surface_of_revolution(profile: RevolutionProfile, x_span=None, nu=128, nv=12
 
     cbs = {"f": make(0, 0), "fu": make(1, 0), "fv": make(0, 1),
            "fuu": make(2, 0), "fuv": make(1, 1), "fvv": make(0, 2)}
-    U, V = grid.mesh()
+    U, V = grid.open_mesh()
     pos = cbs["f"](U, V)
     return ParamSurface(R3, grid, pos, cbs, orientation=-1, conformal=conformal,
                         metadata={"builder": "revolution", "profile": profile.name,

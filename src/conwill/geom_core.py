@@ -23,7 +23,9 @@ Field conventions used throughout the package:
 * ScalarField  -- array (nu, nv)
 * TwoForm      -- array (nu, nv): the coefficient w of  w dx ^ dy
 * VectorField  -- array (nu, nv, 2): components w.r.t. (d/dx, d/dy)
-* EndoField    -- array (nu, nv, 2, 2)
+* EndoField    -- array (nu, nv, 2, 2); the assembled ones (`fundamental_data`,
+  `_mul2`) are stored component-major, so each [..., i, j] slice is
+  C-contiguous
 
 Charts are positively oriented by construction; the `orientation` flag of a
 surface only flips the unit normal (and with it II, A, H, the trace-free
@@ -123,6 +125,10 @@ class Grid2D:
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
         return np.meshgrid(self.u_coords(), self.v_coords(), indexing="ij")
 
+    def open_mesh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Node coordinates as broadcastable (nu, 1) and (1, nv) arrays."""
+        return np.ix_(self.u_coords(), self.v_coords())
+
 
 def _check_field(grid: Grid2D, arr: np.ndarray, trailing: tuple = ()) -> np.ndarray:
     arr = np.asarray(arr)
@@ -141,9 +147,14 @@ class ParamSurface:
     grid : Grid2D
     position : (nu, nv, dim) array of ambient points.
     callbacks : optional dict with keys among
-        {"f", "fu", "fv", "fuu", "fuv", "fvv"}; each maps meshgrid arrays
-        (U, V) to an (nu, nv, dim) array.  When first/second derivative
-        callbacks are present they are used instead of finite differences.
+        {"f", "fu", "fv", "fuu", "fuv", "fvv"}; each maps node coordinates
+        (U, V) to an (nu, nv, dim) array.  They are called with the open
+        mesh `grid.open_mesh()`, U of shape (nu, 1) and V of shape (1, nv),
+        so a separable chart evaluates its factors once per row and once
+        per column; the result must broadcast to the full (nu, nv, dim)
+        (GridMismatch otherwise), and the dense `grid.mesh()` works too.
+        When first/second derivative callbacks are present they are used
+        instead of finite differences.
     orientation : +1 or -1, the normal-sign convention flag.
     conformal : whether the chart claims |f_u| = |f_v|, <f_u, f_v> = 0.
     quotient_seam : the grid wraps in u for fields and quadrature but the
@@ -177,6 +188,7 @@ class ParamSurface:
         self._deriv_cache: dict[str, np.ndarray] = {}
         self._stage_cache: dict[str, object] = {}
         self._fund: Optional[FundamentalData] = None
+        self._residual: Optional[float] = None
         if quotient_seam and not self.has_analytic_derivatives:
             raise ValueError("quotient-seam charts require analytic derivative callbacks")
         if space_form.kind == SPHERE3:
@@ -206,7 +218,7 @@ class ParamSurface:
             return self._deriv_cache[which]
         g = self.grid
         if which in self.callbacks:
-            U, V = g.mesh()
+            U, V = g.open_mesh()
             arr = _check_field(g, np.asarray(self.callbacks[which](U, V), dtype=float),
                                (self.space_form.ambient_dim,))
         else:
@@ -234,8 +246,17 @@ class ParamSurface:
         return self._fund
 
     def conformality_residual(self) -> float:
-        """Max relative deviation of the metric from e^{2 lambda} Id."""
-        return _conformality_residual(*_first_form(self.derivative("fu"), self.derivative("fv")))
+        """Max relative deviation of the metric from e^{2 lambda} Id, cached.
+
+        Read from the first-form stage when it is cached; otherwise the
+        metric is formed here, without the stage's gates.
+        """
+        if self._residual is None:
+            first = self._stage_cache.get("first")
+            E, F, Gm = first[:3] if first is not None else _first_form(
+                self.derivative("fu"), self.derivative("fv"))
+            self._residual = _conformality_residual(E, F, Gm)
+        return self._residual
 
     def require_conformal(self, tol: float = CONFORMAL_GATE) -> None:
         if not self.conformal:
@@ -256,7 +277,8 @@ class ParamSurface:
 class FundamentalData:
     """Per-node first/second order data of an immersed surface.
 
-    g, II, A, A0 (trace-free part of A) and J are (nu, nv, 2, 2); H, G,
+    g, II, A, A0 (trace-free part of A) and J are (nu, nv, 2, 2), stored
+    component-major (see `_empty2`); H, G,
     dsigma, e2l are (nu, nv); xi is (nu, nv, ambient_dim).  dsigma is the
     coefficient of the area element w.r.t. dx ^ dy and is positive; e2l is
     the conformal factor (E + G)/2, which equals e^{2 lambda} exactly on
@@ -275,9 +297,19 @@ class FundamentalData:
     e2l: np.ndarray
 
 
+def _empty2(shape: tuple) -> np.ndarray:
+    """Uninitialized (*shape, 2, 2) field stored component-major.
+
+    A view of a (2, 2, *shape) array, so each [..., i, j] slice is
+    C-contiguous and the per-component reads and writes are not strided.
+    """
+    return np.moveaxis(np.empty((2, 2) + shape), (0, 1), (-2, -1))
+
+
 def _mul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-node matrix product a b of two (..., 2, 2) fields, written out by component."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    """Per-node matrix product a b of two (..., 2, 2) fields, written out by
+    component into a component-major field."""
+    out = _empty2(np.broadcast_shapes(a.shape, b.shape)[:-2])
     for i in (0, 1):
         for j in (0, 1):
             out[..., i, j] = a[..., i, 0] * b[..., 0, j] + a[..., i, 1] * b[..., 1, j]
@@ -297,7 +329,7 @@ def _conformality_residual(E: np.ndarray, F: np.ndarray, G: np.ndarray) -> float
 
 def _complex_structure(E: np.ndarray, F: np.ndarray, G: np.ndarray, W: np.ndarray) -> np.ndarray:
     """J, the rotation by +90 degrees in the metric (E, F, G); W = sqrt(EG - F^2)."""
-    J = np.empty(E.shape + (2, 2))
+    J = _empty2(E.shape)
     J[..., 0, 0] = -F / W
     J[..., 0, 1] = -G / W
     J[..., 1, 0] = E / W
@@ -345,7 +377,7 @@ def _first_stage(s: ParamSurface) -> tuple[np.ndarray, ...]:
         if np.min(W2) <= (IMMERSION_TOL ** 2) * np.max(EG):
             raise DegenerateImmersion("coordinate tangents nearly collinear")
         if s.conformal:
-            res = _conformality_residual(E, F, Gm)
+            res = s._residual = _conformality_residual(E, F, Gm)
             if res > CONFORMAL_GATE:
                 raise NotConformal(f"chart flagged conformal but residual is {res:.3e}")
         stage = s._stage_cache["first"] = (E, F, Gm, W2, np.sqrt(W2))
@@ -409,23 +441,26 @@ def fundamental_data(s: ParamSurface) -> FundamentalData:
     xi = _normal_stage(s)
     e, f2, g2, H = _second_stage(s)
 
-    g = np.empty(E.shape + (2, 2))
+    g = _empty2(E.shape)
     g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1] = E, F, F, Gm
-    II = np.empty_like(g)
+    II = _empty2(E.shape)
     II[..., 0, 0], II[..., 0, 1], II[..., 1, 0], II[..., 1, 1] = e, f2, f2, g2
 
     # A = g^-1 II with g^-1 = [[a, -b], [-b, c]]
     a, b, c = Gm / W2, F / W2, E / W2
-    A = np.empty_like(g)
+    A = _empty2(E.shape)
     A[..., 0, 0] = a * e - b * f2
     A[..., 0, 1] = a * f2 - b * g2
     A[..., 1, 0] = c * f2 - b * e
     A[..., 1, 1] = c * g2 - b * f2
 
     G = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
-    A0 = A.copy()
-    A0[..., 0, 0] -= H
-    A0[..., 1, 1] -= H
+    # component by component: A.copy() would be a node-major C-order copy
+    A0 = _empty2(E.shape)
+    A0[..., 0, 0] = A[..., 0, 0] - H
+    A0[..., 0, 1] = A[..., 0, 1]
+    A0[..., 1, 0] = A[..., 1, 0]
+    A0[..., 1, 1] = A[..., 1, 1] - H
 
     fd = FundamentalData(
         g=g, II=II, A=A, A0=A0, H=H, G=G, xi=xi,

@@ -13,6 +13,7 @@ from conwill.builders import (
     torus_profile,
 )
 from conwill.curves import curve_from_parametric, integrate_curve
+from conwill.geom_core import R3, Grid2D, ParamSurface
 
 
 @pytest.fixture(scope="session")
@@ -59,6 +60,20 @@ def sphere_band():
 @pytest.fixture(scope="session")
 def revolution_torus():
     return surface_of_revolution(torus_profile(2.0, 0.5), nu=128, nv=96)
+
+
+def sheared_torus_chart(n=64):
+    """A torus chart with F != 0 and f != 0, finite-differenced."""
+    grid = Grid2D(n, n, 2 * np.pi, 2 * np.pi)
+    U, V = grid.mesh()
+    th, ph = U + 0.3 * np.sin(V), V + 0.2 * np.cos(U)
+    r = 2.0 + 0.5 * np.cos(th)
+    return ParamSurface(R3, grid, np.stack([r * np.cos(ph), r * np.sin(ph), 0.5 * np.sin(th)], -1))
+
+
+@pytest.fixture(scope="session")
+def sheared_torus():
+    return sheared_torus_chart()
 
 
 @pytest.fixture(scope="session")

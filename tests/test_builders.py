@@ -11,6 +11,7 @@ from conwill.builders import (
     hopf_cylinder,
     line_profile,
     numeric_profile,
+    plane_patch,
     sphere_profile,
     surface_of_revolution,
     torus_profile,
@@ -19,6 +20,7 @@ from conwill.curves import CurvatureCurve, integrate_curve
 from conwill.errors import (AxisContact, BadRadii, GridMismatch, NotArcLength, StepTooLarge,
                             WrongSpaceForm)
 from conwill.functionals import area, willmore_energy
+from conwill.geom_core import R3, Grid2D, ParamSurface
 
 
 def test_cylinder_weingarten(ellipse_cylinder, ellipse_curve):
@@ -278,6 +280,44 @@ def test_hopf_callbacks_refuse_off_grid(hopf_latitude):
             cb(U + 0.3 * hopf_latitude.grid.hu, V)
     with pytest.raises(GridMismatch):
         hopf_latitude.callbacks["f"](U - hopf_latitude.grid.hu, V)
+
+
+@pytest.fixture(scope="module")
+def hopf_open_arc():
+    curve = integrate_curve(lambda s: 0.5 + 0.3 * np.sin(s), "Sphere2", (0.0, 3.0))
+    return hopf_cylinder(curve, 48, 16)
+
+
+@pytest.mark.parametrize("name", ["plane", "homog_torus", "ellipse_cylinder", "revolution_torus",
+                                  "sphere_band", "hopf_latitude", "hopf_open_arc"])
+def test_callbacks_on_dense_mesh_match_open_mesh(request, name):
+    """Derivatives come from callbacks on the open mesh; on the dense mesh the
+    same callbacks give the same bits, for the position too."""
+    s = plane_patch(2.0, 1.5, 40, 32) if name == "plane" else request.getfixturevalue(name)
+    assert s.has_analytic_derivatives
+    U, V = s.grid.mesh()
+    assert np.array_equal(s.callbacks["f"](U, V), s.position)
+    for k in ("fu", "fv", "fuu", "fuv", "fvv"):
+        assert np.array_equal(s.callbacks[k](U, V), s.derivative(k)), k
+
+
+def test_callback_that_does_not_broadcast_raises():
+    grid = Grid2D(16, 12, 1.0, 1.0, False, False)
+    U, V = grid.mesh()
+    pos = np.stack([U, V, 0.0 * U], axis=-1)
+    seen = []
+
+    def fu(U, V):
+        seen.append((U.shape, V.shape))
+        out = np.zeros(U.shape + (3,))  # sized by U alone: (nu, 1, 3)
+        out[..., 0] = 1.0
+        return out
+
+    s = ParamSurface(R3, grid, pos, {"fu": fu})
+    with pytest.raises(GridMismatch):
+        s.derivative("fu")
+    assert seen == [((16, 1), (1, 12))]
+    assert "fu" not in s._deriv_cache
 
 
 def test_not_arclength_raises(ellipse_curve):

@@ -122,19 +122,10 @@ def _bump(s):
     return 0.2 * (1.0 + np.cos(2 * np.pi * U / s.grid.Lu) + np.sin(2 * np.pi * V / s.grid.Lv))
 
 
-def _sheared_torus(n=64):
-    """A torus chart with F != 0 and f != 0, finite-differenced."""
-    grid = Grid2D(n, n, 2 * np.pi, 2 * np.pi)
-    U, V = grid.mesh()
-    th, ph = U + 0.3 * np.sin(V), V + 0.2 * np.cos(U)
-    r = 2.0 + 0.5 * np.cos(th)
-    return ParamSurface(R3, grid, np.stack([r * np.cos(ph), r * np.sin(ph), 0.5 * np.sin(th)], -1))
-
-
 def test_values_match_fundamental_data_integrals(revolution_torus, homog_torus, sphere_band,
-                                                  hopf_latitude):
+                                                  hopf_latitude, sheared_torus):
     """The staged value path agrees with integrals of the full per-node fields."""
-    charts = [revolution_torus, homog_torus, sphere_band, hopf_latitude, _sheared_torus(),
+    charts = [revolution_torus, homog_torus, sphere_band, hopf_latitude, sheared_torus,
               plane_patch(2.0, 1.5, 40, 32),
               deform(revolution_torus, _bump(revolution_torus), 1e-3),
               deform(homog_torus, _bump(homog_torus), 1e-3)]

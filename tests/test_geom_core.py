@@ -7,7 +7,10 @@ from conwill.builders import (
     cylinder_over_curve,
     homogeneous_torus,
     plane_patch,
+    surface_of_revolution,
+    torus_profile,
 )
+from conwill import geom_core
 from conwill._stencils import diff_uniform
 from conwill.curves import integrate_curve
 from conwill.errors import (
@@ -22,7 +25,9 @@ from conwill.geom_core import (
     R3,
     S3,
     _cross3,
+    _conformality_residual,
     _cross4,
+    _first_form,
     _mul2,
     anticommutator_defect,
     integrate_2form,
@@ -283,3 +288,101 @@ def test_cross4_matches_determinant():
         assert np.max(np.abs(xi[:, i] - det)) < 1e-13 * np.max(np.abs(det))
     det_w = np.linalg.det(np.concatenate([rows, w[:, None, :]], axis=1))
     assert np.max(np.abs(np.einsum("ij,ij->i", xi, w) - det_w)) < 1e-12
+
+
+def test_require_conformal_reuses_first_form(monkeypatch):
+    s = homogeneous_torus(0.6, 0.8, 32, 32)
+    want = _conformality_residual(*_first_form(s.derivative("fu"), s.derivative("fv")))
+    s.fundamental_data()
+
+    def formed_again(*args):
+        raise AssertionError("first form or residual formed again")
+
+    monkeypatch.setattr(geom_core, "_first_form", formed_again)
+    monkeypatch.setattr(geom_core, "_conformality_residual", formed_again)
+    s.require_conformal()
+    assert s.conformality_residual() == want
+    with pytest.raises(NotConformal, match="exceeds"):
+        s.require_conformal(tol=0.0 if want > 0 else -1.0)
+
+
+def test_conformality_residual_without_first_stage():
+    grid = Grid2D(16, 16, 1.0, 1.0, False, False)
+    U, V = grid.mesh()
+    # fu parallel fv: the residual is read without the immersion gate
+    s = ParamSurface(R3, grid, np.stack([U, U, 0.0 * V], axis=-1), conformal=True)
+    want = _conformality_residual(*_first_form(s.derivative("fu"), s.derivative("fv")))
+    assert s.conformality_residual() == want == 1.0
+    with pytest.raises(NotConformal, match="exceeds"):
+        s.require_conformal()
+    with pytest.raises(DegenerateImmersion):
+        s.fundamental_data()
+    # a chart not flagged conformal still reports its residual
+    s = ParamSurface(R3, grid, np.stack([U, 2.0 * V, 0.0 * U], axis=-1))
+    assert abs(s.conformality_residual() - 0.75) < 1e-12
+    with pytest.raises(NotConformal, match="not flagged"):
+        s.require_conformal()
+
+
+def _node_major_reference(s):
+    """g, II, A, A0, J and A0 J of s, each a C-order (nu, nv, 2, 2) array, from
+    the derivatives and the unit normal, assembled node by node."""
+    fu, fv, xi = s.derivative("fu"), s.derivative("fv"), s.fundamental_data().xi
+    E, F, G = (np.einsum("ijk,ijk->ij", a, b) for a, b in ((fu, fu), (fu, fv), (fv, fv)))
+    e, f, g2 = (np.einsum("ijk,ijk->ij", s.derivative(k), xi) for k in ("fuu", "fuv", "fvv"))
+    W2 = E * G - F * F
+    W = np.sqrt(W2)
+    a, b, c = G / W2, F / W2, E / W2
+    ref = {k: np.empty(E.shape + (2, 2)) for k in ("g", "II", "A", "J", "A0J")}
+    ref["g"][..., 0, 0], ref["g"][..., 0, 1], ref["g"][..., 1, 0], ref["g"][..., 1, 1] = E, F, F, G
+    ref["II"][..., 0, 0], ref["II"][..., 0, 1], ref["II"][..., 1, 0], ref["II"][..., 1, 1] = e, f, f, g2
+    A = ref["A"]
+    A[..., 0, 0], A[..., 0, 1] = a * e - b * f, a * f - b * g2
+    A[..., 1, 0], A[..., 1, 1] = c * f - b * e, c * g2 - b * f
+    H = 0.5 * (A[..., 0, 0] + A[..., 1, 1])
+    A0 = ref["A0"] = A.copy()
+    A0[..., 0, 0] -= H
+    A0[..., 1, 1] -= H
+    J = ref["J"]
+    J[..., 0, 0], J[..., 0, 1], J[..., 1, 0], J[..., 1, 1] = -F / W, -G / W, E / W, F / W
+    for i in (0, 1):
+        for j in (0, 1):
+            ref["A0J"][..., i, j] = A0[..., i, 0] * J[..., 0, j] + A0[..., i, 1] * J[..., 1, j]
+    return ref
+
+
+@pytest.mark.parametrize("name", ["revolution_torus", "homog_torus", "sphere_band",
+                                  "hopf_latitude", "sheared_torus"])
+def test_endo_fields_are_component_major(request, name):
+    """Each [..., i, j] slice of the assembled 2x2 fields is C-contiguous and
+    carries the bits of a node-major assembly."""
+    s = request.getfixturevalue(name)
+    fd = s.fundamental_data()
+    got = {"g": fd.g, "II": fd.II, "A": fd.A, "A0": fd.A0, "J": fd.J, "A0J": _mul2(fd.A0, fd.J)}
+    ref = _node_major_reference(s)
+    for key, arr in got.items():
+        assert arr.shape == ref[key].shape, key
+        for i in (0, 1):
+            for j in (0, 1):
+                assert arr[..., i, j].flags.c_contiguous, (key, i, j)
+        assert np.array_equal(arr, ref[key]), key
+    assert np.array_equal(fd.H, 0.5 * (ref["A"][..., 0, 0] + ref["A"][..., 1, 1]))
+
+
+@pytest.mark.parametrize("name", ["revolution_torus", "sphere_band", "torus96x32"])
+def test_conformal_completion_reads_contiguous_a0(request, name):
+    """The profile mean of A0_11 over a contiguous row has the bits of the
+    mean over the node-major field."""
+    from scipy.interpolate import CubicSpline
+
+    from conwill.variations import conformal_completion_revolution
+
+    s = (surface_of_revolution(torus_profile(2.0, 0.5), nu=96, nv=32) if name == "torus96x32"
+         else request.getfixturevalue(name))
+    x = s.grid.u_coords()
+    uprof = np.exp(-4.0 * (x - x.mean()) ** 2)
+    X = conformal_completion_revolution(s, np.repeat(uprof[:, None], s.grid.nv, axis=1)).X
+    alpha = _node_major_reference(s)["A0"][..., 0, 0].mean(axis=1)
+    psi = CubicSpline(x, 2.0 * uprof * alpha).antiderivative()(x)
+    assert np.array_equal(X[..., 0], np.repeat(psi[:, None], s.grid.nv, axis=1))
+    assert not np.any(X[..., 1])
