@@ -269,6 +269,8 @@ def hopf_cylinder(curve: CurvatureCurve, nu=256, nv=64, lift_tol=1e-7) -> ParamS
     `integrate_curve`, LiftDrift when the projection defect |pi(lift) - p|
     at the nodes, metadata["lift_defect"], exceeds lift_tol.
     """
+    if nu < 8 or nv < 8:
+        raise ValueError(f"grid needs nu, nv >= 8, got {nu} x {nv}")
     if curve.ambient != SPHERE2:
         raise WrongSpaceForm("hopf_cylinder needs a curve on S^2")
     tnorm = np.linalg.norm(curve.tangent, axis=-1)

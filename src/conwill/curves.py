@@ -10,14 +10,18 @@ classical RK4 integration of the frame equations:
 Both are evaluated without a per-step Python loop. In the plane the theta
 stages do not depend on the state, so theta and (x, y) are cumulative sums
 of the RK4 stage formula. On the sphere the frame equation is linear, so
-one RK4 step is a matrix, F_{i+1} = F_i M_i, built from the four stage
-curvatures of the step; `_frame_blocks` builds these step matrices for
-FRAME_BLOCK steps at once and multiplies them out by a log-depth prefix
-scan, carrying the frame from one block to the next. The same kernel
-serves the frame transfer of the shooting method and the Hopf lift in
-`builders`, which reads the lift off the frames in closed form. Frames are
-not renormalized during the integration; their drift from orthonormality
-is the step-size check (`_check_frame_drift`).
+one RK4 step is a matrix, F_{i+1} = F_i M_i, written out entry by entry
+from the four stage curvatures of the step (`_step_matrices`).
+`_frame_blocks` builds these step matrices for FRAME_BLOCK steps at once
+and multiplies them out chunk by chunk (a sequential prefix product inside
+chunks of FRAME_CHUNK steps, all chunks at once, and the frame carried over
+the chunk totals), carrying the frame from one block to the next. The same
+kernel serves `integrate_curve` and the Hopf lift in `builders`, which
+reads the lift off the frames in closed form; the frame transfer of the
+shooting method needs only the total product of its step matrices, which
+`_total_product` forms pairwise. Frames are not renormalized during the
+integration; their drift from orthonormality is the step-size check
+(`_check_frame_drift`).
 
 The generalized elastic-curve equation 2 k'' + k^3 + a k + b = 0 and its
 linearly-forced variant k'' + k^3/2 = (a + b s) k are integrated by one
@@ -27,8 +31,10 @@ period, and both come from the first integral E = k'^2 + V(k),
 V = k^4/4 + a k^2/2 + b k, without stepping the curvature: between the
 turning points lo, hi the substitution k = m + r sin(theta) gives the smooth
 2 pi-periodic speed ds/dtheta, so the period is a trapezoid sum in theta and
-the transfer is the frame kernel run in theta over one turn (THETA_STEPS
-steps). An orbit too close to its separatrix for that fixed theta grid
+the transfer is RK4 on the frame equation in theta over one turn. Its grid
+sizes itself: from THETA_STEPS steps it doubles until the RK4 error
+estimate of the rotation angle is below THETA_TOL. An orbit too close to
+its separatrix for the period sum, or for THETA_MAX_STEPS transfer steps,
 raises NearSeparatrix.
 """
 
@@ -50,8 +56,11 @@ MIN_STEPS_PER_SPAN = 10_000
 BLOWUP_LIMIT = 1e6
 FRAME_DRIFT_TOL = 1e-6
 FRAME_BLOCK = 1024          # RK4 steps per batched block of step matrices
+FRAME_CHUNK = 32            # steps per chunk of the in-block prefix product
 PERIOD_NODES = 256          # trapezoid nodes in theta for the curvature period
-THETA_STEPS = 4096          # RK4 steps in theta for the frame transfer over one period
+THETA_STEPS = 4096          # first RK4 grid in theta for the frame transfer over one period
+THETA_MAX_STEPS = 16 * THETA_STEPS  # finest transfer grid before NearSeparatrix
+THETA_TOL = 1e-10           # bound on the error estimate of the transfer angle
 SEPARATRIX_TOL = 1e-12      # relative change of the period sum on every other node
 
 
@@ -60,22 +69,65 @@ def _default_step(span: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# blocked RK4 step matrices for linear ODEs Y' = Y K(s)
+# RK4 step matrices of the S^2 frame equation F' = F sigma K(kappa)
 # ----------------------------------------------------------------------
 
-def _rk4_step_matrices(K, h):
-    """RK4 step matrices M (b, d, d) of Y' = Y K(s) from the stage generators K (b, 4, d, d).
+def _step_matrices(sigma, kap, h):
+    """RK4 step matrices M (b, 3, 3) of F' = F sigma K(kappa) from the stage
+    speeds sigma and curvatures kap (b, 4); sigma broadcasts against kap.
 
-    The RK4 stages of a linear right-acting system are Y A_j with A_1 = K_1
-    and A_j = S_j K_j for S_2 = I + h/2 A_1, S_3 = I + h/2 A_2, S_4 = I + h A_3
-    (stage j evaluates K_j at the state Y S_j); one step is Y -> Y M with
-    M = I + h/6 (A_1 + 2 A_2 + 2 A_3 + A_4).
+    The RK4 stages of a linear right-acting system F' = F K_j are F A_j with
+    A_1 = K_1, A_2 = (I + h/2 A_1) K_2, A_3 = (I + h/2 A_2) K_3 and
+    A_4 = (I + h A_3) K_4; one step is F -> F M with
+    M = I + h/6 (A_1 + 2 A_2 + 2 A_3 + A_4), which expands to
+    M = I + h/6 S1 + h^2/6 S2 + h^3/12 S3 + h^4/24 S4 for
+    S1 = K1 + 2 K2 + 2 K3 + K4, S2 = K1K2 + K2K3 + K3K4,
+    S3 = K1K2K3 + K2K3K4 and S4 = K1K2K3K4. Each K_j = [w_j]x is the cross
+    product matrix of w_j = sigma_j (kappa_j, 0, 1), so by
+    [a]x [b]x = b a^T - (a.b) I every product is a sum of outer products,
+    dot products and cross product matrices of the stage vectors:
+    [a]x [b]x [c]x = b (a x c)^T - (a.b) [c]x, and [a]x [b]x [c]x [d]x =
+    (a.d) b c^T - (c.d) b a^T - (a.b) d c^T + (a.b)(c.d) I. The w_j lie in
+    the x-z plane, which leaves the entries below.
     """
-    eye = np.eye(K.shape[-1])
-    A2 = (eye + 0.5 * h * K[:, 0]) @ K[:, 1]
-    A3 = (eye + 0.5 * h * A2) @ K[:, 2]
-    A4 = (eye + h * A3) @ K[:, 3]
-    return eye + h / 6.0 * (K[:, 0] + 2 * A2 + 2 * A3 + A4)
+    z = np.broadcast_to(sigma, kap.shape)
+    x = z * kap
+    (x1, x2, x3, x4), (z1, z2, z3, z4) = x.T, z.T
+    d12, d23, d34 = x1 * x2 + z1 * z2, x2 * x3 + z2 * z3, x3 * x4 + z3 * z4
+    c2, c3, c4 = h * h / 6.0, h ** 3 / 12.0, h ** 4 / 24.0
+    # identity part, and the vector v of the [v]x part
+    diag = 1.0 - c2 * (d12 + d23 + d34) + c4 * d12 * d34
+    vx = h / 6.0 * (x1 + 2 * (x2 + x3) + x4) - c3 * (d12 * x3 + d23 * x4)
+    vz = h / 6.0 * (z1 + 2 * (z2 + z3) + z4) - c3 * (d12 * z3 + d23 * z4)
+    # x-z block: w2 (a w1 + e w3)^T + c2 w3 w2^T + g w4 w3^T
+    a = c2 - c4 * d34
+    e = c4 * (x1 * x4 + z1 * z4)
+    g = c2 - c4 * d12
+    px, pz = a * x1 + e * x3, a * z1 + e * z3
+    gx, gz = g * x4, g * z4
+    # y column of the x-z rows: c3 ((w1 x w3)_y w2 + (w2 x w4)_y w3)
+    y13, y24 = c3 * (z1 * x3 - x1 * z3), c3 * (z2 * x4 - x2 * z4)
+    M = np.empty(kap.shape[:-1] + (3, 3))
+    M[..., 0, 0] = diag + x2 * px + c2 * x3 * x2 + gx * x3
+    M[..., 0, 1] = y13 * x2 + y24 * x3 - vz
+    M[..., 0, 2] = x2 * pz + c2 * x3 * z2 + gx * z3
+    M[..., 1, 0] = vz
+    M[..., 1, 1] = diag
+    M[..., 1, 2] = -vx
+    M[..., 2, 0] = z2 * px + c2 * z3 * x2 + gz * x3
+    M[..., 2, 1] = y13 * z2 + y24 * z3 + vx
+    M[..., 2, 2] = diag + z2 * pz + c2 * z3 * z2 + gz * z3
+    return M
+
+
+def _total_product(P):
+    """The ordered product P[0] P[1] ... P[-1] of matrices P (n, 3, 3), by
+    pairwise products (an odd level is padded with I)."""
+    while len(P) > 1:
+        if len(P) % 2:
+            P = np.concatenate([P, np.eye(3)[None]])
+        P = P[0::2] @ P[1::2]
+    return P[0]
 
 
 def _frame_blocks(F0, stages, nsteps, h):
@@ -86,22 +138,30 @@ def _frame_blocks(F0, stages, nsteps, h):
     broadcasts against the curvatures. Yields (i0, frames) per block: frames
     (b + 1, 3, 3) are the frames before steps i0 .. i1 (frames[0] is the
     frame carried in from the previous block). Frames are not renormalized.
+
+    A block of step matrices is multiplied out in chunks of FRAME_CHUNK
+    steps: a sequential prefix product inside every chunk, all chunks at
+    once, then the frame carried over the chunk totals, then one product of
+    each chunk's incoming frame with its prefixes; about two 3x3 products
+    per step.
     """
     F = np.asarray(F0, dtype=float)
     for i0 in range(0, nsteps, FRAME_BLOCK):
         i1 = min(i0 + FRAME_BLOCK, nsteps)
-        sigma, kap = stages(i0, i1)
-        K = np.zeros(kap.shape + (3, 3))
-        K[..., 1, 0] = sigma
-        K[..., 0, 1] = -sigma
-        K[..., 2, 1] = sigma * kap
-        K[..., 1, 2] = -sigma * kap
-        # right prefix products M_0, M_0 M_1, ... by a log-depth scan
-        P, d = _rk4_step_matrices(K, h), 1
-        while d < len(P):
-            P[d:] = P[:-d] @ P[d:]
-            d *= 2
-        frames = np.concatenate([F[None], F @ P])
+        b, nc = i1 - i0, -(-(i1 - i0) // FRAME_CHUNK)
+        Q = np.empty((nc * FRAME_CHUNK, 3, 3))
+        Q[:b] = _step_matrices(*stages(i0, i1), h)
+        Q[b:] = np.eye(3)
+        Q = Q.reshape(nc, FRAME_CHUNK, 3, 3)
+        for j in range(1, FRAME_CHUNK):
+            Q[:, j] = Q[:, j - 1] @ Q[:, j]
+        G = np.empty((nc, 3, 3))
+        G[0] = F
+        for c in range(1, nc):
+            G[c] = G[c - 1] @ Q[c - 1, -1]
+        frames = np.empty((b + 1, 3, 3))
+        frames[0] = F
+        frames[1:] = (G[:, None] @ Q).reshape(-1, 3, 3)[:b]
         F = frames[-1]
         yield i0, frames
 
@@ -162,7 +222,7 @@ def _rk4_run(f, k0, dk0, h, nsteps, store_every, out):
         k += h / 6.0 * (dk + 2 * k2 + 2 * k3 + k4)
         dk += h / 6.0 * (l1 + 2 * l2 + 2 * l3 + l4)
         s += h
-        if abs(k) > BLOWUP_LIMIT:
+        if not abs(k) <= BLOWUP_LIMIT:
             return 1
         if (i + 1) % store_every == 0:
             out[m, 0] = k
@@ -301,10 +361,14 @@ def integrate_curve(
     """
     s0, s1 = float(s_span[0]), float(s_span[1])
     span = s1 - s0
+    if not np.isfinite(span):
+        raise ValueError(f"arc-length span ({s0}, {s1}) is not finite")
     if span <= 0:
         raise ValueError("empty arc-length span")
     if ambient not in (PLANE, SPHERE2):
         raise ValueError(f"unknown ambient {ambient!r}")
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
     if callable(kappa):
         kfun = kappa
     else:
@@ -353,8 +417,14 @@ def integrate_curve(
         t0 = np.array([1.0, 0.0, 0.0])
     p = np.asarray(p0, dtype=float)
     t = np.asarray(t0, dtype=float)
-    p = p / np.linalg.norm(p)
+    pn = np.linalg.norm(p)
+    if not 0 < pn < np.inf:
+        raise ValueError(f"p0 = {p0} has no direction")
+    p = p / pn
+    tn = np.linalg.norm(t)
     t = t - (t @ p) * p
+    if not np.linalg.norm(t) > 1e-12 * tn:
+        raise ValueError(f"t0 = {t0} has no direction orthogonal to p0 = {p0}")
     t = t / np.linalg.norm(t)
 
     kap, kept = [], []
@@ -467,8 +537,14 @@ def elastica_first_integral(kappa, dkappa, a, b):
 def _run_ode(f, k0, dk0, s_span, step, max_stored):
     s0, s1 = map(float, s_span)
     span = s1 - s0
+    if not np.isfinite(span):
+        raise ValueError(f"span ({s0}, {s1}) is not finite")
     if span <= 0:
         raise ValueError("empty span")
+    if step is not None and not 0 < step < np.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
+    if max_stored < 2:
+        raise ValueError(f"max_stored must be at least 2, got {max_stored}")
     h = step if step is not None else _default_step(span)
     nsteps = int(np.ceil(span / h))
     h = span / nsteps
@@ -560,21 +636,45 @@ def _theta_orbit(a, b, k0):
     return T, orbit
 
 
+def _transfer_angle(sigma, k, H):
+    """Rotation angle of the RK4 frame transfer of step H from the speeds
+    sigma and curvatures k on its half-step grid (2 n + 1 samples for n steps).
+    The step matrices are formed and reduced THETA_STEPS steps at a time."""
+    P = np.eye(3)
+    for j in range(0, len(k) - 1, 2 * THETA_STEPS):
+        part = slice(j, j + 2 * THETA_STEPS + 1)
+        P = P @ _total_product(_step_matrices(_half_step_stages(sigma[part]),
+                                              _half_step_stages(k[part]), H))
+    return _rotation_angle(P)
+
+
 def _monodromy_angle(a, b, k0):
     """Rotation angle of the frame transfer over one curvature period, and the period.
 
     The transfer solves F_theta = F sigma(theta) K(k(theta)) over one turn
-    in theta by the frame kernel; it starts at k(0) = m and not at k0, which
-    conjugates it and leaves its rotation angle unchanged.
+    in theta by RK4; it starts at k(0) = m and not at k0, which conjugates
+    it and leaves its rotation angle unchanged. The grid starts at
+    THETA_STEPS steps, and the angle a_n of n steps is compared with a_{n/2},
+    from every other sample of the same orbit evaluation: n doubles while
+    the RK4 error estimate |a_n - a_{n/2}| / 15 exceeds THETA_TOL, and an
+    orbit that needs more than THETA_MAX_STEPS steps raises NearSeparatrix.
     """
     T, orbit = _theta_orbit(a, b, k0)
-    H = 2 * np.pi / THETA_STEPS
-    sigma, k = map(_half_step_stages, orbit(0.5 * H * np.arange(2 * THETA_STEPS + 1)))
-    P = np.eye(3)
-    for _, frames in _frame_blocks(P, lambda i0, i1: (sigma[i0:i1], k[i0:i1]),
-                                   THETA_STEPS, H):
-        P = frames[-1]
-    return _rotation_angle(P), T
+    n, coarse = THETA_STEPS, None
+    while True:
+        H = 2 * np.pi / n
+        sigma, k = orbit(0.5 * H * np.arange(2 * n + 1))
+        if coarse is None:
+            coarse = _transfer_angle(sigma[::2], k[::2], 2 * H)
+        angle = _transfer_angle(sigma, k, H)
+        estimate = abs(angle - coarse) / 15.0
+        if estimate <= THETA_TOL:
+            return angle, T
+        if 2 * n > THETA_MAX_STEPS:
+            raise NearSeparatrix(
+                f"elastica orbit (a, b, k0) = ({a}, {b}, {k0}) is too close to its "
+                f"separatrix: transfer angle error {estimate:.1e} at {n} theta steps")
+        n, coarse = 2 * n, angle
 
 
 def shoot_closed_elastica(

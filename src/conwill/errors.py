@@ -70,11 +70,12 @@ class StepTooLarge(ConwillError):
 
 
 class BlowUp(ConwillError):
-    """ODE solution left the admissible range."""
+    """ODE solution left the admissible range or became nan."""
 
 
 class NearSeparatrix(ConwillError):
-    """Elastica orbit too close to its separatrix for the fixed theta quadrature."""
+    """Elastica orbit too close to its separatrix for the theta quadrature: the
+    period sum is unresolved, or the transfer angle needs too fine a grid."""
 
 
 class NoSolutionInBox(ConwillError):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conwill.builders import hopf_cylinder
 from conwill.curves import (
     OdeSolution,
     _monodromy_angle,
@@ -61,30 +62,67 @@ def test_sphere_frame_orthonormal():
 
 
 def test_frame_kernel_matches_stepwise_rk4():
-    # the blocked step-matrix products against plain per-step RK4 of
-    # p' = t, t' = -p + k n, n' = -k t, over more steps than two blocks
+    # the chunked step-matrix products against plain per-step RK4 of
+    # p' = t, t' = -p + k n, n' = -k t: a partial chunk, one chunk and a
+    # bit, one block, and more steps than two blocks
     from conwill.curves import FRAME_BLOCK, _frame_blocks
 
     rng = np.random.default_rng(3)
-    nsteps, h = 2 * FRAME_BLOCK + 300, 2e-3
-    kap = rng.uniform(-2.0, 2.0, (nsteps, 4))
+    h = 2e-3
 
     def rhs(F, k):
         return F @ np.array([[0.0, -1.0, 0.0], [1.0, 0.0, -k], [0.0, k, 0.0]])
 
-    F = np.eye(3)
-    ref = [F]
-    for k1, k2, k3, k4 in kap:
-        a = rhs(F, k1)
-        b = rhs(F + h / 2 * a, k2)
-        c = rhs(F + h / 2 * b, k3)
-        d = rhs(F + h * c, k4)
-        F = F + h / 6 * (a + 2 * b + 2 * c + d)
-        ref.append(F)
-    blocks = [f for _, f in _frame_blocks(np.eye(3), lambda i0, i1: (1.0, kap[i0:i1]),
-                                       nsteps, h)]
-    frames = np.concatenate([f[:-1] for f in blocks] + [blocks[-1][-1:]])
-    assert np.max(np.abs(frames - np.array(ref))) < 1e-12
+    for nsteps in (1, 31, 33, FRAME_BLOCK, 2 * FRAME_BLOCK + 300):
+        kap = rng.uniform(-2.0, 2.0, (nsteps, 4))
+        F = np.eye(3)
+        ref = [F]
+        for k1, k2, k3, k4 in kap:
+            a = rhs(F, k1)
+            b = rhs(F + h / 2 * a, k2)
+            c = rhs(F + h / 2 * b, k3)
+            d = rhs(F + h * c, k4)
+            F = F + h / 6 * (a + 2 * b + 2 * c + d)
+            ref.append(F)
+        blocks = [f for _, f in _frame_blocks(np.eye(3), lambda i0, i1: (1.0, kap[i0:i1]),
+                                           nsteps, h)]
+        frames = np.concatenate([f[:-1] for f in blocks] + [blocks[-1][-1:]])
+        assert frames.shape == (nsteps + 1, 3, 3)
+        assert np.max(np.abs(frames - np.array(ref))) < 1e-12
+
+
+def test_step_matrices_match_stage_product():
+    # the written-out step matrices against the RK4 stages of F' = F A_j
+    # multiplied out as matrices, at speeds sigma != 1
+    from conwill.curves import _step_matrices
+
+    rng = np.random.default_rng(5)
+    h = 1e-2
+    sigma = rng.uniform(0.3, 3.0, (500, 4))
+    kap = rng.uniform(-3.0, 3.0, (500, 4))
+    K = np.zeros((500, 4, 3, 3))
+    K[..., 1, 0], K[..., 0, 1] = sigma, -sigma
+    K[..., 2, 1], K[..., 1, 2] = sigma * kap, -sigma * kap
+    eye = np.eye(3)
+    A1 = K[:, 0]
+    A2 = (eye + h / 2 * A1) @ K[:, 1]
+    A3 = (eye + h / 2 * A2) @ K[:, 2]
+    A4 = (eye + h * A3) @ K[:, 3]
+    ref = eye + h / 6 * (A1 + 2 * A2 + 2 * A3 + A4)
+    assert np.max(np.abs(_step_matrices(sigma, kap, h) - ref)) < 1e-15
+    assert np.max(np.abs(_step_matrices(1.0, kap, h) - _step_matrices(np.ones_like(kap), kap, h))) == 0
+
+
+def test_total_product_matches_sequential():
+    from conwill.curves import _step_matrices, _total_product
+
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3, 1000, 1025):
+        P = _step_matrices(rng.uniform(0.5, 2.0, (n, 4)), rng.uniform(-2.0, 2.0, (n, 4)), 1e-2)
+        ref = np.eye(3)
+        for M in P:
+            ref = ref @ M
+        assert np.max(np.abs(_total_product(P) - ref)) < 1e-14
 
 
 def test_plane_matches_stepwise_rk4():
@@ -231,6 +269,73 @@ def test_separatrix_raises():
     with pytest.raises(NoSolutionInBox):
         shoot_closed_elastica([-2.0], [0.0], targets=[(1, 3)], include_circles=False,
                               kappa0_bracket=(1.98, 2.06), n_scan=2)
+
+
+@pytest.mark.parametrize("a, b, k0", [(0.0, 0.0, 0.2), (-2.0, 1.0, 0.6)])
+def test_theta_grid_error_control(a, b, k0):
+    # a long period (T ~ 52) and an orbit next to the unstable equilibrium
+    # k = 0.618: 4096 theta steps leave the angle 1.4e-8 and 1.3e-8 off
+    from conwill.curves import _transfer_angle
+
+    T, orbit = _theta_orbit(a, b, k0)
+    n = 131072
+    H = 2 * np.pi / n
+    ref = _transfer_angle(*orbit(0.5 * H * np.arange(2 * n + 1)), H)
+    ang, period = _monodromy_angle(a, b, k0)
+    assert period == T
+    assert abs(ang - ref) < 1e-10
+
+
+def test_theta_grid_cap_raises(monkeypatch):
+    # (0, 0, 0.2) needs 16384 theta steps; below that the orbit is refused
+    import conwill.curves as curves
+
+    monkeypatch.setattr(curves, "THETA_MAX_STEPS", 8192)
+    with pytest.raises(NearSeparatrix):
+        _monodromy_angle(0.0, 0.0, 0.2)
+
+
+def _great_circle():
+    return integrate_curve(lambda s: 0.0, "Sphere2", (0.0, 2 * np.pi), n_samples=65)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: integrate_curve(lambda s: 1.0, "Plane", (0.0, 1.0), n_samples=1),
+                 ValueError, "n_samples", id="one-sample"),
+    pytest.param(lambda: integrate_curve(lambda s: 1.0, "Sphere2", (0.0, 1.0), n_samples=0),
+                 ValueError, "n_samples", id="no-samples"),
+    pytest.param(lambda: integrate_curve(lambda s: 1.0, "Sphere2", (0.0, np.nan)),
+                 ValueError, "not finite", id="nan-span"),
+    pytest.param(lambda: integrate_curve(lambda s: 1.0, "Plane", (0.0, np.inf)),
+                 ValueError, "not finite", id="inf-span"),
+    pytest.param(lambda: integrate_curve(lambda s: 1.0, "Sphere2", (0.0, 1.0),
+                                         p0=[0.0, 0.0, 0.0]),
+                 ValueError, "p0", id="zero-p0"),
+    pytest.param(lambda: integrate_curve(lambda s: 1.0, "Sphere2", (0.0, 1.0),
+                                         p0=[0.0, 0.0, 1.0], t0=[0.0, 0.0, -2.0]),
+                 ValueError, "t0", id="t0-parallel-p0"),
+    pytest.param(lambda: elastica_ode(1.0, 0.5, 1.2, 0.0, (0.0, 1.0), step=0.0),
+                 ValueError, "step", id="elastica-zero-step"),
+    pytest.param(lambda: elastica_ode(1.0, 0.5, 1.2, 0.0, (0.0, 1.0), step=-1e-3),
+                 ValueError, "step", id="elastica-negative-step"),
+    pytest.param(lambda: elastica_ode(1.0, 0.5, 1.2, 0.0, (0.0, 1.0), max_stored=1),
+                 ValueError, "max_stored", id="elastica-max-stored"),
+    pytest.param(lambda: elastica_ode(1.0, 0.5, np.nan, 0.0, (0.0, 1.0)),
+                 BlowUp, "kappa", id="elastica-nan-k0"),
+    pytest.param(lambda: burstall_ode(0.2, 0.02, 1.0, 0.0, (0.0, 1.0), step=0.0),
+                 ValueError, "step", id="burstall-zero-step"),
+    pytest.param(lambda: burstall_ode(0.2, 0.02, 1.0, 0.0, (0.0, 1.0), max_stored=1),
+                 ValueError, "max_stored", id="burstall-max-stored"),
+    pytest.param(lambda: burstall_ode(0.2, 0.02, np.nan, 0.0, (0.0, 1.0)),
+                 BlowUp, "kappa", id="burstall-nan-k0"),
+    pytest.param(lambda: hopf_cylinder(_great_circle(), nu=0, nv=8),
+                 ValueError, "got 0 x 8", id="hopf-nu-0"),
+    pytest.param(lambda: hopf_cylinder(_great_circle(), nu=8, nv=4),
+                 ValueError, "got 8 x 4", id="hopf-nv-4"),
+])
+def test_curve_layer_argument_checks(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_no_solution_in_box():
