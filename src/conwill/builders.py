@@ -13,7 +13,10 @@ per builder:
 * cylinder over a plane curve: outward normal on the unit circle, so the
   Weingarten operator is diag(-kappa, 0) and H = -kappa/2;
 * preimage tori/cylinders of the fibration S^3 -> S^2 (chart
-  f(x, y) = e^{-i y} lift(x)): A = [[-2 kappa, -1], [-1, 0]], H = -kappa;
+  f(x, y) = e^{-i y} lift(x)): A = [[-2 kappa, -1], [-1, 0]], H = -kappa.
+  The lift and its x-derivatives are read off the SU(2) frame kernel of
+  `curves` as complex pairs (z1, z2); the callbacks return the real view
+  (Re z1, Im z1, Re z2, Im z2);
 * homogeneous torus (r1 e^{i u}, r2 e^{i v}): H = (r2^2 - r1^2)/(2 r1 r2),
   consistent with the fibration chart on latitude circles;
 * surfaces of revolution: outward normal (positive enclosed volume for
@@ -28,7 +31,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .curves import (PLANE, SPHERE2, CurvatureCurve, _check_frame_drift, _frame_blocks,
-                     _half_step_stages, _on_samples, _orthonormal_frames, integrate_curve)
+                     _frame_columns, _frame_quaternion, _half_step_stages, _norm2,
+                     _on_samples, integrate_curve)
 from .errors import AxisContact, BadRadii, GridMismatch, LiftDrift, NotArcLength, WrongSpaceForm
 from .geom_core import R3, S3, Grid2D, ParamSurface
 
@@ -172,89 +176,44 @@ def cylinder_over_curve(curve: CurvatureCurve, v_span=(-2.0, 2.0), nu=256, nv=64
 # preimage cylinders/tori of the fibration S^3 -> S^2
 # ----------------------------------------------------------------------
 
-def _fib_jac(w):
-    """Matrices J(w), shape (..., 4, 4), with J(w) q = M(q)^T w for the
-    differential M(q) of the fibration map (2 z1 conj(z2), |z1|^2 - |z2|^2),
-    q = (Re z1, Im z1, Re z2, Im z2). J(w) is symmetric and linear in w."""
-    w0, w1, w2 = 2 * w[..., 0], 2 * w[..., 1], 2 * w[..., 2]
-    J = np.zeros(w.shape[:-1] + (4, 4))
-    J[..., 0, 0] = J[..., 1, 1] = w2
-    J[..., 2, 2] = J[..., 3, 3] = -w2
-    J[..., 0, 2] = J[..., 2, 0] = J[..., 1, 3] = J[..., 3, 1] = w0
-    J[..., 1, 2] = J[..., 2, 1] = w1
-    J[..., 0, 3] = J[..., 3, 0] = -w1
-    return J
-
-
 def _fib_proj(q):
-    """The fibration map S^3 -> S^2 on (..., 4) arrays."""
-    a1, b1, a2, b2 = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    return np.stack([2 * (a1 * a2 + b1 * b2), 2 * (b1 * a2 - a1 * b2),
-                     a1 * a1 + b1 * b1 - a2 * a2 - b2 * b2], axis=-1)
-
-
-def _frame_quaternions(F):
-    """Unit quaternions (w, x, y, z) of the rotations F (b, 3, 3) by the largest
-    pivot (Shepperd): K below is 4 u u^T, so its row with the largest
-    diagonal entry, normalized, is u."""
-    t = np.trace(F, axis1=1, axis2=2)
-    K = np.empty((len(F), 4, 4))
-    K[:, 0, 0] = 1 + t
-    K[:, 0, 1:] = K[:, 1:, 0] = (F - F.transpose(0, 2, 1))[:, [2, 0, 1], [1, 2, 0]]
-    K[:, 1:, 1:] = F + F.transpose(0, 2, 1) + (1 - t)[:, None, None] * np.eye(3)
-    u = K[np.arange(len(F)), np.argmax(np.einsum("bii->bi", K), axis=-1)]
-    return u / np.linalg.norm(u, axis=-1, keepdims=True)
+    """The fibration map S^3 -> S^2, (2 z1 conj(z2), |z1|^2 - |z2|^2), on
+    complex pairs q (..., 2)."""
+    z1, z2 = q[..., 0], q[..., 1]
+    w = 2 * z1 * z2.conjugate()
+    return np.stack([w.real, w.imag, abs(z1) ** 2 - abs(z2) ** 2], axis=-1)
 
 
 def _hopf_lift(F0, q0, kfine, nsteps, h, every):
-    """Normalized frames (p, t, n) and horizontal lift q at every `every`-th step.
+    """Positions p, horizontal lift q and its x-derivative q_x (x = s/2) at
+    every `every`-th step, q and q_x as complex pairs (z1, z2).
 
-    With U(s) the SU(2) lift of the frame F(s), its sign continuous from
-    step to step, U(s) U(0)^{-1} q0 lies over the curve and turns along the
-    fiber at rate kappa/2, so q = e^{-i Phi/2} U U(0)^{-1} q0, Phi = int kappa ds
-    by the RK4 (Simpson) sum over kfine, kappa at half steps (2 nsteps + 1).
+    The kernel integrates the SU(2) lift U(s) of the frame, u' = u omega / 2
+    with omega = kappa i + k. Then U(s) r, r = U(0)^{-1} q0, lies over the
+    curve and turns along the fiber at rate kappa/2, so
+    q = e^{-i Phi/2} U r, Phi = int kappa ds by the RK4 (Simpson) sum over
+    kfine, kappa at half steps (2 nsteps + 1). As q0 lies over p0, r lies
+    over e1, where the quaternion i acts as the multiplication by i; so
+    q_s = e^{-i Phi/2} U (omega - i kappa) r / 2 = e^{-i Phi/2} U k r / 2,
+    and with k = i sigma_z, q_x = e^{-i Phi/2} U (i sigma_z r).
     """
-    nodes, sign = [], 1.0
-    for i0, frames in _frame_blocks(
-            F0, lambda i0, i1: (1.0, _half_step_stages(kfine[2 * i0:2 * i1 + 1])), nsteps, h):
-        _check_frame_drift(frames)
-        u = _frame_quaternions(frames)
-        # u[0] repeats the last quaternion of the previous block
-        flips = np.where(np.sum(u[1:] * u[:-1], axis=-1) < 0, -1.0, 1.0)
-        signs = sign * np.cumprod(np.concatenate([[1.0], flips]))
-        sign = signs[-1]
-        nodes.append((_on_samples(frames, i0, every, nsteps),
-                      _on_samples(u * signs[:, None], i0, every, nsteps)))
-    P, T, N = _orthonormal_frames(np.concatenate([f for f, _ in nodes]))
-    w, x, y, z = np.concatenate([g for _, g in nodes]).T
-    # SU(2) in the convention of `_fib_proj`: the fibration map of U q is
-    # the rotation of u applied to that of q
-    U = np.moveaxis(np.array([[w + 1j * z, 1j * x - y], [1j * x + y, w - 1j * z]]), -1, 0)
+    a0, c0 = _frame_quaternion(F0)
+    r1 = a0.conjugate() * q0[0] + c0.conjugate() * q0[1]
+    r2 = a0 * q0[1] - c0 * q0[0]
+    nodes = []
+    for i0, a, c in _frame_blocks(
+            (a0, c0), lambda i0, i1: (1.0, _half_step_stages(kfine[2 * i0:2 * i1 + 1])),
+            nsteps, h):
+        _check_frame_drift(a, c)
+        nodes.append((_on_samples(a, i0, every, nsteps), _on_samples(c, i0, every, nsteps)))
+    a, c = (np.concatenate(g) for g in zip(*nodes))
+    P = _frame_columns(a, c)[0]
     phi = np.cumsum(h / 6 * (kfine[:-1:2] + 4 * kfine[1::2] + kfine[2::2]))
     turn = np.exp(-0.5j * np.concatenate([[0.0], phi[every - 1::every]]))
-    q = turn[:, None] * (U @ (U[0].conj().T @ (q0[0::2] + 1j * q0[1::2])))
-    return P, T, N, np.stack([q.real, q.imag], axis=-1).reshape(-1, 4)
-
-
-def _imul(q):
-    """Multiplication by i on both complex coordinates of R^4 = C^2."""
-    out = np.empty_like(q)
-    out[..., 0] = -q[..., 1]
-    out[..., 1] = q[..., 0]
-    out[..., 2] = -q[..., 3]
-    out[..., 3] = q[..., 2]
-    return out
-
-
-def _rot_fiber(q, ang):
-    """e^{i ang} acting on both complex coordinates; ang broadcasts."""
-    c, s = np.cos(ang), np.sin(ang)
-    out = np.empty(np.broadcast(q[..., 0], ang).shape + (4,))
-    out[..., 0] = c * q[..., 0] - s * q[..., 1]
-    out[..., 1] = s * q[..., 0] + c * q[..., 1]
-    out[..., 2] = c * q[..., 2] - s * q[..., 3]
-    out[..., 3] = s * q[..., 2] + c * q[..., 3]
-    return out
+    turn = (turn / np.sqrt(_norm2(a, c)))[:, None]
+    q = turn * np.stack([a * r1 - c.conjugate() * r2, c * r1 + a.conjugate() * r2], axis=-1)
+    qx = 1j * turn * np.stack([a * r1 + c.conjugate() * r2, c * r1 - a.conjugate() * r2], axis=-1)
+    return P, q, qx
 
 
 def hopf_cylinder(curve: CurvatureCurve, nu=256, nv=64, lift_tol=1e-7) -> ParamSurface:
@@ -264,10 +223,11 @@ def hopf_cylinder(curve: CurvatureCurve, nu=256, nv=64, lift_tol=1e-7) -> ParamS
     lift (x = s/2) and y the fiber arc length; the chart is isometric. For a
     closed curve of length L the surface is a torus represented on the
     rectangular fundamental domain [0, L/2) x [0, 2 pi) with a fiber-shift
-    seam in x (see ParamSurface.quotient_seam). The lift is read off the
-    frames in closed form; StepTooLarge is raised when they drift as in
-    `integrate_curve`, LiftDrift when the projection defect |pi(lift) - p|
-    at the nodes, metadata["lift_defect"], exceeds lift_tol.
+    seam in x (see ParamSurface.quotient_seam). The lift and its first two
+    x-derivatives are read off the quaternions of the frame kernel in
+    closed form; StepTooLarge is raised when those drift from unit norm as
+    in `integrate_curve`, LiftDrift when the projection defect
+    |pi(lift) - p| at the nodes, metadata["lift_defect"], exceeds lift_tol.
     """
     if nu < 8 or nv < 8:
         raise ValueError(f"grid needs nu, nv >= 8, got {nu} x {nv}")
@@ -291,43 +251,31 @@ def hopf_cylinder(curve: CurvatureCurve, nu=256, nv=64, lift_tol=1e-7) -> ParamS
     t0 = curve.tangent_at(s0)
     # initial lift: pick any point in the fiber over p0.
     # fiber over (w1, w2, w3): |z1|^2 = (1+w3)/2; phase choice is free.
-    w = p0
-    r1 = np.sqrt(max((1.0 + w[2]) / 2.0, 0.0))
-    if r1 > 1e-6:
-        z1 = complex(r1, 0.0)
-        z2 = complex(w[0], -w[1]) / (2 * z1)  # conj(z2) = (w1 + i w2)/(2 z1)
+    z1 = np.sqrt(max((1.0 + p0[2]) / 2.0, 0.0))
+    if z1 > 1e-6:
+        # conj(z2) = (w1 + i w2)/(2 z1)
+        q0 = np.array([z1, complex(p0[0], -p0[1]) / (2 * z1)])
     else:
-        z2 = complex(1.0, 0.0)
-        z1 = complex(w[0], w[1]) / (2 * np.conj(z2))
-    q0 = np.array([z1.real, z1.imag, z2.real, z2.imag])
+        q0 = np.array([complex(p0[0], p0[1]) / 2, 1.0])
     q0 /= np.linalg.norm(q0)
 
     F0 = np.stack([p0, t0, np.cross(p0, t0)], axis=-1)
-    # frames that overflow on an unresolved curvature fail the drift check
+    # quaternions that overflow on an unresolved curvature fail the drift check
     with np.errstate(over="ignore", invalid="ignore"):
-        P, T, N, Q = _hopf_lift(F0, q0, kfine, nsteps, h, m)
+        P, Q, lift_x = _hopf_lift(F0, q0, kfine, nsteps, h, m)
     defect = float(np.max(np.linalg.norm(_fib_proj(Q) - P, axis=-1)))
     if not defect <= lift_tol:
         raise LiftDrift(f"lift projection defect {defect:.2e} exceeds {lift_tol:.0e}")
     kap = np.asarray(curve.kappa_at(s0 + ds * np.arange(nu + 1)), dtype=float)
-
-    # x-derivatives of the lift at the nodes from the governing equations:
-    # d lift/ds = J(t) q / 4 and x = s/2
-    JT = _fib_jac(T)
-    lift_x = 0.5 * np.einsum("nij,nj->ni", JT, Q)
-    tprime = -P + kap[:, None] * N
-    lift_xx = (0.5 * np.einsum("nij,nj->ni", JT, lift_x)
-               + np.einsum("nij,nj->ni", _fib_jac(tprime), Q))
+    # second x-derivative from the lift equation: q_xx = -q - 2 i kappa q_x
+    lift_xx = -Q - 2j * kap[:, None] * lift_x
 
     closed = curve.closed
     if closed:
         # fiber-shift monodromy: lift(L) = e^{i phi} lift(0)
-        z1a = Q[0, 0] + 1j * Q[0, 1]
-        z1b = Q[nu, 0] + 1j * Q[nu, 1]
-        z2a = Q[0, 2] + 1j * Q[0, 3]
-        z2b = Q[nu, 2] + 1j * Q[nu, 3]
-        phi = np.angle(z1b / z1a) if abs(z1a) > 0.5 else np.angle(z2b / z2a)
-        seam_gap = np.linalg.norm(_rot_fiber(Q[0], phi) - Q[nu])
+        k = 0 if abs(Q[0, 0]) > 0.5 else 1
+        phi = np.angle(Q[nu, k] / Q[0, k])
+        seam_gap = np.linalg.norm(np.exp(1j * phi) * Q[0] - Q[nu])
     else:
         phi, seam_gap = 0.0, 0.0
 
@@ -344,14 +292,12 @@ def hopf_cylinder(curve: CurvatureCurve, nu=256, nv=64, lift_tol=1e-7) -> ParamS
         return idx.astype(int)
 
     def make_cb(base, fiber_i):
-        # base: (nu+1, 4) node samples along x; value e^{-i y} base[x],
-        # times i^(fiber_i) from y-differentiation of e^{-i y} (each y
-        # derivative multiplies by -i).
+        # base: (nu+1, 2) complex node samples along x; value e^{-i y} base[x],
+        # times (-i)^fiber_i from y-differentiation of e^{-i y}, as the real
+        # view (Re z1, Im z1, Re z2, Im z2)
         def cb(U, V):
-            arr = base[node_index(U)]
-            for _ in range(fiber_i):
-                arr = -_imul(arr)
-            return _rot_fiber(arr, -V)
+            turn = (-1j) ** fiber_i * np.exp(-1j * np.asarray(V, dtype=float))
+            return (base[node_index(U)] * turn[..., None]).view(float)
         return cb
 
     cbs = {

@@ -9,19 +9,23 @@ classical RK4 integration of the frame equations:
 
 Both are evaluated without a per-step Python loop. In the plane the theta
 stages do not depend on the state, so theta and (x, y) are cumulative sums
-of the RK4 stage formula. On the sphere the frame equation is linear, so
-one RK4 step is a matrix, F_{i+1} = F_i M_i, written out entry by entry
-from the four stage curvatures of the step (`_step_matrices`).
-`_frame_blocks` builds these step matrices for FRAME_BLOCK steps at once
-and multiplies them out chunk by chunk (a sequential prefix product inside
-chunks of FRAME_CHUNK steps, all chunks at once, and the frame carried over
-the chunk totals), carrying the frame from one block to the next. The same
-kernel serves `integrate_curve` and the Hopf lift in `builders`, which
-reads the lift off the frames in closed form; the frame transfer of the
-shooting method needs only the total product of its step matrices, which
-`_total_product` forms pairwise. Frames are not renormalized during the
-integration; their drift from orthonormality is the step-size check
-(`_check_frame_drift`).
+of the RK4 stage formula. On the sphere the frame is the rotation R(u) of a
+unit quaternion u, and F' = F K(kappa) lifts to the linear equation
+u' = u (kappa i + k) / 2 in SU(2). One RK4 step of it is a quaternion,
+u_{i+1} = u_i M_i, written out from the four stage curvatures of the step
+(`_step_quaternions`); quaternions are stored as the complex pairs (a, c)
+of [[a, -conj(c)], [c, conj(a)]]. `_frame_blocks` builds these step
+quaternions for FRAME_BLOCK steps at once and multiplies them out chunk by
+chunk (a sequential prefix product inside chunks of FRAME_CHUNK steps, all
+chunks at once, and the quaternion carried over the chunk totals), carrying
+u from one block to the next. The same kernel serves `integrate_curve`,
+which reads the frames (p, t, n) off u as the columns of R(u / |u|), and
+the Hopf lift in `builders`, which applies u itself to a point of S^3; the
+frame transfer of the shooting method needs only the total product of its
+step quaternions, which `_total_product` forms pairwise, and reads the
+rotation angle Theta in [0, 2 pi] off its real part cos(Theta/2).
+Quaternions are not renormalized during the integration; their drift from
+unit norm is the step-size check (`_check_frame_drift`).
 
 The generalized elastic-curve equation 2 k'' + k^3 + a k + b = 0 and its
 linearly-forced variant k'' + k^3/2 = (a + b s) k are integrated by one
@@ -31,7 +35,7 @@ period, and both come from the first integral E = k'^2 + V(k),
 V = k^4/4 + a k^2/2 + b k, without stepping the curvature: between the
 turning points lo, hi the substitution k = m + r sin(theta) gives the smooth
 2 pi-periodic speed ds/dtheta, so the period is a trapezoid sum in theta and
-the transfer is RK4 on the frame equation in theta over one turn. Its grid
+the transfer is RK4 on the quaternion equation in theta over one turn. Its grid
 sizes itself: from THETA_STEPS steps it doubles until the RK4 error
 estimate of the rotation angle is below THETA_TOL. An orbit too close to
 its separatrix for the period sum, or for THETA_MAX_STEPS transfer steps,
@@ -68,111 +72,137 @@ def _default_step(span: float) -> float:
     return min(MAX_STEP, span / MIN_STEPS_PER_SPAN)
 
 
-# ----------------------------------------------------------------------
-# RK4 step matrices of the S^2 frame equation F' = F sigma K(kappa)
-# ----------------------------------------------------------------------
+def _check_count(name, value, least):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
-def _step_matrices(sigma, kap, h):
-    """RK4 step matrices M (b, 3, 3) of F' = F sigma K(kappa) from the stage
+
+# ----------------------------------------------------------------------
+# RK4 on the SU(2) lift of the S^2 frame: u' = u sigma (kappa i + k) / 2
+# ----------------------------------------------------------------------
+# A quaternion w + x i + y j + z k is stored as the complex pair
+# (a, c) = (w + i z, y + i x) of the SU(2) matrix [[a, -conj(c)], [c, conj(a)]];
+# the frame (p | t | n) is the rotation R(u) of the unit quaternion u.
+
+def _qmul(a1, c1, a2, c2):
+    """The product of quaternion pairs (a1, c1) (a2, c2); arrays broadcast."""
+    return a1 * a2 - c1.conjugate() * c2, c1 * a2 + a1.conjugate() * c2
+
+
+def _step_quaternions(sigma, kap, h):
+    """RK4 step quaternions (a, c), each (b,), of u' = u omega / 2 from the stage
     speeds sigma and curvatures kap (b, 4); sigma broadcasts against kap.
 
-    The RK4 stages of a linear right-acting system F' = F K_j are F A_j with
-    A_1 = K_1, A_2 = (I + h/2 A_1) K_2, A_3 = (I + h/2 A_2) K_3 and
-    A_4 = (I + h A_3) K_4; one step is F -> F M with
-    M = I + h/6 (A_1 + 2 A_2 + 2 A_3 + A_4), which expands to
-    M = I + h/6 S1 + h^2/6 S2 + h^3/12 S3 + h^4/24 S4 for
-    S1 = K1 + 2 K2 + 2 K3 + K4, S2 = K1K2 + K2K3 + K3K4,
-    S3 = K1K2K3 + K2K3K4 and S4 = K1K2K3K4. Each K_j = [w_j]x is the cross
-    product matrix of w_j = sigma_j (kappa_j, 0, 1), so by
-    [a]x [b]x = b a^T - (a.b) I every product is a sum of outer products,
-    dot products and cross product matrices of the stage vectors:
-    [a]x [b]x [c]x = b (a x c)^T - (a.b) [c]x, and [a]x [b]x [c]x [d]x =
-    (a.d) b c^T - (c.d) b a^T - (a.b) d c^T + (a.b)(c.d) I. The w_j lie in
-    the x-z plane, which leaves the entries below.
+    The stage vectors o_j = sigma_j (kappa_j, 0, 1) act at half rate, so with
+    g = h/2 one step is u -> u M for M = 1 + g/6 S1 + g^2/6 S2 + g^3/12 S3 +
+    g^4/24 S4, S1 = o1 + 2 o2 + 2 o3 + o4, S2 = o1 o2 + o2 o3 + o3 o4,
+    S3 = o1 o2 o3 + o2 o3 o4 and S4 = o1 o2 o3 o4 (quaternion products). The
+    o_j lie in the x-z plane, so o_i o_j = -d_ij + e_ij j with the dot
+    products d_ij = o_i . o_j and e_ij = z_i x_j - x_i z_j, and
+    j (x, 0, z) = (z, 0, -x): the even terms give the w and y parts of M, the
+    odd terms its x and z parts.
     """
     z = np.broadcast_to(sigma, kap.shape)
     x = z * kap
     (x1, x2, x3, x4), (z1, z2, z3, z4) = x.T, z.T
     d12, d23, d34 = x1 * x2 + z1 * z2, x2 * x3 + z2 * z3, x3 * x4 + z3 * z4
-    c2, c3, c4 = h * h / 6.0, h ** 3 / 12.0, h ** 4 / 24.0
-    # identity part, and the vector v of the [v]x part
-    diag = 1.0 - c2 * (d12 + d23 + d34) + c4 * d12 * d34
-    vx = h / 6.0 * (x1 + 2 * (x2 + x3) + x4) - c3 * (d12 * x3 + d23 * x4)
-    vz = h / 6.0 * (z1 + 2 * (z2 + z3) + z4) - c3 * (d12 * z3 + d23 * z4)
-    # x-z block: w2 (a w1 + e w3)^T + c2 w3 w2^T + g w4 w3^T
-    a = c2 - c4 * d34
-    e = c4 * (x1 * x4 + z1 * z4)
-    g = c2 - c4 * d12
-    px, pz = a * x1 + e * x3, a * z1 + e * z3
-    gx, gz = g * x4, g * z4
-    # y column of the x-z rows: c3 ((w1 x w3)_y w2 + (w2 x w4)_y w3)
-    y13, y24 = c3 * (z1 * x3 - x1 * z3), c3 * (z2 * x4 - x2 * z4)
-    M = np.empty(kap.shape[:-1] + (3, 3))
-    M[..., 0, 0] = diag + x2 * px + c2 * x3 * x2 + gx * x3
-    M[..., 0, 1] = y13 * x2 + y24 * x3 - vz
-    M[..., 0, 2] = x2 * pz + c2 * x3 * z2 + gx * z3
-    M[..., 1, 0] = vz
-    M[..., 1, 1] = diag
-    M[..., 1, 2] = -vx
-    M[..., 2, 0] = z2 * px + c2 * z3 * x2 + gz * x3
-    M[..., 2, 1] = y13 * z2 + y24 * z3 + vx
-    M[..., 2, 2] = diag + z2 * pz + c2 * z3 * z2 + gz * z3
-    return M
+    e12, e23, e34 = z1 * x2 - x1 * z2, z2 * x3 - x2 * z3, z3 * x4 - x3 * z4
+    g = 0.5 * h
+    c1, c2, c3, c4 = g / 6.0, g * g / 6.0, g ** 3 / 12.0, g ** 4 / 24.0
+    a = np.empty(kap.shape[:-1], dtype=complex)
+    c = np.empty_like(a)
+    a.real = 1.0 - c2 * (d12 + d23 + d34) + c4 * (d12 * d34 - e12 * e34)
+    a.imag = c1 * (z1 + 2 * (z2 + z3) + z4) - c3 * (d12 * z3 + d23 * z4 + e12 * x3 + e23 * x4)
+    c.real = c2 * (e12 + e23 + e34) - c4 * (d12 * e34 + d34 * e12)
+    c.imag = c1 * (x1 + 2 * (x2 + x3) + x4) - c3 * (d12 * x3 + d23 * x4 - e12 * z3 - e23 * z4)
+    return a, c
 
 
-def _total_product(P):
-    """The ordered product P[0] P[1] ... P[-1] of matrices P (n, 3, 3), by
-    pairwise products (an odd level is padded with I)."""
-    while len(P) > 1:
-        if len(P) % 2:
-            P = np.concatenate([P, np.eye(3)[None]])
-        P = P[0::2] @ P[1::2]
-    return P[0]
+def _total_product(a, c):
+    """The ordered product of the quaternions (a[0], c[0]) ... (a[-1], c[-1]),
+    by pairwise products (an odd level is padded with 1)."""
+    while len(a) > 1:
+        if len(a) % 2:
+            a, c = np.append(a, 1.0), np.append(c, 0.0)
+        a, c = _qmul(a[0::2], c[0::2], a[1::2], c[1::2])
+    return a[0], c[0]
 
 
-def _frame_blocks(F0, stages, nsteps, h):
-    """RK4 on the sphere frame equation F' = F sigma K(kappa), FRAME_BLOCK steps at a time.
+def _frame_quaternion(F):
+    """The unit quaternion pair (a, c) of a frame F (3, 3), by its largest pivot
+    (Shepperd): K below is 4 u u^T for u = (w, x, y, z) of the rotation F."""
+    t = np.trace(F)
+    K = np.empty((4, 4))
+    K[0, 0] = 1 + t
+    K[0, 1:] = K[1:, 0] = (F - F.T)[[2, 0, 1], [1, 2, 0]]
+    K[1:, 1:] = F + F.T + (1 - t) * np.eye(3)
+    u = K[np.argmax(np.diag(K))]
+    w, x, y, z = u / np.linalg.norm(u)
+    return complex(w, z), complex(y, x)
 
-    stages(i0, i1) returns the speeds sigma and the (i1 - i0, 4) stage
-    curvatures of steps i0 .. i1 - 1; sigma = ds/dt is 1 in arc length and
-    broadcasts against the curvatures. Yields (i0, frames) per block: frames
-    (b + 1, 3, 3) are the frames before steps i0 .. i1 (frames[0] is the
-    frame carried in from the previous block). Frames are not renormalized.
 
-    A block of step matrices is multiplied out in chunks of FRAME_CHUNK
+def _norm2(a, c):
+    """|u|^2 of quaternions (a, c)."""
+    return a.real ** 2 + a.imag ** 2 + c.real ** 2 + c.imag ** 2
+
+
+def _frame_columns(a, c):
+    """The frames (p, t, n), each (b, 3), of the rotations R(u / |u|)."""
+    r = np.sqrt(_norm2(a, c))
+    w, z, y, x = a.real / r, a.imag / r, c.real / r, c.imag / r
+    ww, xx, yy, zz = w * w, x * x, y * y, z * z
+    wx, wy, wz, xy, xz, yz = w * x, w * y, w * z, x * y, x * z, y * z
+    p = np.stack([ww + xx - yy - zz, 2 * (xy + wz), 2 * (xz - wy)], axis=-1)
+    t = np.stack([2 * (xy - wz), ww - xx + yy - zz, 2 * (yz + wx)], axis=-1)
+    nn = np.stack([2 * (xz + wy), 2 * (yz - wx), ww - xx - yy + zz], axis=-1)
+    return p, t, nn
+
+
+def _frame_blocks(u0, stages, nsteps, h):
+    """RK4 on the SU(2) lift u' = u sigma (kappa i + k) / 2 of the sphere frame
+    equation F' = F sigma K(kappa), FRAME_BLOCK steps at a time.
+
+    u0 = (a0, c0) is the start quaternion. stages(i0, i1) returns the speeds
+    sigma and the (i1 - i0, 4) stage curvatures of steps i0 .. i1 - 1;
+    sigma = ds/dt is 1 in arc length and broadcasts against the curvatures.
+    Yields (i0, a, c) per block: the quaternions (a, c), each (b + 1,), before
+    steps i0 .. i1 (the first is the one carried in from the previous block).
+    Quaternions are not renormalized.
+
+    A block of step quaternions is multiplied out in chunks of FRAME_CHUNK
     steps: a sequential prefix product inside every chunk, all chunks at
-    once, then the frame carried over the chunk totals, then one product of
-    each chunk's incoming frame with its prefixes; about two 3x3 products
-    per step.
+    once, then the quaternion carried over the chunk totals, then one product
+    of each chunk's incoming quaternion with its prefixes; about two
+    quaternion products per step.
     """
-    F = np.asarray(F0, dtype=float)
+    a, c = u0
     for i0 in range(0, nsteps, FRAME_BLOCK):
         i1 = min(i0 + FRAME_BLOCK, nsteps)
         b, nc = i1 - i0, -(-(i1 - i0) // FRAME_CHUNK)
-        Q = np.empty((nc * FRAME_CHUNK, 3, 3))
-        Q[:b] = _step_matrices(*stages(i0, i1), h)
-        Q[b:] = np.eye(3)
-        Q = Q.reshape(nc, FRAME_CHUNK, 3, 3)
+        A = np.ones(nc * FRAME_CHUNK, dtype=complex)
+        C = np.zeros(nc * FRAME_CHUNK, dtype=complex)
+        A[:b], C[:b] = _step_quaternions(*stages(i0, i1), h)
+        A, C = A.reshape(nc, FRAME_CHUNK), C.reshape(nc, FRAME_CHUNK)
         for j in range(1, FRAME_CHUNK):
-            Q[:, j] = Q[:, j - 1] @ Q[:, j]
-        G = np.empty((nc, 3, 3))
-        G[0] = F
-        for c in range(1, nc):
-            G[c] = G[c - 1] @ Q[c - 1, -1]
-        frames = np.empty((b + 1, 3, 3))
-        frames[0] = F
-        frames[1:] = (G[:, None] @ Q).reshape(-1, 3, 3)[:b]
-        F = frames[-1]
-        yield i0, frames
+            A[:, j], C[:, j] = _qmul(A[:, j - 1], C[:, j - 1], A[:, j], C[:, j])
+        GA, GC = np.empty(nc, dtype=complex), np.empty(nc, dtype=complex)
+        GA[0], GC[0] = a, c
+        for k in range(1, nc):
+            GA[k], GC[k] = _qmul(GA[k - 1], GC[k - 1], A[k - 1, -1], C[k - 1, -1])
+        qa, qc = np.empty(b + 1, dtype=complex), np.empty(b + 1, dtype=complex)
+        qa[0], qc[0] = a, c
+        pa, pc = _qmul(GA[:, None], GC[:, None], A, C)
+        qa[1:], qc[1:] = pa.reshape(-1)[:b], pc.reshape(-1)[:b]
+        a, c = qa[-1], qc[-1]
+        yield i0, qa, qc
 
 
-def _check_frame_drift(frames):
-    """Raise StepTooLarge when frames (b, 3, 3) drift from orthonormality by
-    more than FRAME_DRIFT_TOL, or overflowed to an inf or nan drift."""
-    pp, tt = frames[:, :, 0], frames[:, :, 1]
-    drift = np.max(np.abs([np.sum(pp * pp, axis=-1) - 1.0,
-                           np.sum(tt * tt, axis=-1) - 1.0,
-                           np.sum(pp * tt, axis=-1)]))
+def _check_frame_drift(a, c):
+    """Raise StepTooLarge when the quaternions (a, c) drift from unit norm by
+    more than FRAME_DRIFT_TOL, or overflowed to an inf or nan drift. The
+    drift | |u|^4 - 1 | is |p.p - 1| of the unnormalized frame R(u)."""
+    n2 = _norm2(a, c)
+    drift = np.max(np.abs(n2 * n2 - 1.0))
     if not drift <= FRAME_DRIFT_TOL:
         raise StepTooLarge(f"frame drift {drift:.2e} exceeds {FRAME_DRIFT_TOL:.0e}")
 
@@ -190,14 +220,6 @@ def _on_samples(a, i0, every, nsteps, per_step=1):
     next block and is kept only at the end of the nsteps steps."""
     stop = None if i0 + FRAME_BLOCK >= nsteps else -1
     return a[per_step * ((-i0) % every):stop:per_step * every]
-
-
-def _orthonormal_frames(F):
-    """(p, t, n) from frames F (..., 3, 3): p and t Gram-Schmidt normalized, n = p x t."""
-    p = F[..., 0] / np.linalg.norm(F[..., 0], axis=-1, keepdims=True)
-    t = F[..., 1] - np.sum(F[..., 1] * p, axis=-1, keepdims=True) * p
-    t = t / np.linalg.norm(t, axis=-1, keepdims=True)
-    return p, t, np.cross(p, t)
 
 
 # ----------------------------------------------------------------------
@@ -367,8 +389,7 @@ def integrate_curve(
         raise ValueError("empty arc-length span")
     if ambient not in (PLANE, SPHERE2):
         raise ValueError(f"unknown ambient {ambient!r}")
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
+    _check_count("n_samples", n_samples, 2)
     if callable(kappa):
         kfun = kappa
     else:
@@ -427,20 +448,21 @@ def integrate_curve(
         raise ValueError(f"t0 = {t0} has no direction orthogonal to p0 = {p0}")
     t = t / np.linalg.norm(t)
 
-    kap, kept = [], []
+    kap, ka, kc = [], [], []
 
     def stages(i0, i1):
         kh = kappa_half_steps(i0, i1)
         kap.append(_on_samples(kh, i0, m, nsteps, 2))
         return 1.0, _half_step_stages(kh)
 
-    # frames that overflow on an unresolved curvature fail the drift check
+    # quaternions that overflow on an unresolved curvature fail the drift check
     with np.errstate(over="ignore", invalid="ignore"):
-        F0 = np.stack([p, t, np.cross(p, t)], axis=-1)
-        for i0, frames in _frame_blocks(F0, stages, nsteps, h):
-            _check_frame_drift(frames)
-            kept.append(_on_samples(frames, i0, m, nsteps))
-    pos, tan, nor = _orthonormal_frames(np.concatenate(kept))
+        u0 = _frame_quaternion(np.stack([p, t, np.cross(p, t)], axis=-1))
+        for i0, a, c in _frame_blocks(u0, stages, nsteps, h):
+            _check_frame_drift(a, c)
+            ka.append(_on_samples(a, i0, m, nsteps))
+            kc.append(_on_samples(c, i0, m, nsteps))
+    pos, tan, nor = _frame_columns(np.concatenate(ka), np.concatenate(kc))
     kap = np.concatenate(kap)
 
     gap = float(np.linalg.norm(pos[-1] - pos[0]) + np.linalg.norm(tan[-1] - tan[0]))
@@ -543,8 +565,7 @@ def _run_ode(f, k0, dk0, s_span, step, max_stored):
         raise ValueError("empty span")
     if step is not None and not 0 < step < np.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
-    if max_stored < 2:
-        raise ValueError(f"max_stored must be at least 2, got {max_stored}")
+    _check_count("max_stored", max_stored, 2)
     h = step if step is not None else _default_step(span)
     nsteps = int(np.ceil(span / h))
     h = span / nsteps
@@ -590,10 +611,6 @@ class ClosedElastica:
     curve: CurvatureCurve = field(repr=False, default=None)
 
 
-def _rotation_angle(R: np.ndarray) -> float:
-    return float(np.arccos(np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)))
-
-
 def _theta_orbit(a, b, k0):
     """Period and theta-parametrization of the elastica orbit through (k0, 0).
 
@@ -637,23 +654,26 @@ def _theta_orbit(a, b, k0):
 
 
 def _transfer_angle(sigma, k, H):
-    """Rotation angle of the RK4 frame transfer of step H from the speeds
-    sigma and curvatures k on its half-step grid (2 n + 1 samples for n steps).
-    The step matrices are formed and reduced THETA_STEPS steps at a time."""
-    P = np.eye(3)
+    """Rotation angle Theta in [0, 2 pi] of the RK4 frame transfer of step H
+    from the speeds sigma and curvatures k on its half-step grid (2 n + 1
+    samples for n steps): the transfer quaternion, integrated from 1, has
+    real part cos(Theta/2) times its norm. The step quaternions are formed
+    and reduced THETA_STEPS steps at a time."""
+    a, c = 1.0 + 0j, 0j
     for j in range(0, len(k) - 1, 2 * THETA_STEPS):
         part = slice(j, j + 2 * THETA_STEPS + 1)
-        P = P @ _total_product(_step_matrices(_half_step_stages(sigma[part]),
-                                              _half_step_stages(k[part]), H))
-    return _rotation_angle(P)
+        a, c = _qmul(a, c, *_total_product(*_step_quaternions(
+            _half_step_stages(sigma[part]), _half_step_stages(k[part]), H)))
+    return 2.0 * float(np.arccos(np.clip(a.real / np.sqrt(_norm2(a, c)), -1.0, 1.0)))
 
 
 def _monodromy_angle(a, b, k0):
-    """Rotation angle of the frame transfer over one curvature period, and the period.
+    """Rotation angle in [0, 2 pi] of the frame transfer over one curvature
+    period, and the period.
 
-    The transfer solves F_theta = F sigma(theta) K(k(theta)) over one turn
-    in theta by RK4; it starts at k(0) = m and not at k0, which conjugates
-    it and leaves its rotation angle unchanged. The grid starts at
+    The transfer solves u_theta = u sigma(theta) (k(theta) i + k) / 2 over
+    one turn in theta by RK4; it starts at k(0) = m and not at k0, which
+    conjugates it and leaves its rotation angle unchanged. The grid starts at
     THETA_STEPS steps, and the angle a_n of n steps is compared with a_{n/2},
     from every other sample of the same orbit evaluation: n doubles while
     the RK4 error estimate |a_n - a_{n/2}| / 15 exceeds THETA_TOL, and an
@@ -691,14 +711,22 @@ def shoot_closed_elastica(
 
     For each (a, b), equilibria of the cubic give circles (closed for every
     geodesic curvature c, length 2 pi / sqrt(1 + c^2)). Oscillatory closed
-    solutions are located by matching the rotation angle of the frame
-    transfer over one curvature period to 2 pi m / n for target (m, n); the
-    curve then closes after n periods with winding m. Period and angle come
-    from the theta quadrature; h is the `elastica_ode` step of the returned
-    curves. Scan points and brackets too close to a separatrix are skipped.
+    solutions are located by matching the rotation angle Theta in [0, 2 pi]
+    of the frame transfer over one curvature period to 2 pi m / n for target
+    (m, n) with 0 < m/n < 1 (other targets are skipped); the curve then
+    closes after n periods. `winding` reports the target's m; it is not
+    measured from the curve. Period and angle come from the theta
+    quadrature; h is the `elastica_ode` step of the returned curves. Scan
+    points and brackets too close to a separatrix are skipped.
     """
     from scipy.optimize import brentq
 
+    if not np.all(np.isfinite(np.asarray(kappa0_bracket, dtype=float))):
+        raise ValueError(f"kappa0_bracket {kappa0_bracket} is not finite")
+    _check_count("n_scan", n_scan, 2)
+    for (mw, nl) in targets:
+        if not nl >= 1:
+            raise ValueError(f"target ({mw}, {nl}) needs n >= 1 curvature periods")
     results: list[ClosedElastica] = []
     for a in a_range:
         for b in b_range:
@@ -724,9 +752,9 @@ def shoot_closed_elastica(
                 except NearSeparatrix:
                     continue
             for (mw, nl) in targets:
+                if not 0 < mw / nl < 1:
+                    continue
                 target = 2 * np.pi * mw / nl
-                if not (0.0 < target < np.pi):
-                    continue  # arccos only sees [0, pi]
                 gvals = angles - target
                 for i in range(n_scan - 1):
                     if np.isnan(gvals[i]) or np.isnan(gvals[i + 1]):

@@ -166,8 +166,9 @@ def test_lift_drift_guard(latitude_curve):
 def test_frame_step_too_large():
     from conwill.errors import StepTooLarge
 
-    # curvature far beyond what the mandated fixed step resolves; the
-    # overflowing frames must not leak floating-point warnings
+    # curvature far beyond what the mandated fixed step resolves: the step
+    # quaternions grow by about 21 per step and overflow, and the
+    # overflowing quaternions must not leak floating-point warnings
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(StepTooLarge):
@@ -195,9 +196,10 @@ def _arc(kappa, length, n=65):
 
 @pytest.mark.parametrize("kappa", [150.0, 1000.0])
 def test_hopf_lift_rejects_frame_drift(kappa):
-    # the lift's frames pass the drift check of integrate_curve: at kappa
-    # 150 and 1000 the mandated step leaves them off orthonormal by 7e-6
-    # and 0.46, which integrate_curve refuses too
+    # the lift's quaternions pass the drift check of integrate_curve: at
+    # kappa 150 and 1000 the mandated step leaves | |u|^4 - 1 | at 2.3e-6
+    # and 0.18 (|u|^2 - 1 at 1.1e-6 and 0.093), which integrate_curve
+    # refuses too; kappa 100 reads 2.0e-7 and passes
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(StepTooLarge):
@@ -209,7 +211,7 @@ def test_hopf_lift_rejects_frame_drift(kappa):
 def _stepwise_lift(curve, nu, q0):
     """Plain per-step RK4 of the frame and its horizontal lift on the step
     grid of hopf_cylinder: F' = F K(kappa) and q' = Dpi(q)^T t / 4 for the
-    fibration map pi and the tangent t = F[:, 1]. Returns q at the nodes."""
+    fibration map pi and the tangent t = F[:, 1]. Returns q and F at the nodes."""
     L = curve.length if curve.closed else float(curve.s[-1] - curve.s[0])
     s0 = float(curve.s[0])
     ds = L / nu
@@ -225,7 +227,7 @@ def _stepwise_lift(curve, nu, q0):
         return F @ K, dpi.T @ F[:, 1] / 4
 
     F, q = np.stack([p0, t0, np.cross(p0, t0)], axis=-1), q0
-    out = [q]
+    out, frames = [q], [F]
     for i in range(nu * m):
         k1, k2, k4 = kh[2 * i:2 * i + 3]
         a = rhs(F, q, k1)
@@ -236,8 +238,49 @@ def _stepwise_lift(curve, nu, q0):
         q = q + h / 6 * (a[1] + 2 * b[1] + 2 * c[1] + d[1])
         if (i + 1) % m == 0:
             out.append(q)
+            frames.append(F)
     out = np.array(out)
-    return out / np.linalg.norm(out, axis=-1, keepdims=True)
+    return out / np.linalg.norm(out, axis=-1, keepdims=True), np.array(frames)
+
+
+def _fib_jac(w):
+    """Matrices J(w), shape (..., 4, 4), with J(w) q = M(q)^T w for the
+    differential M(q) of the fibration map (2 z1 conj(z2), |z1|^2 - |z2|^2),
+    q = (Re z1, Im z1, Re z2, Im z2). J(w) is symmetric and linear in w."""
+    w0, w1, w2 = 2 * w[..., 0], 2 * w[..., 1], 2 * w[..., 2]
+    J = np.zeros(w.shape[:-1] + (4, 4))
+    J[..., 0, 0] = J[..., 1, 1] = w2
+    J[..., 2, 2] = J[..., 3, 3] = -w2
+    J[..., 0, 2] = J[..., 2, 0] = J[..., 1, 3] = J[..., 3, 1] = w0
+    J[..., 1, 2] = J[..., 2, 1] = w1
+    J[..., 0, 3] = J[..., 3, 0] = -w1
+    return J
+
+
+@pytest.mark.parametrize("name", ["shot_elastica_13", "arc"])
+def test_hopf_lift_derivatives_match_fibration_jacobian(request, name):
+    # the closed-form lift derivatives q_x = e^{-i Phi/2} U (i sigma_z r) and
+    # q_xx = -q - 2 i kappa q_x against the horizontal-lift equation
+    # q_x = J(t) q / 2 (x = s/2) and its x-derivative
+    # q_xx = J(t) q_x / 2 + J(t') q, t' = -p + kappa n, on frames of per-step RK4
+    if name == "arc":
+        curve = integrate_curve(lambda s: 0.5 + 0.3 * np.sin(s), "Sphere2", (0.0, 3.0))
+    else:
+        curve = request.getfixturevalue(name).curve
+    nu = 8
+    s = hopf_cylinder(curve, nu, 8)
+    U = s.grid.u0 + s.grid.hu * np.arange(nu + 1)
+    q, qx, qxx = (s.callbacks[k](U, np.zeros_like(U)) for k in ("f", "fu", "fuu"))
+    F = _stepwise_lift(curve, nu, q[0])[1]
+    p = F[..., 0] / np.linalg.norm(F[..., 0], axis=-1, keepdims=True)
+    t = F[..., 1] - np.sum(F[..., 1] * p, axis=-1, keepdims=True) * p
+    t /= np.linalg.norm(t, axis=-1, keepdims=True)
+    kap = curve.kappa_at(2 * U)[:, None]
+    ref_x = 0.5 * np.einsum("nij,nj->ni", _fib_jac(t), q)
+    ref_xx = (0.5 * np.einsum("nij,nj->ni", _fib_jac(t), ref_x)
+              + np.einsum("nij,nj->ni", _fib_jac(-p + kap * np.cross(p, t)), q))
+    assert np.max(np.abs(qx - ref_x)) <= 1e-11
+    assert np.max(np.abs(qxx - ref_xx)) <= 1e-11
 
 
 @pytest.mark.parametrize("nu", [8, 256])
@@ -255,7 +298,7 @@ def test_hopf_lift_matches_stepwise_rk4(request, name, nu):
     s = hopf_cylinder(curve, nu, 8)
     U = s.grid.u0 + s.grid.hu * np.arange(nu + 1)
     lift = s.callbacks["f"](U, np.zeros_like(U))
-    assert np.max(np.abs(lift - _stepwise_lift(curve, nu, lift[0]))) <= 1e-11
+    assert np.max(np.abs(lift - _stepwise_lift(curve, nu, lift[0])[0])) <= 1e-11
 
 
 @pytest.mark.parametrize("name", ["shot_elastica_13", "random_closed_spherical_curve"])

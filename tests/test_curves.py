@@ -61,68 +61,86 @@ def test_sphere_frame_orthonormal():
     assert np.max(np.abs(np.einsum("ij,ij->i", c.tangent, c.normal))) < 1e-12
 
 
+def _su2(a, c):
+    """The SU(2) matrices [[a, -conj(c)], [c, conj(a)]] of quaternion pairs (a, c)."""
+    return np.moveaxis(np.array([[a, -np.conj(c)], [c, np.conj(a)]]), (0, 1), (-2, -1))
+
+
+def _omega(sigma, kap):
+    """sigma (kappa i + k) as 2x2 complex matrices, with i -> [[0, i], [i, 0]]
+    and k -> [[i, 0], [0, -i]]."""
+    sigma, kap = np.broadcast_arrays(sigma, kap)
+    W = np.zeros(kap.shape + (2, 2), dtype=complex)
+    W[..., 0, 0], W[..., 1, 1] = 1j * sigma, -1j * sigma
+    W[..., 0, 1] = W[..., 1, 0] = 1j * sigma * kap
+    return W
+
+
 def test_frame_kernel_matches_stepwise_rk4():
-    # the chunked step-matrix products against plain per-step RK4 of
-    # p' = t, t' = -p + k n, n' = -k t: a partial chunk, one chunk and a
-    # bit, one block, and more steps than two blocks
+    # the chunked quaternion products against plain per-step RK4 of the
+    # SU(2) frame equation U' = U Omega(k) / 2 in 2x2 complex matrices, from
+    # a start that is not the identity: a partial chunk, one chunk and a bit,
+    # one block, and more steps than two blocks
     from conwill.curves import FRAME_BLOCK, _frame_blocks
 
     rng = np.random.default_rng(3)
     h = 2e-3
-
-    def rhs(F, k):
-        return F @ np.array([[0.0, -1.0, 0.0], [1.0, 0.0, -k], [0.0, k, 0.0]])
+    u0 = np.array([0.5 + 0.1j, 0.7 - 0.5j])
+    u0 = tuple(u0 / np.linalg.norm(u0))
 
     for nsteps in (1, 31, 33, FRAME_BLOCK, 2 * FRAME_BLOCK + 300):
         kap = rng.uniform(-2.0, 2.0, (nsteps, 4))
-        F = np.eye(3)
-        ref = [F]
+        U = _su2(*u0)
+        ref = [U[:, 0]]
         for k1, k2, k3, k4 in kap:
-            a = rhs(F, k1)
-            b = rhs(F + h / 2 * a, k2)
-            c = rhs(F + h / 2 * b, k3)
-            d = rhs(F + h * c, k4)
-            F = F + h / 6 * (a + 2 * b + 2 * c + d)
-            ref.append(F)
-        blocks = [f for _, f in _frame_blocks(np.eye(3), lambda i0, i1: (1.0, kap[i0:i1]),
-                                           nsteps, h)]
-        frames = np.concatenate([f[:-1] for f in blocks] + [blocks[-1][-1:]])
-        assert frames.shape == (nsteps + 1, 3, 3)
-        assert np.max(np.abs(frames - np.array(ref))) < 1e-12
+            a = U @ _omega(1.0, k1) / 2
+            b = (U + h / 2 * a) @ _omega(1.0, k2) / 2
+            c = (U + h / 2 * b) @ _omega(1.0, k3) / 2
+            d = (U + h * c) @ _omega(1.0, k4) / 2
+            U = U + h / 6 * (a + 2 * b + 2 * c + d)
+            ref.append(U[:, 0])
+        blocks = [(a, c) for _, a, c in _frame_blocks(u0, lambda i0, i1: (1.0, kap[i0:i1]),
+                                                      nsteps, h)]
+        a = np.concatenate([a[:-1] for a, _ in blocks] + [blocks[-1][0][-1:]])
+        c = np.concatenate([c[:-1] for _, c in blocks] + [blocks[-1][1][-1:]])
+        assert a.shape == c.shape == (nsteps + 1,)
+        assert np.max(np.abs(np.stack([a, c], axis=-1) - np.array(ref))) < 1e-12
 
 
 def test_step_matrices_match_stage_product():
-    # the written-out step matrices against the RK4 stages of F' = F A_j
-    # multiplied out as matrices, at speeds sigma != 1
-    from conwill.curves import _step_matrices
+    # the closed-form step quaternions against the RK4 stages of
+    # U' = U Omega_j / 2 multiplied out as 2x2 complex matrices, at speeds
+    # sigma != 1
+    from conwill.curves import _step_quaternions
 
     rng = np.random.default_rng(5)
     h = 1e-2
     sigma = rng.uniform(0.3, 3.0, (500, 4))
     kap = rng.uniform(-3.0, 3.0, (500, 4))
-    K = np.zeros((500, 4, 3, 3))
-    K[..., 1, 0], K[..., 0, 1] = sigma, -sigma
-    K[..., 2, 1], K[..., 1, 2] = sigma * kap, -sigma * kap
-    eye = np.eye(3)
-    A1 = K[:, 0]
-    A2 = (eye + h / 2 * A1) @ K[:, 1]
-    A3 = (eye + h / 2 * A2) @ K[:, 2]
-    A4 = (eye + h * A3) @ K[:, 3]
+    W = _omega(sigma, kap) / 2
+    eye = np.eye(2)
+    A1 = W[:, 0]
+    A2 = (eye + h / 2 * A1) @ W[:, 1]
+    A3 = (eye + h / 2 * A2) @ W[:, 2]
+    A4 = (eye + h * A3) @ W[:, 3]
     ref = eye + h / 6 * (A1 + 2 * A2 + 2 * A3 + A4)
-    assert np.max(np.abs(_step_matrices(sigma, kap, h) - ref)) < 1e-15
-    assert np.max(np.abs(_step_matrices(1.0, kap, h) - _step_matrices(np.ones_like(kap), kap, h))) == 0
+    assert np.max(np.abs(_su2(*_step_quaternions(sigma, kap, h)) - ref)) < 1e-15
+    one = _step_quaternions(1.0, kap, h)
+    ones = _step_quaternions(np.ones_like(kap), kap, h)
+    assert np.array_equal(one[0], ones[0]) and np.array_equal(one[1], ones[1])
 
 
 def test_total_product_matches_sequential():
-    from conwill.curves import _step_matrices, _total_product
+    from conwill.curves import _step_quaternions, _total_product
 
     rng = np.random.default_rng(7)
     for n in (1, 2, 3, 1000, 1025):
-        P = _step_matrices(rng.uniform(0.5, 2.0, (n, 4)), rng.uniform(-2.0, 2.0, (n, 4)), 1e-2)
-        ref = np.eye(3)
-        for M in P:
+        a, c = _step_quaternions(rng.uniform(0.5, 2.0, (n, 4)), rng.uniform(-2.0, 2.0, (n, 4)),
+                                 1e-2)
+        ref = np.eye(2)
+        for M in _su2(a, c):
             ref = ref @ M
-        assert np.max(np.abs(_total_product(P) - ref)) < 1e-14
+        assert np.max(np.abs(_su2(*_total_product(a, c)) - ref)) < 1e-14
 
 
 def test_plane_matches_stepwise_rk4():
@@ -255,6 +273,17 @@ def test_theta_quadrature_pinned(a, b, k0, period, angle):
     assert abs(sol.kappa[-1] - k0) < 1e-9 and abs(sol.dkappa[-1]) < 1e-9
 
 
+def test_half_turn_target_is_found():
+    # Theta = pi (target (1, 2)) lies beyond the arccos of a 3x3 rotation
+    # trace; the SU(2) transfer reads cos(Theta/2) and brackets it
+    found = shoot_closed_elastica([1.0], [0.5], targets=[(1, 2)], kappa0_bracket=(-4.0, 4.0),
+                                  n_scan=41, include_circles=False, max_results=1)
+    sol = found[0]
+    assert (sol.n_lobes, sol.winding) == (2, 1)
+    assert sol.closure_gap < 1e-7 and sol.curve.closed
+    assert abs(_monodromy_angle(1.0, 0.5, sol.kappa0)[0] - np.pi) < 1e-9
+
+
 def test_separatrix_raises():
     # (a, b) = (-2, 0): the orbit through k0 = 2 is homoclinic to k = 0
     T = _theta_orbit(-2.0, 0.0, 1.999)[0]
@@ -274,7 +303,7 @@ def test_separatrix_raises():
 @pytest.mark.parametrize("a, b, k0", [(0.0, 0.0, 0.2), (-2.0, 1.0, 0.6)])
 def test_theta_grid_error_control(a, b, k0):
     # a long period (T ~ 52) and an orbit next to the unstable equilibrium
-    # k = 0.618: 4096 theta steps leave the angle 1.4e-8 and 1.3e-8 off
+    # k = 0.618: 4096 theta steps leave the angle 8.7e-10 and 8.2e-10 off
     from conwill.curves import _transfer_angle
 
     T, orbit = _theta_orbit(a, b, k0)
@@ -287,10 +316,11 @@ def test_theta_grid_error_control(a, b, k0):
 
 
 def test_theta_grid_cap_raises(monkeypatch):
-    # (0, 0, 0.2) needs 16384 theta steps; below that the orbit is refused
+    # (0, 0, 0.2) needs 8192 theta steps (error estimate 5.5e-11; 4096 steps
+    # read 8.7e-10 off); below that the orbit is refused
     import conwill.curves as curves
 
-    monkeypatch.setattr(curves, "THETA_MAX_STEPS", 8192)
+    monkeypatch.setattr(curves, "THETA_MAX_STEPS", 4096)
     with pytest.raises(NearSeparatrix):
         _monodromy_angle(0.0, 0.0, 0.2)
 
@@ -304,6 +334,8 @@ def _great_circle():
                  ValueError, "n_samples", id="one-sample"),
     pytest.param(lambda: integrate_curve(lambda s: 1.0, "Sphere2", (0.0, 1.0), n_samples=0),
                  ValueError, "n_samples", id="no-samples"),
+    pytest.param(lambda: integrate_curve(lambda s: 1.0, "Sphere2", (0.0, 1.0), n_samples=100.5),
+                 ValueError, "n_samples", id="fractional-samples"),
     pytest.param(lambda: integrate_curve(lambda s: 1.0, "Sphere2", (0.0, np.nan)),
                  ValueError, "not finite", id="nan-span"),
     pytest.param(lambda: integrate_curve(lambda s: 1.0, "Plane", (0.0, np.inf)),
@@ -328,6 +360,14 @@ def _great_circle():
                  ValueError, "max_stored", id="burstall-max-stored"),
     pytest.param(lambda: burstall_ode(0.2, 0.02, np.nan, 0.0, (0.0, 1.0)),
                  BlowUp, "kappa", id="burstall-nan-k0"),
+    pytest.param(lambda: shoot_closed_elastica([1.0], [0.5], kappa0_bracket=(np.nan, 2.0)),
+                 ValueError, "kappa0_bracket", id="shoot-nan-bracket"),
+    pytest.param(lambda: shoot_closed_elastica([1.0], [0.5], n_scan=0),
+                 ValueError, "n_scan", id="shoot-no-scan"),
+    pytest.param(lambda: shoot_closed_elastica([1.0], [0.5], n_scan=1),
+                 ValueError, "n_scan", id="shoot-one-scan-point"),
+    pytest.param(lambda: shoot_closed_elastica([1.0], [0.5], targets=[(1, 0)]),
+                 ValueError, "target", id="shoot-zero-periods"),
     pytest.param(lambda: hopf_cylinder(_great_circle(), nu=0, nv=8),
                  ValueError, "got 0 x 8", id="hopf-nu-0"),
     pytest.param(lambda: hopf_cylinder(_great_circle(), nu=8, nv=4),
