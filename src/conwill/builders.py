@@ -14,8 +14,9 @@ per builder:
   Weingarten operator is diag(-kappa, 0) and H = -kappa/2;
 * preimage tori/cylinders of the fibration S^3 -> S^2 (chart
   f(x, y) = e^{-i y} lift(x)): A = [[-2 kappa, -1], [-1, 0]], H = -kappa.
-  The lift and its x-derivatives are read off the SU(2) frame kernel of
-  `curves` as complex pairs (z1, z2); the callbacks return the real view
+  The lift and its x-derivatives are read off the SU(2) frames of the curve
+  march in `curves` as complex pairs (z1, z2), and the lift is checked
+  against the curve's positions; the callbacks return the real view
   (Re z1, Im z1, Re z2, Im z2);
 * homogeneous torus (r1 e^{i u}, r2 e^{i v}): H = (r2^2 - r1^2)/(2 r1 r2),
   consistent with the fibration chart on latitude circles;
@@ -30,9 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .curves import (PLANE, SPHERE2, CurvatureCurve, _check_frame_drift, _frame_blocks,
-                     _frame_columns, _frame_quaternion, _half_step_stages, _norm2,
-                     _on_samples, integrate_curve)
+from .curves import PLANE, SPHERE2, CurvatureCurve, _frame_quaternion, _march, _norm2
 from .errors import AxisContact, BadRadii, GridMismatch, LiftDrift, NotArcLength, WrongSpaceForm
 from .geom_core import R3, S3, Grid2D, ParamSurface
 
@@ -184,38 +183,6 @@ def _fib_proj(q):
     return np.stack([w.real, w.imag, abs(z1) ** 2 - abs(z2) ** 2], axis=-1)
 
 
-def _hopf_lift(F0, q0, kfine, nsteps, h, every):
-    """Positions p, horizontal lift q and its x-derivative q_x (x = s/2) at
-    every `every`-th step, q and q_x as complex pairs (z1, z2).
-
-    The kernel integrates the SU(2) lift U(s) of the frame, u' = u omega / 2
-    with omega = kappa i + k. Then U(s) r, r = U(0)^{-1} q0, lies over the
-    curve and turns along the fiber at rate kappa/2, so
-    q = e^{-i Phi/2} U r, Phi = int kappa ds by the RK4 (Simpson) sum over
-    kfine, kappa at half steps (2 nsteps + 1). As q0 lies over p0, r lies
-    over e1, where the quaternion i acts as the multiplication by i; so
-    q_s = e^{-i Phi/2} U (omega - i kappa) r / 2 = e^{-i Phi/2} U k r / 2,
-    and with k = i sigma_z, q_x = e^{-i Phi/2} U (i sigma_z r).
-    """
-    a0, c0 = _frame_quaternion(F0)
-    r1 = a0.conjugate() * q0[0] + c0.conjugate() * q0[1]
-    r2 = a0 * q0[1] - c0 * q0[0]
-    nodes = []
-    for i0, a, c in _frame_blocks(
-            (a0, c0), lambda i0, i1: (1.0, _half_step_stages(kfine[2 * i0:2 * i1 + 1])),
-            nsteps, h):
-        _check_frame_drift(a, c)
-        nodes.append((_on_samples(a, i0, every, nsteps), _on_samples(c, i0, every, nsteps)))
-    a, c = (np.concatenate(g) for g in zip(*nodes))
-    P = _frame_columns(a, c)[0]
-    phi = np.cumsum(h / 6 * (kfine[:-1:2] + 4 * kfine[1::2] + kfine[2::2]))
-    turn = np.exp(-0.5j * np.concatenate([[0.0], phi[every - 1::every]]))
-    turn = (turn / np.sqrt(_norm2(a, c)))[:, None]
-    q = turn * np.stack([a * r1 - c.conjugate() * r2, c * r1 + a.conjugate() * r2], axis=-1)
-    qx = 1j * turn * np.stack([a * r1 + c.conjugate() * r2, c * r1 - a.conjugate() * r2], axis=-1)
-    return P, q, qx
-
-
 def hopf_cylinder(curve: CurvatureCurve, nu=256, nv=64, lift_tol=1e-7) -> ParamSurface:
     """Preimage surface in S^3 of a spherical curve under the fibration.
 
@@ -224,10 +191,12 @@ def hopf_cylinder(curve: CurvatureCurve, nu=256, nv=64, lift_tol=1e-7) -> ParamS
     closed curve of length L the surface is a torus represented on the
     rectangular fundamental domain [0, L/2) x [0, 2 pi) with a fiber-shift
     seam in x (see ParamSurface.quotient_seam). The lift and its first two
-    x-derivatives are read off the quaternions of the frame kernel in
-    closed form; StepTooLarge is raised when those drift from unit norm as
-    in `integrate_curve`, LiftDrift when the projection defect
-    |pi(lift) - p| at the nodes, metadata["lift_defect"], exceeds lift_tol.
+    x-derivatives are read off the quaternions of the curve march in closed
+    form; StepTooLarge is raised when those drift from unit norm as in
+    `integrate_curve`, LiftDrift when the projection defect
+    |pi(lift) - curve.position_at(s)| at the nodes, metadata["lift_defect"],
+    exceeds lift_tol: a lift that leaves its curve (kappa samples that do not
+    match the positions, or an unresolved integration) is refused.
     """
     if nu < 8 or nv < 8:
         raise ValueError(f"grid needs nu, nv >= 8, got {nu} x {nv}")
@@ -239,14 +208,6 @@ def hopf_cylinder(curve: CurvatureCurve, nu=256, nv=64, lift_tol=1e-7) -> ParamS
 
     L = curve.length if curve.closed else float(curve.s[-1] - curve.s[0])
     s0 = float(curve.s[0])
-    # node spacing in s; x = s/2
-    ds = L / nu
-    m = max(1, int(np.ceil(ds / min(1e-3, L / 1e4))))
-    h = ds / m
-    nsteps = nu * m
-    sfine = s0 + 0.5 * h * np.arange(2 * nsteps + 1)
-    kfine = np.asarray(curve.kappa_at(sfine), dtype=float)
-
     p0 = curve.position_at(s0)
     t0 = curve.tangent_at(s0)
     # initial lift: pick any point in the fiber over p0.
@@ -259,16 +220,28 @@ def hopf_cylinder(curve: CurvatureCurve, nu=256, nv=64, lift_tol=1e-7) -> ParamS
         q0 = np.array([complex(p0[0], p0[1]) / 2, 1.0])
     q0 /= np.linalg.norm(q0)
 
-    F0 = np.stack([p0, t0, np.cross(p0, t0)], axis=-1)
-    # quaternions that overflow on an unresolved curvature fail the drift check
-    with np.errstate(over="ignore", invalid="ignore"):
-        P, Q, lift_x = _hopf_lift(F0, q0, kfine, nsteps, h, m)
-    defect = float(np.max(np.linalg.norm(_fib_proj(Q) - P, axis=-1)))
-    if not defect <= lift_tol:
-        raise LiftDrift(f"lift projection defect {defect:.2e} exceeds {lift_tol:.0e}")
-    kap = np.asarray(curve.kappa_at(s0 + ds * np.arange(nu + 1)), dtype=float)
+    # The march gives, at the nu + 1 nodes, kappa, Phi = int kappa ds and the
+    # SU(2) lift U(s) of the frame, u' = u omega / 2 with omega = kappa i + k.
+    # U r, r = U(0)^{-1} q0, lies over the curve and turns along the fiber at
+    # rate kappa/2, so the horizontal lift is q = e^{-i Phi/2} U r. As q0 lies
+    # over p0, r lies over e1, where the quaternion i acts as the
+    # multiplication by i; so q_s = e^{-i Phi/2} U (omega - i kappa) r / 2 =
+    # e^{-i Phi/2} U k r / 2, and with k = i sigma_z, q_x = e^{-i Phi/2} U (i sigma_z r).
+    a0, c0 = _frame_quaternion(np.stack([p0, t0, np.cross(p0, t0)], axis=-1))
+    kap, Phi, (a, c) = _march(curve.kappa_at, s0, L, nu + 1, (a0, c0))
+    r1 = a0.conjugate() * q0[0] + c0.conjugate() * q0[1]
+    r2 = a0 * q0[1] - c0 * q0[0]
+    turn = (np.exp(-0.5j * Phi) / np.sqrt(_norm2(a, c)))[:, None]
+    Q = turn * np.stack([a * r1 - c.conjugate() * r2, c * r1 + a.conjugate() * r2], axis=-1)
+    lift_x = 1j * turn * np.stack([a * r1 + c.conjugate() * r2, c * r1 - a.conjugate() * r2],
+                                  axis=-1)
     # second x-derivative from the lift equation: q_xx = -q - 2 i kappa q_x
     lift_xx = -Q - 2j * kap[:, None] * lift_x
+    # the lift is measured against the curve it lifts, spline error included
+    nodes = s0 + L / nu * np.arange(nu + 1)
+    defect = float(np.max(np.linalg.norm(_fib_proj(Q) - curve.position_at(nodes), axis=-1)))
+    if not defect <= lift_tol:
+        raise LiftDrift(f"lift projection defect {defect:.2e} exceeds {lift_tol:.0e}")
 
     closed = curve.closed
     if closed:

@@ -190,7 +190,10 @@ def cmd_energy(args) -> int:
 
 def cmd_certify(args) -> int:
     s = build_surface(args)
-    basis = make_qd_basis(s, degree=args.basis_degree)
+    try:
+        basis = make_qd_basis(s, degree=args.basis_degree)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if args.functional == "willmore":
         cert = certify_constrained_willmore(s, basis, tol=args.tol)
     else:
@@ -278,7 +281,7 @@ def _support_window(s) -> np.ndarray:
     g = s.grid
     win = np.ones((g.nu, g.nv))
 
-    def axis_window(n, h, L, periodic):
+    def axis_window(n, h, periodic):
         if periodic:
             return np.ones(n)
         x = h * np.arange(n)
@@ -287,8 +290,8 @@ def _support_window(s) -> np.ndarray:
         core = np.exp(-0.0625 / np.maximum(t * (1 - t), 1e-300))
         return np.where(inside, core, 0.0)
 
-    win *= axis_window(g.nu, g.hu, g.Lu, g.periodic_u)[:, None]
-    win *= axis_window(g.nv, g.hv, g.Lv, g.periodic_v)[None, :]
+    win *= axis_window(g.nu, g.hu, g.periodic_u)[:, None]
+    win *= axis_window(g.nv, g.hv, g.periodic_v)[None, :]
     return win
 
 
@@ -305,17 +308,19 @@ def cmd_export(args) -> int:
     return 0
 
 
+def _hopf_identity_error(s) -> float:
+    """Relative max error of delta_star(Q) = 4 (H^2 - G) dsigma on s."""
+    fd = s.fundamental_data()
+    rhs = 4 * (fd.H ** 2 - fd.G) * fd.dsigma
+    return float(np.max(np.abs(delta_star(s, hopf_differential(s)) - rhs))
+                 / max(float(np.max(np.abs(rhs))), 1e-30))
+
+
 def cmd_verify_identities(args) -> int:
     checks = []
 
-    # delta_star(Q) = 4 (H^2 - G) dsigma
     s = builders.homogeneous_torus(0.6, 0.8, 128, 128)
-    fd = s.fundamental_data()
-    lhs = delta_star(s, hopf_differential(s))
-    rhs = 4 * (fd.H ** 2 - fd.G) * fd.dsigma
-    err = float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)))
-    checks.append(("hopf-diff identity (torus)", err, 1e-7))
-
+    checks.append(("hopf-diff identity (torus)", _hopf_identity_error(s), 1e-7))
     ell = curves.curve_from_parametric(
         "Plane",
         lambda t: np.stack([2 * np.cos(t), np.sin(t)], axis=-1),
@@ -323,11 +328,7 @@ def cmd_verify_identities(args) -> int:
         lambda t: np.stack([-2 * np.cos(t), -np.sin(t)], axis=-1),
         (0.0, 2 * np.pi))
     cyl = builders.cylinder_over_curve(ell, (-1.0, 1.0), 256, 32)
-    fdc = cyl.fundamental_data()
-    errc = float(np.max(np.abs(delta_star(cyl, hopf_differential(cyl))
-                               - 4 * (fdc.H ** 2 - fdc.G) * fdc.dsigma))
-                 / max(float(np.max(np.abs(4 * (fdc.H ** 2 - fdc.G) * fdc.dsigma))), 1e-30))
-    checks.append(("hopf-diff identity (cylinder)", errc, 1e-7))
+    checks.append(("hopf-diff identity (cylinder)", _hopf_identity_error(cyl), 1e-7))
 
     # fibration-torus energy identity on the Clifford torus
     gc = curves.integrate_curve(lambda t: 0.0, "Sphere2", (0.0, 2 * np.pi))

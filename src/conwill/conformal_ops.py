@@ -85,8 +85,11 @@ def make_qd_basis(s: ParamSurface, degree: int = 0) -> list[QuadraticDifferentia
     """Real basis {z~^k dz^2, i z~^k dz^2}, k <= degree, z~ centered/scaled.
 
     degree 0 is the full space of holomorphic quadratic differentials on a
-    flat torus chart; higher degrees only make sense on open charts.
+    flat torus chart; higher degrees only make sense on open charts. A degree
+    that is not a non-negative integer raises ValueError.
     """
+    if isinstance(degree, bool) or not isinstance(degree, (int, np.integer)) or degree < 0:
+        raise ValueError(f"basis degree must be a non-negative integer, got {degree!r}")
     basis = [QuadraticDifferential.constant(s, 1.0, "dz^2"),
              QuadraticDifferential.constant(s, 1j, "i*dz^2")]
     if degree > 0:

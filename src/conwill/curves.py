@@ -7,25 +7,27 @@ classical RK4 integration of the frame equations:
 * sphere: F' = F K(kappa) for the frame F = (p | t | n), n = p x t, with
   K(kappa) = [[0, -1, 0], [1, 0, -kappa], [0, kappa, 0]]
 
-Both are evaluated without a per-step Python loop. In the plane the theta
-stages do not depend on the state, so theta and (x, y) are cumulative sums
-of the RK4 stage formula. On the sphere the frame is the rotation R(u) of a
-unit quaternion u, and F' = F K(kappa) lifts to the linear equation
+Both are evaluated without a per-step Python loop, by one march (`_march`)
+that evaluates kappa once on the half-step grid, sums the turning
+theta = int kappa ds and steps FRAME_BLOCK steps at a time. In the plane the
+theta stages do not depend on the state, so theta and (x, y) are cumulative
+sums of the RK4 stage formula. On the sphere the frame is the rotation R(u)
+of a unit quaternion u, and F' = F K(kappa) lifts to the linear equation
 u' = u (kappa i + k) / 2 in SU(2). One RK4 step of it is a quaternion,
 u_{i+1} = u_i M_i, written out from the four stage curvatures of the step
 (`_step_quaternions`); quaternions are stored as the complex pairs (a, c)
-of [[a, -conj(c)], [c, conj(a)]]. `_frame_blocks` builds these step
-quaternions for FRAME_BLOCK steps at once and multiplies them out chunk by
-chunk (a sequential prefix product inside chunks of FRAME_CHUNK steps, all
-chunks at once, and the quaternion carried over the chunk totals), carrying
-u from one block to the next. The same kernel serves `integrate_curve`,
-which reads the frames (p, t, n) off u as the columns of R(u / |u|), and
-the Hopf lift in `builders`, which applies u itself to a point of S^3; the
-frame transfer of the shooting method needs only the total product of its
-step quaternions, which `_total_product` forms pairwise, and reads the
-rotation angle Theta in [0, 2 pi] off its real part cos(Theta/2).
-Quaternions are not renormalized during the integration; their drift from
-unit norm is the step-size check (`_check_frame_drift`).
+of [[a, -conj(c)], [c, conj(a)]]. `_frame_block` multiplies out the step
+quaternions of one block chunk by chunk (a sequential prefix product inside
+chunks of FRAME_CHUNK steps, all chunks at once, and the quaternion carried
+over the chunk totals), and the march carries u from one block to the next.
+The same march serves `integrate_curve`, which reads the frames (p, t, n)
+off u as the columns of R(u / |u|), and the Hopf lift in `builders`, which
+applies u and e^{-i theta/2} to a point of S^3; the frame transfer of the
+shooting method needs only the total product of its step quaternions, which
+`_total_product` forms pairwise, and reads the rotation angle Theta in
+[0, 2 pi] off its real part cos(Theta/2). Quaternions are not renormalized
+during the integration; their drift from unit norm is the step-size check
+(`_check_frame_drift`).
 
 The generalized elastic-curve equation 2 k'' + k^3 + a k + b = 0 and its
 linearly-forced variant k'' + k^3/2 = (a + b s) k are integrated by one
@@ -158,43 +160,36 @@ def _frame_columns(a, c):
     return p, t, nn
 
 
-def _frame_blocks(u0, stages, nsteps, h):
-    """RK4 on the SU(2) lift u' = u sigma (kappa i + k) / 2 of the sphere frame
-    equation F' = F sigma K(kappa), FRAME_BLOCK steps at a time.
+def _frame_block(u, kap, h):
+    """RK4 on the SU(2) lift u' = u (kappa i + k) / 2 of the sphere frame
+    equation F' = F K(kappa) from the start quaternion u = (a0, c0) over b
+    steps with the stage curvatures kap (b, 4). Returns the quaternions
+    (2, b + 1), the pairs (a, c) before step 0 and after each step; they are
+    not renormalized.
 
-    u0 = (a0, c0) is the start quaternion. stages(i0, i1) returns the speeds
-    sigma and the (i1 - i0, 4) stage curvatures of steps i0 .. i1 - 1;
-    sigma = ds/dt is 1 in arc length and broadcasts against the curvatures.
-    Yields (i0, a, c) per block: the quaternions (a, c), each (b + 1,), before
-    steps i0 .. i1 (the first is the one carried in from the previous block).
-    Quaternions are not renormalized.
-
-    A block of step quaternions is multiplied out in chunks of FRAME_CHUNK
-    steps: a sequential prefix product inside every chunk, all chunks at
-    once, then the quaternion carried over the chunk totals, then one product
-    of each chunk's incoming quaternion with its prefixes; about two
-    quaternion products per step.
+    The step quaternions are multiplied out in chunks of FRAME_CHUNK steps:
+    a sequential prefix product inside every chunk, all chunks at once, then
+    the quaternion carried over the chunk totals, then one product of each
+    chunk's incoming quaternion with its prefixes; about two quaternion
+    products per step.
     """
-    a, c = u0
-    for i0 in range(0, nsteps, FRAME_BLOCK):
-        i1 = min(i0 + FRAME_BLOCK, nsteps)
-        b, nc = i1 - i0, -(-(i1 - i0) // FRAME_CHUNK)
-        A = np.ones(nc * FRAME_CHUNK, dtype=complex)
-        C = np.zeros(nc * FRAME_CHUNK, dtype=complex)
-        A[:b], C[:b] = _step_quaternions(*stages(i0, i1), h)
-        A, C = A.reshape(nc, FRAME_CHUNK), C.reshape(nc, FRAME_CHUNK)
-        for j in range(1, FRAME_CHUNK):
-            A[:, j], C[:, j] = _qmul(A[:, j - 1], C[:, j - 1], A[:, j], C[:, j])
-        GA, GC = np.empty(nc, dtype=complex), np.empty(nc, dtype=complex)
-        GA[0], GC[0] = a, c
-        for k in range(1, nc):
-            GA[k], GC[k] = _qmul(GA[k - 1], GC[k - 1], A[k - 1, -1], C[k - 1, -1])
-        qa, qc = np.empty(b + 1, dtype=complex), np.empty(b + 1, dtype=complex)
-        qa[0], qc[0] = a, c
-        pa, pc = _qmul(GA[:, None], GC[:, None], A, C)
-        qa[1:], qc[1:] = pa.reshape(-1)[:b], pc.reshape(-1)[:b]
-        a, c = qa[-1], qc[-1]
-        yield i0, qa, qc
+    a, c = u
+    b, nc = len(kap), -(-len(kap) // FRAME_CHUNK)
+    A = np.ones(nc * FRAME_CHUNK, dtype=complex)
+    C = np.zeros(nc * FRAME_CHUNK, dtype=complex)
+    A[:b], C[:b] = _step_quaternions(1.0, kap, h)
+    A, C = A.reshape(nc, FRAME_CHUNK), C.reshape(nc, FRAME_CHUNK)
+    for j in range(1, FRAME_CHUNK):
+        A[:, j], C[:, j] = _qmul(A[:, j - 1], C[:, j - 1], A[:, j], C[:, j])
+    GA, GC = np.empty(nc, dtype=complex), np.empty(nc, dtype=complex)
+    GA[0], GC[0] = a, c
+    for k in range(1, nc):
+        GA[k], GC[k] = _qmul(GA[k - 1], GC[k - 1], A[k - 1, -1], C[k - 1, -1])
+    q = np.empty((2, b + 1), dtype=complex)
+    q[:, 0] = a, c
+    pa, pc = _qmul(GA[:, None], GC[:, None], A, C)
+    q[0, 1:], q[1, 1:] = pa.reshape(-1)[:b], pc.reshape(-1)[:b]
+    return q
 
 
 def _check_frame_drift(a, c):
@@ -214,12 +209,48 @@ def _half_step_stages(kh):
     return np.stack([kh[:-1:2], mid, mid, kh[2::2]], axis=-1)
 
 
-def _on_samples(a, i0, every, nsteps, per_step=1):
-    """Entries of a block array (per_step per step, the first at step i0) at
-    the steps 0, every, 2 every, ...; the last entry of a block opens the
-    next block and is kept only at the end of the nsteps steps."""
-    stop = None if i0 + FRAME_BLOCK >= nsteps else -1
-    return a[per_step * ((-i0) % every):stop:per_step * every]
+def _march(kfun, s0, span, n_samples, u0=None):
+    """RK4 of a curve with curvature kfun(s) over [s0, s0 + span], sampled at
+    n_samples uniform arc lengths.
+
+    The step is `_default_step(span)`, shortened so that a whole number m of
+    steps lies between samples. kfun is evaluated once, on the array of the
+    half-step grid; a scalar result is broadcast. Returns, at the samples,
+    kappa, the turning theta = int kappa ds (the RK4 sum h/6 (k(s) +
+    4 k(s + h/2) + k(s + h)) per step) and
+    * in the plane (u0 None) the position x + i y: it advances by the RK4
+      stage average of e^{i theta} at the stage angles;
+    * on S^2 the quaternions (2, n_samples) of the frame lift from the start
+      quaternion u0 = (a0, c0), checked for drift (`_check_frame_drift`).
+    Positions and quaternions are formed FRAME_BLOCK steps at a time
+    (`_frame_block` on S^2). A block starts from the last entry of the one
+    before, so only its later entries are sampled.
+    """
+    ds = span / (n_samples - 1)
+    m = max(1, int(np.ceil(ds / _default_step(span))))
+    h = ds / m
+    nsteps = (n_samples - 1) * m
+    sh = s0 + 0.5 * h * np.arange(2 * nsteps + 1)
+    kh = np.broadcast_to(np.asarray(kfun(sh), dtype=float), sh.shape)
+    k1, k2, k4 = kh[:-1:2], kh[1::2], kh[2::2]
+    theta = np.cumsum(np.concatenate([[0.0], h / 6 * (k1 + 4 * k2 + k4)]))
+    z = np.asarray(0j if u0 is None else u0, dtype=complex)
+    out = [z[..., None]]
+    for i0 in range(0, nsteps, FRAME_BLOCK):
+        i1 = min(i0 + FRAME_BLOCK, nsteps)
+        if u0 is None:
+            k, km = k1[i0:i1], k2[i0:i1]
+            dz = np.exp(1j * theta[i0:i1]) * (1 + 2 * np.exp(0.5j * h * k)
+                                              + 2 * np.exp(0.5j * h * km) + np.exp(1j * h * km))
+            zs = np.cumsum(np.concatenate([[z], h / 6 * dz]))
+        else:
+            # quaternions that overflow on an unresolved curvature fail the drift check
+            with np.errstate(over="ignore", invalid="ignore"):
+                zs = _frame_block(z, _half_step_stages(kh[2 * i0:2 * i1 + 1]), h)
+                _check_frame_drift(*zs)
+        out.append(zs[..., m - i0 % m::m].copy())
+        z = zs[..., -1]
+    return kh[::2 * m].copy(), theta[::m].copy(), np.concatenate(out, axis=-1)
 
 
 # ----------------------------------------------------------------------
@@ -397,39 +428,12 @@ def integrate_curve(
         kgrid = np.linspace(s0, s1, len(karr))
         kfun = CubicSpline(kgrid, karr)
 
-    ds = span / (n_samples - 1)
-    m = max(1, int(np.ceil(ds / _default_step(span))))
-    h = ds / m
-    nsteps = (n_samples - 1) * m
-    s = s0 + ds * np.arange(n_samples)
-
-    def kappa_half_steps(i0, i1):
-        # kappa at s0 + j h/2 for the steps i0 .. i1 - 1 (2 (i1 - i0) + 1
-        # values); a callable that returns a scalar is broadcast
-        sh = s0 + 0.5 * h * np.arange(2 * i0, 2 * i1 + 1)
-        return np.broadcast_to(np.asarray(kfun(sh), dtype=float), sh.shape)
+    s = s0 + span / (n_samples - 1) * np.arange(n_samples)
 
     if ambient == PLANE:
-        # the theta stages do not depend on the state: theta advances by
-        # h/6 (k(s) + 4 k(s + h/2) + k(s + h)), and x + i y by the RK4 stage
-        # average of e^{i theta} at the stage angles
-        kap, theta, xy = [], [], []
-        th, z = 0.0, 0.0j
-        for i0 in range(0, nsteps, FRAME_BLOCK):
-            i1 = min(i0 + FRAME_BLOCK, nsteps)
-            kh = kappa_half_steps(i0, i1)
-            k1, k2, k4 = kh[:-1:2], kh[1::2], kh[2::2]
-            ths = np.cumsum(np.concatenate([[th], h / 6 * (k1 + 4 * k2 + k4)]))
-            dz = np.exp(1j * ths[:-1]) * (1 + 2 * np.exp(0.5j * h * k1)
-                                          + 2 * np.exp(0.5j * h * k2) + np.exp(1j * h * k2))
-            zs = np.cumsum(np.concatenate([[z], h / 6 * dz]))
-            th, z = ths[-1], zs[-1]
-            kap.append(_on_samples(kh, i0, m, nsteps, 2))
-            theta.append(_on_samples(ths, i0, m, nsteps))
-            xy.append(_on_samples(zs, i0, m, nsteps))
-        xy = np.concatenate(xy)
-        return _finish_plane_curve(s, np.concatenate(kap), np.concatenate(theta),
-                                   np.stack([xy.real, xy.imag], axis=-1), closed_tol)
+        kap, theta, xy = _march(kfun, s0, span, n_samples)
+        return _finish_plane_curve(s, kap, theta, np.stack([xy.real, xy.imag], axis=-1),
+                                   closed_tol)
 
     # sphere
     if p0 is None:
@@ -448,22 +452,9 @@ def integrate_curve(
         raise ValueError(f"t0 = {t0} has no direction orthogonal to p0 = {p0}")
     t = t / np.linalg.norm(t)
 
-    kap, ka, kc = [], [], []
-
-    def stages(i0, i1):
-        kh = kappa_half_steps(i0, i1)
-        kap.append(_on_samples(kh, i0, m, nsteps, 2))
-        return 1.0, _half_step_stages(kh)
-
-    # quaternions that overflow on an unresolved curvature fail the drift check
-    with np.errstate(over="ignore", invalid="ignore"):
-        u0 = _frame_quaternion(np.stack([p, t, np.cross(p, t)], axis=-1))
-        for i0, a, c in _frame_blocks(u0, stages, nsteps, h):
-            _check_frame_drift(a, c)
-            ka.append(_on_samples(a, i0, m, nsteps))
-            kc.append(_on_samples(c, i0, m, nsteps))
-    pos, tan, nor = _frame_columns(np.concatenate(ka), np.concatenate(kc))
-    kap = np.concatenate(kap)
+    u0 = _frame_quaternion(np.stack([p, t, np.cross(p, t)], axis=-1))
+    kap, _, (a, c) = _march(kfun, s0, span, n_samples, u0)
+    pos, tan, nor = _frame_columns(a, c)
 
     gap = float(np.linalg.norm(pos[-1] - pos[0]) + np.linalg.norm(tan[-1] - tan[0]))
     closed = gap < closed_tol

@@ -163,6 +163,19 @@ def test_lift_drift_guard(latitude_curve):
         hopf_cylinder(latitude_curve, 32, 16, lift_tol=1e-30)
 
 
+def test_lift_drift_flags_curvature_off_its_curve(latitude_curve):
+    # kappa samples 1% off the positions: the lift follows kappa and leaves
+    # the curve (the seam gap reads 1.1e-2), and the lift defect, measured
+    # against curve.position_at, sees it at the default lift_tol
+    from dataclasses import replace
+
+    from conwill.errors import LiftDrift
+
+    off = replace(latitude_curve, kappa=1.01 * latitude_curve.kappa, _splines={})
+    with pytest.raises(LiftDrift):
+        hopf_cylinder(off, 32, 16)
+
+
 def test_frame_step_too_large():
     from conwill.errors import StepTooLarge
 

@@ -181,6 +181,15 @@ def test_resolution_bounds():
     assert code == 1
 
 
+def test_certify_rejects_negative_basis_degree(capsys):
+    # no certificate for a basis nobody asked for
+    code = run(["certify", "--builder", "plane", "--resolution", "32",
+                "--basis-degree", "-2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "" and "basis degree" in captured.err
+
+
 def test_bad_tolerance():
     code = run(["certify", "--builder", "clifford", "--resolution", "32",
                 "--tol", "-1"])

@@ -299,3 +299,11 @@ def test_isothermic_nonholomorphic_basis_raises(homog_torus):
 def test_isothermic_basis_on_other_surface_raises(homog_torus, clifford):
     with pytest.raises(GridMismatch):
         is_strongly_isothermic(homog_torus, make_qd_basis(clifford))
+
+
+@pytest.mark.parametrize("degree", [-3, 1.5])
+def test_basis_degree_must_be_a_non_negative_integer(degree):
+    # a negative degree raises instead of giving the degree-0 basis, and a
+    # fractional one raises before it reaches range()
+    with pytest.raises(ValueError, match="basis degree"):
+        make_qd_basis(plane_patch(1.0, 1.0, 16, 16), degree)

@@ -76,12 +76,27 @@ def _omega(sigma, kap):
     return W
 
 
+def _stepwise_su2(u0, kap, h):
+    """Plain per-step RK4 of the SU(2) frame equation U' = U Omega(k) / 2 in
+    2x2 complex matrices from the quaternion u0 over the stage curvatures kap
+    (n, 4); returns the first columns (a, c) of U, (n + 1, 2)."""
+    U = _su2(*u0)
+    out = [U[:, 0]]
+    for k1, k2, k3, k4 in kap:
+        a = U @ _omega(1.0, k1) / 2
+        b = (U + h / 2 * a) @ _omega(1.0, k2) / 2
+        c = (U + h / 2 * b) @ _omega(1.0, k3) / 2
+        d = (U + h * c) @ _omega(1.0, k4) / 2
+        U = U + h / 6 * (a + 2 * b + 2 * c + d)
+        out.append(U[:, 0])
+    return np.array(out)
+
+
 def test_frame_kernel_matches_stepwise_rk4():
-    # the chunked quaternion products against plain per-step RK4 of the
-    # SU(2) frame equation U' = U Omega(k) / 2 in 2x2 complex matrices, from
-    # a start that is not the identity: a partial chunk, one chunk and a bit,
-    # one block, and more steps than two blocks
-    from conwill.curves import FRAME_BLOCK, _frame_blocks
+    # the chunked quaternion products of one block against plain per-step
+    # RK4, from a start that is not the identity: a partial chunk, one chunk
+    # and a bit, one block, and more steps than two blocks
+    from conwill.curves import FRAME_BLOCK, _frame_block
 
     rng = np.random.default_rng(3)
     h = 2e-3
@@ -90,21 +105,31 @@ def test_frame_kernel_matches_stepwise_rk4():
 
     for nsteps in (1, 31, 33, FRAME_BLOCK, 2 * FRAME_BLOCK + 300):
         kap = rng.uniform(-2.0, 2.0, (nsteps, 4))
-        U = _su2(*u0)
-        ref = [U[:, 0]]
-        for k1, k2, k3, k4 in kap:
-            a = U @ _omega(1.0, k1) / 2
-            b = (U + h / 2 * a) @ _omega(1.0, k2) / 2
-            c = (U + h / 2 * b) @ _omega(1.0, k3) / 2
-            d = (U + h * c) @ _omega(1.0, k4) / 2
-            U = U + h / 6 * (a + 2 * b + 2 * c + d)
-            ref.append(U[:, 0])
-        blocks = [(a, c) for _, a, c in _frame_blocks(u0, lambda i0, i1: (1.0, kap[i0:i1]),
-                                                      nsteps, h)]
-        a = np.concatenate([a[:-1] for a, _ in blocks] + [blocks[-1][0][-1:]])
-        c = np.concatenate([c[:-1] for _, c in blocks] + [blocks[-1][1][-1:]])
-        assert a.shape == c.shape == (nsteps + 1,)
-        assert np.max(np.abs(np.stack([a, c], axis=-1) - np.array(ref))) < 1e-12
+        q = _frame_block(u0, kap, h)
+        assert q.shape == (2, nsteps + 1)
+        assert np.max(np.abs(q.T - _stepwise_su2(u0, kap, h))) < 1e-12
+
+
+def test_march_carries_frames_across_blocks():
+    # the shared march on S^2 against per-step RK4 on its step grid: 32
+    # intervals of 313 steps, so samples fall inside the 10 blocks and the
+    # quaternion is carried from block to block
+    from conwill.curves import FRAME_BLOCK, _march
+
+    kfun = lambda s: 0.5 + 0.3 * np.sin(3 * s)
+    u0 = np.array([0.5 + 0.1j, 0.7 - 0.5j])
+    u0 = tuple(u0 / np.linalg.norm(u0))
+    kap, theta, q = _march(kfun, 0.2, 3.0, 33, u0)
+    m, h = 313, 3.0 / (32 * 313)
+    assert 32 * m > 9 * FRAME_BLOCK
+    kh = kfun(0.2 + 0.5 * h * np.arange(64 * m + 1))
+    stages = np.stack([kh[:-1:2], kh[1::2], kh[1::2], kh[2::2]], axis=-1)
+    assert q.shape == (2, 33)
+    assert np.max(np.abs(q.T - _stepwise_su2(u0, stages, h)[::m])) < 1e-12
+    s = 0.2 + 3.0 / 32 * np.arange(33)
+    assert np.max(np.abs(kap - kfun(s))) < 1e-15
+    turn = np.cumsum(np.concatenate([[0.0], h / 6 * (kh[:-1:2] + 4 * kh[1::2] + kh[2::2])]))
+    assert np.max(np.abs(theta - turn[::m])) < 1e-13
 
 
 def test_step_matrices_match_stage_product():
