@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+MARGIN = 2  # nodes at each end of an open axis that integrals and variations leave out
+
 
 def fornberg_weights(x0: float, xs: np.ndarray, m: int) -> np.ndarray:
     """Weights of the m-th derivative at x0 from samples at nodes xs.
@@ -112,18 +114,18 @@ def _diff_periodic(v: np.ndarray, cw: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def quadrature_weights(n: int, h: float, periodic: bool, margin: int = 2) -> np.ndarray:
+def quadrature_weights(n: int, h: float, periodic: bool) -> np.ndarray:
     """Integration weights for one axis.
 
     Periodic: the trapezoidal rule degenerates to uniform weights (spectral
     accuracy for smooth periodic integrands). Open: trapezoidal over the
-    interior band, leaving `margin` nodes at each end with zero weight to
+    interior band, leaving MARGIN nodes at each end with zero weight to
     keep one-sided-stencil noise out of integrals.
     """
     if periodic:
         return np.full(n, h)
     w = np.zeros(n)
-    lo, hi = margin, n - 1 - margin
+    lo, hi = MARGIN, n - 1 - MARGIN
     if hi - lo < 2:
         raise ValueError("grid too small for open-chart quadrature margin")
     w[lo:hi + 1] = h

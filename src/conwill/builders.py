@@ -210,31 +210,23 @@ def hopf_cylinder(curve: CurvatureCurve, nu=256, nv=64, lift_tol=1e-7) -> ParamS
     s0 = float(curve.s[0])
     p0 = curve.position_at(s0)
     t0 = curve.tangent_at(s0)
-    # initial lift: pick any point in the fiber over p0.
-    # fiber over (w1, w2, w3): |z1|^2 = (1+w3)/2; phase choice is free.
-    z1 = np.sqrt(max((1.0 + p0[2]) / 2.0, 0.0))
-    if z1 > 1e-6:
-        # conj(z2) = (w1 + i w2)/(2 z1)
-        q0 = np.array([z1, complex(p0[0], -p0[1]) / (2 * z1)])
-    else:
-        q0 = np.array([complex(p0[0], p0[1]) / 2, 1.0])
-    q0 /= np.linalg.norm(q0)
 
     # The march gives, at the nu + 1 nodes, kappa, Phi = int kappa ds and the
-    # SU(2) lift U(s) of the frame, u' = u omega / 2 with omega = kappa i + k.
-    # U r, r = U(0)^{-1} q0, lies over the curve and turns along the fiber at
-    # rate kappa/2, so the horizontal lift is q = e^{-i Phi/2} U r. As q0 lies
-    # over p0, r lies over e1, where the quaternion i acts as the
-    # multiplication by i; so q_s = e^{-i Phi/2} U (omega - i kappa) r / 2 =
-    # e^{-i Phi/2} U k r / 2, and with k = i sigma_z, q_x = e^{-i Phi/2} U (i sigma_z r).
+    # SU(2) lift U(s) of the frame, u' = u omega / 2 with omega = kappa i + k,
+    # from the frame (p0, t0, n0). The lift starts at U(0) r for the fixed
+    # r = (1, 1)/sqrt(2) over e1 (any start over p0 is this one up to a
+    # constant fiber phase, an isometry of S^3). U r lies over the curve and
+    # turns along the fiber at rate kappa/2, so the horizontal lift is
+    # q = e^{-i Phi/2} U r. Over e1 the quaternion i acts as the multiplication
+    # by i; so q_s = e^{-i Phi/2} U (omega - i kappa) r / 2 = e^{-i Phi/2} U k r / 2,
+    # and with k = i sigma_z, q_x = e^{-i Phi/2} U (i sigma_z r). In the pair
+    # convention of `curves`, U r = (a - conj(c), c + conj(a)) / sqrt(2) and
+    # U sigma_z r = (a + conj(c), c - conj(a)) / sqrt(2).
     a0, c0 = _frame_quaternion(np.stack([p0, t0, np.cross(p0, t0)], axis=-1))
     kap, Phi, (a, c) = _march(curve.kappa_at, s0, L, nu + 1, (a0, c0))
-    r1 = a0.conjugate() * q0[0] + c0.conjugate() * q0[1]
-    r2 = a0 * q0[1] - c0 * q0[0]
-    turn = (np.exp(-0.5j * Phi) / np.sqrt(_norm2(a, c)))[:, None]
-    Q = turn * np.stack([a * r1 - c.conjugate() * r2, c * r1 + a.conjugate() * r2], axis=-1)
-    lift_x = 1j * turn * np.stack([a * r1 + c.conjugate() * r2, c * r1 - a.conjugate() * r2],
-                                  axis=-1)
+    turn = (np.exp(-0.5j * Phi) / np.sqrt(2 * _norm2(a, c)))[:, None]
+    Q = turn * np.stack([a - c.conjugate(), c + a.conjugate()], axis=-1)
+    lift_x = 1j * turn * np.stack([a + c.conjugate(), c - a.conjugate()], axis=-1)
     # second x-derivative from the lift equation: q_xx = -q - 2 i kappa q_x
     lift_xx = -Q - 2j * kap[:, None] * lift_x
     # the lift is measured against the curve it lifts, spline error included
@@ -246,8 +238,7 @@ def hopf_cylinder(curve: CurvatureCurve, nu=256, nv=64, lift_tol=1e-7) -> ParamS
     closed = curve.closed
     if closed:
         # fiber-shift monodromy: lift(L) = e^{i phi} lift(0)
-        k = 0 if abs(Q[0, 0]) > 0.5 else 1
-        phi = np.angle(Q[nu, k] / Q[0, k])
+        phi = np.angle(np.vdot(Q[0], Q[nu]))
         seam_gap = np.linalg.norm(np.exp(1j * phi) * Q[0] - Q[nu])
     else:
         phi, seam_gap = 0.0, 0.0
@@ -444,13 +435,14 @@ def numeric_profile(t: np.ndarray, h_vals: np.ndarray, rho_vals: np.ndarray) -> 
     )
 
 
-def surface_of_revolution(profile: RevolutionProfile, x_span=None, nu=128, nv=128,
-                          mode: str = "conformal-hyperbolic-arclength") -> ParamSurface:
+def surface_of_revolution(profile: RevolutionProfile, x_span=None, nu=128,
+                          nv=128) -> ParamSurface:
     """Revolve a meridian: f(x, y) = (rho(x) cos y, rho(x) sin y, h(x)).
 
-    In conformal mode the profile must be parametrized by hyperbolic arc
-    length (checked); the chart is then conformal with e^{2 lambda} = rho^2.
-    Closed profiles (x_period set) produce doubly periodic tori.
+    The profile must be parametrized by hyperbolic arc length (checked at the
+    nodes, else NotArcLength); the chart is then conformal with
+    e^{2 lambda} = rho^2. Closed profiles (x_period set) produce doubly
+    periodic tori.
     """
     periodic_u = profile.x_period is not None and x_span is None
     if periodic_u:
@@ -465,11 +457,9 @@ def surface_of_revolution(profile: RevolutionProfile, x_span=None, nu=128, nv=12
     rho = np.asarray(profile.rho(x), dtype=float)
     if np.min(rho) <= 1e-6:
         raise AxisContact("profile touches the axis on the requested span")
-    conformal = mode.startswith("conformal")
-    if conformal:
-        hyp = (profile.drho(x) ** 2 + profile.dh(x) ** 2) / rho ** 2
-        if np.max(np.abs(hyp - 1.0)) > 1e-7:
-            raise NotArcLength("profile is not hyperbolic-arclength parametrized")
+    hyp = (profile.drho(x) ** 2 + profile.dh(x) ** 2) / rho ** 2
+    if np.max(np.abs(hyp - 1.0)) > 1e-7:
+        raise NotArcLength("profile is not hyperbolic-arclength parametrized")
 
     def make(order_x, order_y):
         def cb(U, V):
@@ -488,6 +478,6 @@ def surface_of_revolution(profile: RevolutionProfile, x_span=None, nu=128, nv=12
            "fuu": make(2, 0), "fuv": make(1, 1), "fvv": make(0, 2)}
     U, V = grid.open_mesh()
     pos = cbs["f"](U, V)
-    return ParamSurface(R3, grid, pos, cbs, orientation=-1, conformal=conformal,
+    return ParamSurface(R3, grid, pos, cbs, orientation=-1, conformal=True,
                         metadata={"builder": "revolution", "profile": profile.name,
                                   "is_revolution": True})

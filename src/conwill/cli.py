@@ -19,10 +19,11 @@ import sys
 import numpy as np
 
 from . import builders, curves, export, functionals
+from ._stencils import MARGIN
 from .conformal_ops import make_qd_basis, hopf_differential, delta_star
 from .errors import ConfigError, ConwillError
 from .geom_core import integrate_2form
-from .multiplier import certify_constrained_willmore, cmc_multiplier, solve_multiplier
+from .multiplier import cmc_multiplier, solve_multiplier
 from .variations import Variation, fd_functional_derivative
 
 BUILDERS = (
@@ -194,10 +195,7 @@ def cmd_certify(args) -> int:
         basis = make_qd_basis(s, degree=args.basis_degree)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if args.functional == "willmore":
-        cert = certify_constrained_willmore(s, basis, tol=args.tol)
-    else:
-        cert = solve_multiplier(s, args.functional, basis, tol=args.tol)
+    cert = solve_multiplier(s, args.functional, basis, tol=args.tol)
     text = cert.to_json()
     print(text)
     if args.out:
@@ -285,7 +283,7 @@ def _support_window(s) -> np.ndarray:
         if periodic:
             return np.ones(n)
         x = h * np.arange(n)
-        t = (x - x[2]) / (x[n - 3] - x[2])
+        t = (x - x[MARGIN]) / (x[n - 1 - MARGIN] - x[MARGIN])
         inside = (t > 0) & (t < 1)
         core = np.exp(-0.0625 / np.maximum(t * (1 - t), 1e-300))
         return np.where(inside, core, 0.0)

@@ -31,6 +31,7 @@ from .errors import EmptyBasis, GridMismatch, NonHolomorphicBasis, NotAnticommut
 from .geom_core import ParamSurface, _check_field, _mul2, anticommutator_defect, integrate_2form
 
 ANTICOMMUTE_TOL = 1e-9
+ISOTHERMIC_HOLO_TOL = 1e-6  # dbar_residual bound of a basis element in the isothermic test
 
 
 @dataclass
@@ -65,12 +66,6 @@ class QuadraticDifferential:
         fd = self.surface.fundamental_data()
         dens = np.abs(self.phi) ** 2 / fd.e2l ** 2
         return float(np.sqrt(integrate_2form(self.surface, dens * fd.dsigma)))
-
-    def __add__(self, other):
-        if other.surface is not self.surface:
-            raise GridMismatch("quadratic differentials live on different surfaces")
-        return QuadraticDifferential(self.surface, self.phi + other.phi,
-                                     f"{self.label}+{other.label}")
 
     def scaled(self, c: float):
         return QuadraticDifferential(self.surface, c * self.phi, f"{c}*{self.label}")
@@ -182,17 +177,16 @@ def pair_form_function(s: ParamSurface, omega: np.ndarray, u: np.ndarray) -> flo
     return integrate_2form(s, omega * u)
 
 
-def pair_qd_endo(s: ParamSurface, q: QuadraticDifferential, R: np.ndarray,
-                 check: bool = True) -> float:
-    """<q, R> = int 2 Re(q)(R _ ^ _) for J-anticommuting R."""
+def pair_qd_endo(s: ParamSurface, q: QuadraticDifferential, R: np.ndarray) -> float:
+    """<q, R> = int 2 Re(q)(R _ ^ _) for J-anticommuting R; NotAnticommuting
+    is raised for an R that does not anticommute with J."""
     R = _check_field(s.grid, R, (2, 2))
-    if check:
-        scale = float(np.max(np.abs(R)))
-        defect = anticommutator_defect(s, R) * scale
-        # absolute floor keeps roundoff-size fields (e.g. delta(u) on a
-        # totally umbilic chart) from tripping the structural gate
-        if defect > max(ANTICOMMUTE_TOL * scale, 1e-12):
-            raise NotAnticommuting(f"R J + J R defect {defect:.2e}")
+    scale = float(np.max(np.abs(R)))
+    defect = anticommutator_defect(s, R) * scale
+    # absolute floor keeps roundoff-size fields (e.g. delta(u) on a
+    # totally umbilic chart) from tripping the structural gate
+    if defect > max(ANTICOMMUTE_TOL * scale, 1e-12):
+        raise NotAnticommuting(f"R J + J R defect {defect:.2e}")
     return integrate_2form(s, 2.0 * _wedge_coeff(R, q.phi))
 
 
@@ -240,7 +234,6 @@ def is_strongly_isothermic(
     s: ParamSurface,
     basis: Sequence[QuadraticDifferential],
     tol: float = 1e-6,
-    holo_tol: float = 1e-6,
 ) -> IsothermicResult:
     """Search the basis span for q != 0 with delta_star(q) = 0.
 
@@ -252,7 +245,7 @@ def is_strongly_isothermic(
 
     if len(basis) == 0:
         raise EmptyBasis("strong-isothermicity test needs a basis")
-    D, Q, _ = _weighted_design(s, basis, holo_tol)
+    D, Q, _ = _weighted_design(s, basis, ISOTHERMIC_HOLO_TOL)
     vals, vecs = eigh(D.T @ D, (Q.conj().T @ Q).real)
     lam = max(float(vals[0]), 0.0)
     sigma = float(np.sqrt(lam))

@@ -68,6 +68,8 @@ THETA_STEPS = 4096          # first RK4 grid in theta for the frame transfer ove
 THETA_MAX_STEPS = 16 * THETA_STEPS  # finest transfer grid before NearSeparatrix
 THETA_TOL = 1e-10           # bound on the error estimate of the transfer angle
 SEPARATRIX_TOL = 1e-12      # relative change of the period sum on every other node
+CLOSED_TOL = 1e-7           # |p(end) - p(start)| + |t(end) - t(start)| below which a curve is closed
+N_DENSE = 20001             # parameter samples of the arc-length integral in curve_from_parametric
 
 
 def _default_step(span: float) -> float:
@@ -254,37 +256,6 @@ def _march(kfun, s0, span, n_samples, u0=None):
 
 
 # ----------------------------------------------------------------------
-# scalar curvature stepper
-# ----------------------------------------------------------------------
-
-def _rk4_run(f, k0, dk0, h, nsteps, store_every, out):
-    """RK4 on k'' = f(s, k) from s = 0; returns 0 on success, 1 on blow-up."""
-    k, dk = k0, dk0
-    s = 0.0
-    out[0, 0] = k
-    out[0, 1] = dk
-    m = 1
-    for i in range(nsteps):
-        l1 = f(s, k)
-        k2 = dk + 0.5 * h * l1
-        l2 = f(s + 0.5 * h, k + 0.5 * h * dk)
-        k3 = dk + 0.5 * h * l2
-        l3 = f(s + 0.5 * h, k + 0.5 * h * k2)
-        k4 = dk + h * l3
-        l4 = f(s + h, k + h * k3)
-        k += h / 6.0 * (dk + 2 * k2 + 2 * k3 + k4)
-        dk += h / 6.0 * (l1 + 2 * l2 + 2 * l3 + l4)
-        s += h
-        if not abs(k) <= BLOWUP_LIMIT:
-            return 1
-        if (i + 1) % store_every == 0:
-            out[m, 0] = k
-            out[m, 1] = dk
-            m += 1
-    return 0
-
-
-# ----------------------------------------------------------------------
 # curve container
 # ----------------------------------------------------------------------
 
@@ -335,8 +306,7 @@ class CurvatureCurve:
 
     def tangent_at(self, s):
         if self.ambient == PLANE:
-            th = self.theta_at(s)
-            return np.stack([np.cos(th), np.sin(th)], axis=-1)
+            return _plane_tangents(self.theta_at(s))
         return self._spline("tangent", self.tangent)(self._wrap(s))
 
     def normal_at(self, s):
@@ -366,31 +336,35 @@ class CurvatureCurve:
         return k[..., None] * n
 
 
-def _finish_plane_curve(s, kappa, theta, xy, closed_tol=1e-7):
-    # theta from integration (or unwrap) is continuous in s; over one period
-    # of a closed curve it gains 2 pi * winding, so store it as that linear
-    # part plus a periodic remainder.
-    pos = np.asarray(xy)
-    tan = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    gap = float(np.linalg.norm(pos[-1] - pos[0])
-                + np.linalg.norm(np.mod(theta[-1] - theta[0] + np.pi, 2 * np.pi) - np.pi))
-    closed = gap < closed_tol
-    total_turn = theta[-1] - theta[0]
+def _finish_curve(ambient, s, kappa, pos, tan, nor=None, theta=None):
+    """The CurvatureCurve of samples over a span. Its closure gap is
+    |p(end) - p(start)| + |t(end) - t(start)|; below CLOSED_TOL the curve is
+    closed and the duplicate endpoint sample is dropped. A plane curve also
+    stores its continuous tangent angle theta: over one period of a closed
+    curve theta gains 2 pi * winding, so it is kept as that linear part plus
+    a periodic spline of the remainder."""
+    gap = float(np.linalg.norm(pos[-1] - pos[0]) + np.linalg.norm(tan[-1] - tan[0]))
+    closed = gap < CLOSED_TOL
     if closed:
-        s, kappa, theta, pos, tan = s[:-1], kappa[:-1], theta[:-1], pos[:-1], tan[:-1]
-    c = CurvatureCurve(PLANE, s, kappa, pos, tan, None, closed, gap)
-    if closed:
-        L = c.length
-        slope = 2 * np.pi * round(total_turn / (2 * np.pi)) / L
-        resid = theta - slope * (s - s[0])
-        ss = np.append(s, s[0] + L)
-        rr = np.append(resid, resid[0])
-        spl = CubicSpline(ss, rr, bc_type="periodic")
-    else:
-        slope = 0.0
-        spl = CubicSpline(s, theta)
-    c._splines["_theta_data"] = (slope, spl)
+        s, kappa, pos, tan = s[:-1], kappa[:-1], pos[:-1], tan[:-1]
+        nor = None if nor is None else nor[:-1]
+    c = CurvatureCurve(ambient, s, kappa, pos, tan, nor, closed, gap)
+    if ambient == PLANE:
+        if closed:
+            L = c.length
+            slope = 2 * np.pi * round((theta[-1] - theta[0]) / (2 * np.pi)) / L
+            resid = theta[:-1] - slope * (s - s[0])
+            spl = CubicSpline(np.append(s, s[0] + L), np.append(resid, resid[0]),
+                              bc_type="periodic")
+        else:
+            slope, spl = 0.0, CubicSpline(s, theta)
+        c._splines["_theta_data"] = (slope, spl)
     return c
+
+
+def _plane_tangents(theta):
+    """Unit tangents (cos theta, sin theta) of a plane curve."""
+    return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
 
 
 def integrate_curve(
@@ -400,17 +374,16 @@ def integrate_curve(
     n_samples: int = 4097,
     p0=None,
     t0=None,
-    closed_tol: float = 1e-7,
 ) -> CurvatureCurve:
     """Recover a curve from its curvature function by frame integration.
 
     kappa may be a callable of arc length or an array of samples uniform
     over s_span. A callable is evaluated on arrays of arc lengths; one that
     returns a scalar is taken as constant. The result stores n_samples frame
-    samples on the span; a curve whose endpoint frame returns to the start
-    within closed_tol is marked closed (and the duplicate endpoint sample is
-    dropped). On S^2, StepTooLarge is raised when the frames drift from
-    orthonormality by more than FRAME_DRIFT_TOL.
+    samples on the span; a curve whose endpoint position and tangent return
+    to the start within CLOSED_TOL is marked closed (and the duplicate
+    endpoint sample is dropped). On S^2, StepTooLarge is raised when the
+    frames drift from orthonormality by more than FRAME_DRIFT_TOL.
     """
     s0, s1 = float(s_span[0]), float(s_span[1])
     span = s1 - s0
@@ -432,8 +405,8 @@ def integrate_curve(
 
     if ambient == PLANE:
         kap, theta, xy = _march(kfun, s0, span, n_samples)
-        return _finish_plane_curve(s, kap, theta, np.stack([xy.real, xy.imag], axis=-1),
-                                   closed_tol)
+        return _finish_curve(PLANE, s, kap, np.stack([xy.real, xy.imag], axis=-1),
+                             _plane_tangents(theta), theta=theta)
 
     # sphere
     if p0 is None:
@@ -454,13 +427,7 @@ def integrate_curve(
 
     u0 = _frame_quaternion(np.stack([p, t, np.cross(p, t)], axis=-1))
     kap, _, (a, c) = _march(kfun, s0, span, n_samples, u0)
-    pos, tan, nor = _frame_columns(a, c)
-
-    gap = float(np.linalg.norm(pos[-1] - pos[0]) + np.linalg.norm(tan[-1] - tan[0]))
-    closed = gap < closed_tol
-    if closed:
-        s, kap, pos, tan, nor = s[:-1], kap[:-1], pos[:-1], tan[:-1], nor[:-1]
-    return CurvatureCurve(SPHERE2, s, kap, pos, tan, nor, closed, gap)
+    return _finish_curve(SPHERE2, s, kap, *_frame_columns(a, c))
 
 
 def curve_from_parametric(
@@ -469,18 +436,18 @@ def curve_from_parametric(
     dgamma: Callable,
     ddgamma: Callable,
     t_span: tuple[float, float],
-    closed: bool = True,
     n_samples: int = 4097,
-    n_dense: int = 20001,
 ) -> CurvatureCurve:
     """Arc-length resample an explicitly parametrized curve.
 
     gamma, dgamma, ddgamma are vectorized callables of the parameter t.
     Plane curvature is (x' y'' - y' x'') / |gamma'|^3; spherical geodesic
     curvature is det[gamma, gamma', gamma''] / |gamma'|^3 for |gamma| = 1.
+    The arc length is a Simpson sum over N_DENSE parameter samples; a curve
+    whose ends meet within CLOSED_TOL (position plus tangent) is closed.
     """
     t0, t1 = map(float, t_span)
-    td = np.linspace(t0, t1, n_dense)
+    td = np.linspace(t0, t1, N_DENSE)
     speeds = np.linalg.norm(np.asarray(dgamma(td)), axis=-1)
     # cumulative arc length via Simpson on the dense grid
     from scipy.integrate import cumulative_simpson
@@ -501,19 +468,14 @@ def curve_from_parametric(
     if ambient == PLANE:
         kap = (D1[:, 0] * D2[:, 1] - D1[:, 1] * D2[:, 0]) / sp ** 3
         theta = np.unwrap(np.arctan2(tan[:, 1], tan[:, 0]))
-        return _finish_plane_curve(s, kap, theta, P, closed_tol=1e-7 if closed else 0.0)
+        return _finish_curve(PLANE, s, kap, P, _plane_tangents(theta), theta=theta)
 
     if ambient == SPHERE2:
         P = P / np.linalg.norm(P, axis=-1, keepdims=True)
         kap = np.einsum("ij,ij->i", np.cross(P, D1), D2) / sp ** 3
         tan = tan - np.einsum("ij,ij->i", tan, P)[:, None] * P
         tan /= np.linalg.norm(tan, axis=-1, keepdims=True)
-        nor = np.cross(P, tan)
-        gap = float(np.linalg.norm(P[-1] - P[0]) + np.linalg.norm(tan[-1] - tan[0]))
-        is_closed = closed and gap < 1e-7
-        if is_closed:
-            s, kap, P, tan, nor = s[:-1], kap[:-1], P[:-1], tan[:-1], nor[:-1]
-        return CurvatureCurve(SPHERE2, s, kap, P, tan, nor, is_closed, gap)
+        return _finish_curve(SPHERE2, s, kap, P, tan, np.cross(P, tan))
 
     raise ValueError(f"unknown ambient {ambient!r}")
 
@@ -548,6 +510,8 @@ def elastica_first_integral(kappa, dkappa, a, b):
 
 
 def _run_ode(f, k0, dk0, s_span, step, max_stored):
+    """RK4 on k'' = f(s, k) from (k0, dk0) at s_span[0]; returns the stored
+    s, k and k', or raises BlowUp when |k| exceeds BLOWUP_LIMIT or is nan."""
     s0, s1 = map(float, s_span)
     span = s1 - s0
     if not np.isfinite(span):
@@ -563,10 +527,26 @@ def _run_ode(f, k0, dk0, s_span, step, max_stored):
     store_every = max(1, int(np.ceil(nsteps / (max_stored - 1))))
     nstored = nsteps // store_every + 1
     out = np.empty((nstored, 2))
-    if _rk4_run(f, float(k0), float(dk0), h, nsteps, store_every, out) != 0:
-        raise BlowUp(f"|kappa| exceeded {BLOWUP_LIMIT:.0e}")
-    s = s0 + h * store_every * np.arange(nstored)
-    return s, out[:, 0], out[:, 1]
+    k, dk, s = float(k0), float(dk0), s0
+    out[0, 0], out[0, 1] = k, dk
+    hh, h6, m = 0.5 * h, h / 6.0, 1
+    for i in range(nsteps):
+        l1 = f(s, k)
+        k2 = dk + hh * l1
+        l2 = f(s + hh, k + hh * dk)
+        k3 = dk + hh * l2
+        l3 = f(s + hh, k + hh * k2)
+        k4 = dk + h * l3
+        l4 = f(s + h, k + h * k3)
+        k += h6 * (dk + 2 * k2 + 2 * k3 + k4)
+        dk += h6 * (l1 + 2 * l2 + 2 * l3 + l4)
+        s += h
+        if not abs(k) <= BLOWUP_LIMIT:
+            raise BlowUp(f"|kappa| exceeded {BLOWUP_LIMIT:.0e}")
+        if (i + 1) % store_every == 0:
+            out[m, 0], out[m, 1] = k, dk
+            m += 1
+    return s0 + h * store_every * np.arange(nstored), out[:, 0], out[:, 1]
 
 
 def elastica_ode(a, b, k0, dk0, s_span, step=None, max_stored=200_001) -> OdeSolution:
@@ -761,7 +741,7 @@ def shoot_closed_elastica(
                                            max_stored=8193)
                         curve = integrate_curve(sol.as_callable(), SPHERE2,
                                                 (0.0, nl * T), n_samples=4097)
-                        if curve.closure_gap < 1e-7:
+                        if curve.closed:
                             results.append(ClosedElastica(
                                 a, b, float(k0), nl * T, curve.closure_gap,
                                 nl, mw, curve))

@@ -83,7 +83,7 @@ class NoSolutionInBox(ConwillError):
 
 
 class DegenerateDeformation(ConwillError):
-    """A deformed surface stopped being an immersion, or the chart cannot be deformed."""
+    """The chart cannot be deformed node-wise: it has a quotient seam."""
 
 
 class ConfigError(ConwillError):

@@ -16,12 +16,14 @@ from .geom_core import SPHERE3, ParamSurface
 
 FLT = "%.17g"
 _BLOCK_ROWS = 16384  # rows per `%`; bounds the formatted strings held at once
+POLE_CLIP = 1e-12  # smallest |1 - x4| divided by in the stereographic projection
 
 
-def stereographic_project(points: np.ndarray, clip: float = 1e-12) -> np.ndarray:
-    """S^3 -> R^3 from the pole (0, 0, 0, 1): (x1, x2, x3)/(1 - x4)."""
+def stereographic_project(points: np.ndarray) -> np.ndarray:
+    """S^3 -> R^3 from the pole (0, 0, 0, 1): (x1, x2, x3)/(1 - x4), with
+    |1 - x4| clipped from below at POLE_CLIP."""
     w = 1.0 - points[..., 3]
-    w = np.where(np.abs(w) < clip, np.copysign(clip, w), w)
+    w = np.where(np.abs(w) < POLE_CLIP, np.copysign(POLE_CLIP, w), w)
     return points[..., :3] / w[..., None]
 
 

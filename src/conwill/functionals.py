@@ -34,6 +34,7 @@ AREA = "area"
 VOLUME = "volume"
 WILLMORE = "willmore"
 FUNCTIONAL_KINDS = (AREA, VOLUME, WILLMORE)
+CLOSED_END_TOL = 1e-2  # largest diameter of a collapsed open end, relative to the surface's
 
 
 def _check_kind(kind: str) -> str:
@@ -59,13 +60,13 @@ def _boundary_ring_spread(ring: np.ndarray) -> float:
     return float(2.0 * np.max(np.linalg.norm(ring - center, axis=-1)))
 
 
-def is_closed_surface(s: ParamSurface, rel_tol: float = 1e-2) -> bool:
+def is_closed_surface(s: ParamSurface) -> bool:
     """Doubly periodic, or open ends that degenerate to points.
 
     An open chart still bounds a region when each non-periodic boundary ring
     collapses (e.g. a sphere parametrized up to tiny polar caps); such ends
-    are accepted when their diameter is below rel_tol times the surface
-    diameter.
+    are accepted when their diameter is below CLOSED_END_TOL times the
+    surface diameter.
     """
     g = s.grid
     if g.periodic_u and g.periodic_v:
@@ -78,7 +79,7 @@ def is_closed_surface(s: ParamSurface, rel_tol: float = 1e-2) -> bool:
         rings += [p[0], p[-1]]
     if not g.periodic_v:
         rings += [p[:, 0], p[:, -1]]
-    return all(_boundary_ring_spread(r) < rel_tol * diam for r in rings)
+    return all(_boundary_ring_spread(r) < CLOSED_END_TOL * diam for r in rings)
 
 
 def enclosed_volume(s: ParamSurface) -> float:

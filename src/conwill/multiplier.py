@@ -32,6 +32,8 @@ from .geom_core import ParamSurface
 DEFAULT_TOL = 1e-5
 GRAM_COND_LIMIT = 1e12
 UMBILIC_TOL = 1e-10
+HOLO_TOL = 1e-8             # dbar_residual bound of a basis element, relative to max(1, |q|)
+CMC_TOL = 1e-8              # spread of H relative to max(1, |mean H|) of a CMC surface
 
 VERDICT_CRITICAL = "critical"
 VERDICT_NOT_CRITICAL = "not-critical"
@@ -63,8 +65,8 @@ class Certificate:
             "tol": float(self.tol),
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     @property
     def is_critical(self) -> bool:
@@ -76,7 +78,6 @@ def solve_multiplier(
     kind: str,
     basis: Sequence[QuadraticDifferential],
     tol: float = DEFAULT_TOL,
-    holo_tol: float = 1e-8,
 ) -> Certificate:
     """Minimize ||grad(kind) - delta_star(sum c_i q_i)||_{L2(dsigma)}.
 
@@ -85,7 +86,7 @@ def solve_multiplier(
     """
     _check_kind(kind)
     fd = s.fundamental_data()
-    D, Q, sw = _weighted_design(s, basis, holo_tol)
+    D, Q, sw = _weighted_design(s, basis, HOLO_TOL)
     # independence of the basis itself (not of its delta_star image)
     if len(basis) >= 2 and np.linalg.cond((Q.conj().T @ Q).real) > GRAM_COND_LIMIT:
         raise SingularBasis("quadratic-differential basis is numerically dependent")
@@ -139,16 +140,16 @@ def certify_constrained_willmore(
     return cert
 
 
-def cmc_multiplier(s: ParamSurface, rel_tol: float = 1e-8) -> QuadraticDifferential:
+def cmc_multiplier(s: ParamSurface) -> QuadraticDifferential:
     """Multiplier q = 1/2 H Q for constant mean curvature surfaces.
 
-    Requires H constant within rel_tol (relative); the returned q satisfies
-    grad(Willmore) = delta_star(q) on such surfaces.
+    Requires H constant within CMC_TOL (relative), else raises NotCMC; the
+    returned q satisfies grad(Willmore) = delta_star(q) on such surfaces.
     """
     fd = s.fundamental_data()
     h_mean = float(np.mean(fd.H))
     spread = float(np.max(fd.H) - np.min(fd.H))
-    if spread > rel_tol * max(1.0, abs(h_mean)):
+    if spread > CMC_TOL * max(1.0, abs(h_mean)):
         raise NotCMC(f"mean curvature varies by {spread:.2e}")
     q = hopf_differential(s).scaled(0.5 * h_mean)
     q.label = "(H/2)*hopf"

@@ -17,8 +17,9 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from ._stencils import MARGIN, diff_uniform
 from .conformal_ops import delta_op, dbar_vector_field
-from .errors import DegenerateDeformation, DegenerateImmersion, NotRotationallySymmetric
+from .errors import DegenerateDeformation, NotRotationallySymmetric
 from .functionals import value
 from .geom_core import (
     EUCLIDEAN3,
@@ -29,17 +30,15 @@ from .geom_core import (
     integrate_2form,
 )
 
-SUPPORT_MARGIN = 2
-
 
 def _support_violation(grid, arr) -> float:
     worst = 0.0
     if not grid.periodic_u:
-        worst = max(worst, float(np.max(np.abs(arr[:SUPPORT_MARGIN]))),
-                    float(np.max(np.abs(arr[-SUPPORT_MARGIN:]))))
+        worst = max(worst, float(np.max(np.abs(arr[:MARGIN]))),
+                    float(np.max(np.abs(arr[-MARGIN:]))))
     if not grid.periodic_v:
-        worst = max(worst, float(np.max(np.abs(arr[:, :SUPPORT_MARGIN]))),
-                    float(np.max(np.abs(arr[:, -SUPPORT_MARGIN:]))))
+        worst = max(worst, float(np.max(np.abs(arr[:, :MARGIN]))),
+                    float(np.max(np.abs(arr[:, -MARGIN:]))))
     return worst
 
 
@@ -81,7 +80,8 @@ def deform(s: ParamSurface, u: np.ndarray, t: float) -> ParamSurface:
     """Surface displaced by t u along the unit normal (geodesically in S^3).
 
     The result carries positions only (fourth-order finite differences) and
-    drops the conformality claim.
+    drops the conformality claim. Quotient-seam charts raise
+    DegenerateDeformation.
     """
     u = _check_field(s.grid, u)
     if s.quotient_seam:
@@ -92,12 +92,9 @@ def deform(s: ParamSurface, u: np.ndarray, t: float) -> ParamSurface:
     else:
         ang = t * u[..., None]
         pos = np.cos(ang) * s.position + np.sin(ang) * fd.xi
-    try:
-        return ParamSurface(s.space_form, s.grid, pos, None,
-                            orientation=s.orientation, conformal=False,
-                            metadata={"deformed_from": s.metadata.get("builder")})
-    except DegenerateImmersion as exc:  # pragma: no cover
-        raise DegenerateDeformation(str(exc)) from exc
+    return ParamSurface(s.space_form, s.grid, pos, None,
+                        orientation=s.orientation, conformal=False,
+                        metadata={"deformed_from": s.metadata.get("builder")})
 
 
 def _deformed_tangents(s: ParamSurface, u: np.ndarray, du: np.ndarray,
@@ -143,8 +140,6 @@ def jdot_fd_check(
     steps should match the analytic rate. When du, dv are omitted they are
     taken by fourth-order differences of u (a small spatial floor).
     """
-    from ._stencils import diff_uniform
-
     u = _check_field(s.grid, u)
     g = s.grid
     if du is None:

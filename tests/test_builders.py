@@ -327,6 +327,27 @@ def test_hopf_lattice_shift_is_half_enclosed_area(request, name):
     assert min(err, 2 * np.pi - err) <= 1e-10
 
 
+@pytest.mark.parametrize("p0", [(0.0, 0.0, -1.0), (0.0, 1e-7, -1.0)])
+def test_hopf_lift_starts_at_the_south_pole(p0):
+    # the lift's start does not depend on where the curve starts: a latitude
+    # started at or next to the south pole gives the torus of the one
+    # started at the north pole
+    length = 2 * np.pi / np.sqrt(1.25)
+    north = hopf_cylinder(integrate_curve(lambda s: 0.5, "Sphere2", (0.0, length)), 64, 16)
+    curve = integrate_curve(lambda s: 0.5, "Sphere2", (0.0, length), p0=p0)
+    s = hopf_cylinder(curve, 64, 16)
+    assert s.metadata["lift_defect"] <= 1e-12
+    assert s.metadata["seam_gap"] <= 1e-12
+    w = willmore_energy(north)
+    assert willmore_energy(s) == pytest.approx(w, rel=1e-12, abs=0.0)
+
+
+def test_hopf_lift_of_open_arc_from_the_south_pole():
+    curve = integrate_curve(lambda s: 0.5 + 0.3 * np.sin(s), "Sphere2", (0.0, 3.0),
+                            p0=(0.0, 0.0, -1.0))
+    assert hopf_cylinder(curve, 48, 16).metadata["lift_defect"] <= 1e-12
+
+
 def test_hopf_callbacks_refuse_off_grid(hopf_latitude):
     # the lift is known at the grid nodes only; other arguments raise
     U, V = hopf_latitude.grid.mesh()

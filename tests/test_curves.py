@@ -230,6 +230,16 @@ def test_burstall_reduces_to_elastica():
     assert np.max(np.abs(sb.kappa - se.kappa)) < 1e-8
 
 
+def test_burstall_starts_at_its_span():
+    # the forcing (a + b s) k is read at the arc lengths of the span: starting
+    # at s = 5 is starting at s = 0 with a moved to a + 5 b
+    late = burstall_ode(0.2, 0.3, 1.0, 0.0, (5.0, 8.0))
+    moved = burstall_ode(0.2 + 0.3 * 5.0, 0.3, 1.0, 0.0, (0.0, 3.0))
+    assert late.s[0] == 5.0 and late.s[-1] == pytest.approx(8.0, abs=1e-12)
+    assert np.max(np.abs(late.kappa - moved.kappa)) <= 1e-9
+    assert np.max(np.abs(late.dkappa - moved.dkappa)) <= 1e-9
+
+
 def test_shooting_recovers_circles():
     # equilibria of kappa^3 + a kappa + b close for every curvature c with
     # period 2 pi / sqrt(1 + c^2)
