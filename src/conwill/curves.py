@@ -39,9 +39,11 @@ turning points lo, hi the substitution k = m + r sin(theta) gives the smooth
 2 pi-periodic speed ds/dtheta, so the period is a trapezoid sum in theta and
 the transfer is RK4 on the quaternion equation in theta over one turn. Its grid
 sizes itself: from THETA_STEPS steps it doubles until the RK4 error
-estimate of the rotation angle is below THETA_TOL. An orbit too close to
-its separatrix for the period sum, or for THETA_MAX_STEPS transfer steps,
-raises NearSeparatrix.
+estimate of the rotation angle is below THETA_TOL. The curvature of a shot
+curve is read off the same map: s(theta) is the FFT antiderivative of the
+speed, and kappa(s) a periodic spline through (s(theta_j), k(theta_j)). An
+orbit too close to its separatrix for the period sum, for THETA_MAX_STEPS
+transfer steps or for the arc-length antiderivative raises NearSeparatrix.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
+from scipy.fft import next_fast_len
 from scipy.interpolate import CubicSpline
 
 from .errors import BlowUp, NearSeparatrix, NoSolutionInBox, StepTooLarge
@@ -68,6 +71,8 @@ THETA_STEPS = 4096          # first RK4 grid in theta for the frame transfer ove
 THETA_MAX_STEPS = 16 * THETA_STEPS  # finest transfer grid before NearSeparatrix
 THETA_TOL = 1e-10           # bound on the error estimate of the transfer angle
 SEPARATRIX_TOL = 1e-12      # relative change of the period sum on every other node
+ARC_TOL = 1e-10             # change of the theta-map arc lengths on every other node, per period
+DUPLICATE_TOL = 1e-9        # turning points closer than this (relative) belong to one orbit
 CLOSED_TOL = 1e-7           # |p(end) - p(start)| + |t(end) - t(start)| below which a curve is closed
 N_DENSE = 20001             # parameter samples of the arc-length integral in curve_from_parametric
 
@@ -624,6 +629,54 @@ def _theta_orbit(a, b, k0):
     return T, orbit
 
 
+def _arc_lengths(sigma, T):
+    """Arc lengths s_j = T j / M + P_j - P_0 on the M uniform theta nodes of
+    one turn of the speed sigma (M a multiple of 4): P is the periodic part
+    of the integral of sigma, from one real FFT with the mean and the Nyquist
+    mode dropped."""
+    M = len(sigma)
+    F = np.fft.rfft(sigma)
+    F[0] = F[-1] = 0.0
+    F[1:-1] /= 1j * np.arange(1, len(F) - 1)
+    P = np.fft.irfft(F, M)
+    return T / M * np.arange(M) + P - P[0]
+
+
+def _orbit_curvature(a, b, k0, h):
+    """Curvature k(s) of the elastica orbit through (k0, 0), read off its
+    theta-map without stepping the curvature ODE.
+
+    The samples lie on theta_j = theta0 + 2 pi j / M from the turning point
+    theta0 = +-pi/2 where k = k0 (pi/2 when k falls from k0), at the arc
+    lengths s_j of `_arc_lengths` with the period T of `_theta_orbit`. M is
+    four times a fast FFT length (`next_fast_len`), from PERIOD_NODES up
+    until no two samples lie more than h apart in arc length. A speed that
+    is not finite, or arc lengths from every other node that differ by more
+    than ARC_TOL * T, raise NearSeparatrix. Returns T, the periodic cubic spline of k(s) over one
+    period (it repeats past T), and the other turning point k1, the sample
+    half a turn on.
+    """
+    T, orbit = _theta_orbit(a, b, k0)
+    theta0 = 0.5 * np.pi if k0 ** 3 + a * k0 + b > 0 else -0.5 * np.pi
+    M = PERIOD_NODES
+    while True:
+        sigma, k = orbit(theta0 + 2 * np.pi / M * np.arange(M))
+        if not np.all(np.isfinite(sigma)):
+            raise NearSeparatrix(f"elastica orbit (a, b, k0) = ({a}, {b}, {k0}) has a "
+                                 f"speed that is not finite on its theta-map")
+        s = _arc_lengths(sigma, T)
+        spacing = float(np.max(np.diff(s, append=T)))
+        if spacing <= h:
+            break
+        M = 4 * next_fast_len(int(np.ceil(0.25 * M * spacing / h)))
+    change = float(np.max(np.abs(_arc_lengths(sigma[::2], T) - s[::2])))
+    if not change <= ARC_TOL * T:
+        raise NearSeparatrix(f"elastica orbit (a, b, k0) = ({a}, {b}, {k0}) is too close "
+                             f"to its separatrix: theta-map arc lengths differ by {change:.1e}")
+    spline = CubicSpline(np.append(s, T), np.append(k, k[0]), bc_type="periodic")
+    return T, spline, float(k[M // 2])
+
+
 def _transfer_angle(sigma, k, H):
     """Rotation angle Theta in [0, 2 pi] of the RK4 frame transfer of step H
     from the speeds sigma and curvatures k on its half-step grid (2 n + 1
@@ -687,11 +740,17 @@ def shoot_closed_elastica(
     (m, n) with 0 < m/n < 1 (other targets are skipped); the curve then
     closes after n periods. `winding` reports the target's m; it is not
     measured from the curve. Period and angle come from the theta
-    quadrature; h is the `elastica_ode` step of the returned curves. Scan
-    points and brackets too close to a separatrix are skipped.
+    quadrature, and so does the curvature of the returned curve: kappa(s) is
+    a periodic spline through samples of the theta-map at most h apart in
+    arc length (`_orbit_curvature`), integrated on S^2 by `integrate_curve`.
+    Each orbit is returned once: when both of its turning points are found,
+    the entry keeps the upper one as kappa0, and max_results counts orbits.
+    Scan points, brackets and roots too close to a separatrix are skipped.
     """
     from scipy.optimize import brentq
 
+    if not 0 < h < np.inf:
+        raise ValueError(f"h must be positive and finite, got {h}")
     if not np.all(np.isfinite(np.asarray(kappa0_bracket, dtype=float))):
         raise ValueError(f"kappa0_bracket {kappa0_bracket} is not finite")
     _check_count("n_scan", n_scan, 2)
@@ -734,17 +793,24 @@ def shoot_closed_elastica(
                         f = lambda k0: _monodromy_angle(a, b, float(k0))[0] - target
                         try:
                             k0 = brentq(f, k_grid[i], k_grid[i + 1], xtol=1e-12, rtol=8.9e-16)
+                            T, kfun, k1 = _orbit_curvature(a, b, k0, h)
                         except NearSeparatrix:
                             continue
-                        T = _theta_orbit(a, b, k0)[0]
-                        sol = elastica_ode(a, b, k0, 0.0, (0.0, nl * T), step=h,
-                                           max_stored=8193)
-                        curve = integrate_curve(sol.as_callable(), SPHERE2,
-                                                (0.0, nl * T), n_samples=4097)
+                        # the other turning point of an orbit already found
+                        twin = next((j for j, e in enumerate(results)
+                                     if (e.a, e.b, e.n_lobes, e.winding) == (a, b, nl, mw)
+                                     and abs(e.kappa0 - k1) <= DUPLICATE_TOL * (1 + abs(k1))),
+                                    None)
+                        if twin is not None and k0 < k1:
+                            continue
+                        curve = integrate_curve(kfun, SPHERE2, (0.0, nl * T), n_samples=4097)
                         if curve.closed:
-                            results.append(ClosedElastica(
-                                a, b, float(k0), nl * T, curve.closure_gap,
-                                nl, mw, curve))
+                            found = ClosedElastica(a, b, float(k0), nl * T, curve.closure_gap,
+                                                   nl, mw, curve)
+                            if twin is None:
+                                results.append(found)
+                            else:
+                                results[twin] = found
                         if max_results and len(results) >= max_results:
                             return results
     if not results:

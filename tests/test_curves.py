@@ -7,6 +7,7 @@ from conwill.builders import hopf_cylinder
 from conwill.curves import (
     OdeSolution,
     _monodromy_angle,
+    _orbit_curvature,
     _theta_orbit,
     burstall_ode,
     curve_from_parametric,
@@ -282,6 +283,95 @@ def test_shot_elastica_pinned(shot_elastica_13):
     assert sol.closure_gap < 1e-7
 
 
+# the benchmark's closed (1, 3) elastica: (a, b, kappa0 bracket), and kappa0
+# and period as recorded while the returned curve was stepped by elastica_ode
+SHOOT_13 = [
+    (1.0, 0.5, (1.6, 2.0), 1.7940354458155654, 13.94910419019007),
+    (1.0, 0.3, (1.65, 2.05), 1.819529227433879, 14.064833553581582),
+    (0.8, 0.5, (1.5, 1.9), 1.6734045717659405, 14.962125214016272),
+    (1.2, 0.5, (1.7, 2.1), 1.8779391675261226, 13.232086978824608),
+    (0.9, 0.4, (1.55, 1.95), 1.7504441203580539, 14.488242073488804),
+    (1.1, 0.6, (1.65, 2.05), 1.828849400744696, 13.505237697507788),
+    (0.9, 0.6, (1.55, 1.95), 1.7319555244963696, 14.309114414633086),
+    (1.1, 0.4, (1.65, 2.05), 1.8514891621422895, 13.615302444138354),
+]
+
+
+def _shoot_13(a, b, bracket):
+    return shoot_closed_elastica([a], [b], targets=[(1, 3)], kappa0_bracket=bracket, n_scan=3,
+                                 include_circles=False, h=1e-3, max_results=1)[0]
+
+
+@pytest.mark.parametrize("a, b, bracket, kappa0, period", SHOOT_13)
+def test_shot_curves_close(a, b, bracket, kappa0, period):
+    # kappa(s) from the theta-map closes the curve to roundoff; the stepped
+    # curvature left gaps up to 1.6e-9
+    sol = _shoot_13(a, b, bracket)
+    assert (sol.n_lobes, sol.winding) == (3, 1)
+    assert abs(sol.kappa0 - kappa0) < 1e-10
+    assert sol.period == pytest.approx(period, rel=1e-9, abs=0.0)
+    assert sol.curve.closed and sol.closure_gap <= 1e-11
+
+
+def test_shooting_does_not_step_the_curvature(monkeypatch):
+    import conwill.curves as curves
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("elastica_ode called on the shooting path")
+
+    monkeypatch.setattr(curves, "elastica_ode", refuse)
+    a, b, bracket, kappa0, _ = SHOOT_13[1]
+    sol = _shoot_13(a, b, bracket)
+    assert abs(sol.kappa0 - kappa0) < 1e-10 and sol.curve.closed
+
+
+def test_inaccurate_theta_map_root_is_skipped(monkeypatch):
+    # arc lengths that the error control refuses raise NearSeparatrix, and
+    # the scan drops the root rather than return its curve
+    import conwill.curves as curves
+
+    monkeypatch.setattr(curves, "ARC_TOL", 0.0)
+    with pytest.raises(NearSeparatrix):
+        _orbit_curvature(1.0, 0.5, SHOOT_13[0][3], 1e-3)
+    with pytest.raises(NoSolutionInBox):
+        _shoot_13(*SHOOT_13[0][:3])
+
+
+def test_shot_elastica_curvature_matches_elastica_ode(shot_elastica_13):
+    # the returned curve's kappa over its first and last period against RK4
+    # of 2 k'' + k^3 + a k + b = 0 from (kappa0, 0)
+    sol = shot_elastica_13
+    T = sol.period / sol.n_lobes
+    ode = elastica_ode(sol.a, sol.b, sol.kappa0, 0.0, (0.0, T))
+    for lap in (0, sol.n_lobes - 1):
+        assert np.max(np.abs(sol.curve.kappa_at(ode.s + lap * T) - ode.kappa)) <= 1e-9
+
+
+@pytest.mark.parametrize("k0", [0.3996706913246467, -0.3996706913246467])
+def test_theta_map_curvature_matches_elastica_ode(k0):
+    # both turning points of the (1, 3) orbit at a = b = 0 (T ~ 26.2); the map
+    # starts at theta0 = pi/2 from the upper one and at -pi/2 from the lower one
+    T, kappa, k1 = _orbit_curvature(0.0, 0.0, k0, 1e-3)
+    ode = elastica_ode(0.0, 0.0, k0, 0.0, (0.0, T))
+    assert np.max(np.abs(kappa(ode.s) - ode.kappa)) <= 1e-9
+    assert np.max(np.abs(kappa(ode.s + T) - ode.kappa)) <= 1e-9
+    assert abs(k1 + k0) <= 1e-12
+
+
+def test_duplicate_orbit_is_returned_once():
+    # k0 = -0.3997 and 0.3997 are the two turning points of one orbit (first
+    # integral 0.0064, length 78.727); only the upper one is kept, and
+    # max_results counts the orbit once
+    found = shoot_closed_elastica([0.0], [0.0], targets=[(1, 3)], kappa0_bracket=(-0.45, 0.45),
+                                  n_scan=9, include_circles=False, max_results=2)
+    assert len(found) == 1
+    sol = found[0]
+    assert abs(sol.kappa0 - 0.3996706913246467) < 1e-10
+    assert (sol.n_lobes, sol.winding) == (3, 1)
+    assert sol.period == pytest.approx(78.72653996023723, rel=1e-9, abs=0.0)
+    assert sol.curve.closed
+
+
 def test_sphere_end_frame_pinned():
     # end frame (p, t) over an elastica curvature, as recorded before the
     # blocked frame kernel
@@ -360,6 +450,13 @@ def test_theta_grid_cap_raises(monkeypatch):
         _monodromy_angle(0.0, 0.0, 0.2)
 
 
+def _shoot_empty_box(h):
+    # this box holds no root: an h checked only after the scan would let the
+    # call end in NoSolutionInBox
+    return shoot_closed_elastica([0.0], [0.0], targets=(), include_circles=False,
+                                 kappa0_bracket=(0.5, 0.6), n_scan=2, h=h)
+
+
 def _great_circle():
     return integrate_curve(lambda s: 0.0, "Sphere2", (0.0, 2 * np.pi), n_samples=65)
 
@@ -403,6 +500,10 @@ def _great_circle():
                  ValueError, "n_scan", id="shoot-one-scan-point"),
     pytest.param(lambda: shoot_closed_elastica([1.0], [0.5], targets=[(1, 0)]),
                  ValueError, "target", id="shoot-zero-periods"),
+    pytest.param(lambda: _shoot_empty_box(h=0.0), ValueError, "h must be", id="shoot-zero-h"),
+    pytest.param(lambda: _shoot_empty_box(h=-1e-3), ValueError, "h must be", id="shoot-negative-h"),
+    pytest.param(lambda: _shoot_empty_box(h=np.nan), ValueError, "h must be", id="shoot-nan-h"),
+    pytest.param(lambda: _shoot_empty_box(h=np.inf), ValueError, "h must be", id="shoot-inf-h"),
     pytest.param(lambda: hopf_cylinder(_great_circle(), nu=0, nv=8),
                  ValueError, "got 0 x 8", id="hopf-nu-0"),
     pytest.param(lambda: hopf_cylinder(_great_circle(), nu=8, nv=4),
