@@ -55,6 +55,7 @@ from .variations import (
     jdot_fd_check,
     jdot_normal,
     metric_dot,
+    prepare_deformations,
 )
 from .curves import (
     CurvatureCurve,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 MARGIN = 2  # nodes at each end of an open axis that integrals and variations leave out
+HALO = 2  # half-width of the central stencils: the rows a block reads on each side
 
 
 def fornberg_weights(x0: float, xs: np.ndarray, m: int) -> np.ndarray:
@@ -96,15 +97,41 @@ def diff_uniform(values: np.ndarray, h: float, order: int, periodic: bool, axis:
     return np.moveaxis(out, 0, axis)
 
 
+def _diff_block(ext: np.ndarray, h: float, order: int, lo: int, hi: int) -> np.ndarray:
+    """Derivative along axis 0 of the rows ext[lo:hi] of a row block.
+
+    ext holds the block and up to HALO rows on each side (wrapped on a
+    periodic axis). A side with HALO rows takes the central stencil; a side
+    without halo (lo == 0 or hi == len(ext)) is the end of an open axis and
+    takes its one-sided stencils. The rows equal those of diff_uniform on
+    the whole axis.
+    """
+    if lo == HALO and hi == ext.shape[0] - HALO:
+        out = _diff_padded(ext, _C1 if order == 1 else _C2, 0)
+        out /= h ** order
+        return out
+    return diff_uniform(ext, h, order, False, axis=0)[lo:hi]
+
+
 def _diff_periodic(v: np.ndarray, cw: np.ndarray, axis: int) -> np.ndarray:
     """Unscaled sum of c_k v[i + k] along a periodic axis.
 
-    The axis is wrap-padded by two nodes at each end once, and each stencil
-    tap is a slice of the padded array, so no shifted copy of v is made.
+    The axis is wrap-padded by two nodes at each end once (`_diff_padded`).
     """
     n = v.shape[axis]
     pre = (slice(None),) * axis
     vp = np.concatenate((v[pre + (slice(n - 2, n),)], v, v[pre + (slice(0, 2),)]), axis=axis)
+    return _diff_padded(vp, cw, axis)
+
+
+def _diff_padded(vp: np.ndarray, cw: np.ndarray, axis: int) -> np.ndarray:
+    """Unscaled sum of c_k vp[i + 2 + k] for the n = len - 4 inner nodes of
+    an axis padded by two nodes at each end.
+
+    Each stencil tap is a slice of vp, so no shifted copy is made.
+    """
+    n = vp.shape[axis] - 4
+    pre = (slice(None),) * axis
     taps = [(c, vp[pre + (slice(2 + k, 2 + k + n),)]) for k, c in zip(range(-2, 3), cw) if c != 0.0]
     c, tap = taps[0]
     out = c * tap

@@ -33,7 +33,7 @@ import numpy as np
 
 from .curves import PLANE, SPHERE2, CurvatureCurve, _frame_quaternion, _march, _norm2
 from .errors import AxisContact, BadRadii, GridMismatch, LiftDrift, NotArcLength, WrongSpaceForm
-from .geom_core import R3, S3, Grid2D, ParamSurface
+from .geom_core import CONFORMAL_GATE, R3, S3, Grid2D, ParamSurface
 
 
 # ----------------------------------------------------------------------
@@ -124,7 +124,8 @@ def cylinder_over_curve(curve: CurvatureCurve, v_span=(-2.0, 2.0), nu=256, nv=64
     The chart is isometric; u runs along the curve (periodic iff the curve
     is closed) and v along the rulings (open). With analytic=False the
     surface carries positions only and differentiates them with
-    fourth-order stencils.
+    fourth-order stencils; it is flagged conformal only when the metric of
+    those differences passes CONFORMAL_GATE.
     """
     if curve.ambient != PLANE:
         raise WrongSpaceForm("cylinder_over_curve needs a plane curve")
@@ -165,10 +166,13 @@ def cylinder_over_curve(curve: CurvatureCurve, v_span=(-2.0, 2.0), nu=256, nv=64
            "fuv": zero3, "fvv": zero3}
     U, V = grid.open_mesh()
     pos = cb_f(U, V)
-    return ParamSurface(R3, grid, pos, cbs if analytic else None, orientation=1,
-                        conformal=True,
-                        metadata={"builder": "cylinder", "curve_length": Lu,
-                                  "curve": curve})
+    s = ParamSurface(R3, grid, pos, cbs if analytic else None, orientation=1,
+                     conformal=analytic,
+                     metadata={"builder": "cylinder", "curve_length": Lu,
+                               "curve": curve})
+    if not analytic:
+        s.conformal = s.conformality_residual() <= CONFORMAL_GATE
+    return s
 
 
 # ----------------------------------------------------------------------

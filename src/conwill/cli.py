@@ -24,7 +24,7 @@ from .conformal_ops import make_qd_basis, hopf_differential, delta_star
 from .errors import ConfigError, ConwillError
 from .geom_core import integrate_2form
 from .multiplier import cmc_multiplier, solve_multiplier
-from .variations import Variation, fd_functional_derivative
+from .variations import Variation, fd_functional_derivative, prepare_deformations
 
 BUILDERS = (
     "homogeneous-torus", "clifford", "cylinder-circle", "cylinder-ellipse",
@@ -233,7 +233,7 @@ def cmd_check_gradients(args) -> int:
     s = build_surface(args)
     # fills every derivative and chart stage of s (and s._fund) before the
     # worker pool shares s, so no worker writes to its caches
-    s.fundamental_data()
+    prepare_deformations(s)
     rng = np.random.default_rng(args.seed)
     U, V = s.grid.mesh()
     rows = []

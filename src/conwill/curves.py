@@ -8,8 +8,9 @@ classical RK4 integration of the frame equations:
   K(kappa) = [[0, -1, 0], [1, 0, -kappa], [0, kappa, 0]]
 
 Both are evaluated without a per-step Python loop, by one march (`_march`)
-that evaluates kappa once on the half-step grid, sums the turning
-theta = int kappa ds and steps FRAME_BLOCK steps at a time. In the plane the
+that evaluates kappa on the half-step grid and sums the turning
+theta = int kappa ds KAPPA_CHUNK steps at a time, and steps FRAME_BLOCK
+steps at a time. In the plane the
 theta stages do not depend on the state, so theta and (x, y) are cumulative
 sums of the RK4 stage formula. On the sphere the frame is the rotation R(u)
 of a unit quaternion u, and F' = F K(kappa) lifts to the linear equation
@@ -65,6 +66,7 @@ MIN_STEPS_PER_SPAN = 10_000
 BLOWUP_LIMIT = 1e6
 FRAME_DRIFT_TOL = 1e-6
 FRAME_BLOCK = 1024          # RK4 steps per batched block of step matrices
+KAPPA_CHUNK = 16 * FRAME_BLOCK  # RK4 steps per evaluation of kappa and theta
 FRAME_CHUNK = 32            # steps per chunk of the in-block prefix product
 PERIOD_NODES = 256          # trapezoid nodes in theta for the curvature period
 THETA_STEPS = 4096          # first RK4 grid in theta for the frame transfer over one period
@@ -221,43 +223,53 @@ def _march(kfun, s0, span, n_samples, u0=None):
     n_samples uniform arc lengths.
 
     The step is `_default_step(span)`, shortened so that a whole number m of
-    steps lies between samples. kfun is evaluated once, on the array of the
-    half-step grid; a scalar result is broadcast. Returns, at the samples,
-    kappa, the turning theta = int kappa ds (the RK4 sum h/6 (k(s) +
-    4 k(s + h/2) + k(s + h)) per step) and
+    steps lies between samples. Returns, at the samples, kappa, the turning
+    theta = int kappa ds (the RK4 sum h/6 (k(s) + 4 k(s + h/2) + k(s + h))
+    per step) and
     * in the plane (u0 None) the position x + i y: it advances by the RK4
       stage average of e^{i theta} at the stage angles;
     * on S^2 the quaternions (2, n_samples) of the frame lift from the start
       quaternion u0 = (a0, c0), checked for drift (`_check_frame_drift`).
-    Positions and quaternions are formed FRAME_BLOCK steps at a time
-    (`_frame_block` on S^2). A block starts from the last entry of the one
-    before, so only its later entries are sampled.
+    kfun is evaluated on the array of half-step arc lengths of KAPPA_CHUNK
+    steps at a time (a scalar result is broadcast), and theta is summed on
+    from the chunk before, so memory does not grow with the span. Positions
+    and quaternions are formed FRAME_BLOCK steps at a time (`_frame_block`
+    on S^2). A chunk or block starts from the last entry of the one before,
+    so only its later entries are sampled.
     """
     ds = span / (n_samples - 1)
     m = max(1, int(np.ceil(ds / _default_step(span))))
     h = ds / m
     nsteps = (n_samples - 1) * m
-    sh = s0 + 0.5 * h * np.arange(2 * nsteps + 1)
-    kh = np.broadcast_to(np.asarray(kfun(sh), dtype=float), sh.shape)
-    k1, k2, k4 = kh[:-1:2], kh[1::2], kh[2::2]
-    theta = np.cumsum(np.concatenate([[0.0], h / 6 * (k1 + 4 * k2 + k4)]))
+    th = 0.0
     z = np.asarray(0j if u0 is None else u0, dtype=complex)
-    out = [z[..., None]]
-    for i0 in range(0, nsteps, FRAME_BLOCK):
-        i1 = min(i0 + FRAME_BLOCK, nsteps)
-        if u0 is None:
-            k, km = k1[i0:i1], k2[i0:i1]
-            dz = np.exp(1j * theta[i0:i1]) * (1 + 2 * np.exp(0.5j * h * k)
-                                              + 2 * np.exp(0.5j * h * km) + np.exp(1j * h * km))
-            zs = np.cumsum(np.concatenate([[z], h / 6 * dz]))
-        else:
-            # quaternions that overflow on an unresolved curvature fail the drift check
-            with np.errstate(over="ignore", invalid="ignore"):
-                zs = _frame_block(z, _half_step_stages(kh[2 * i0:2 * i1 + 1]), h)
-                _check_frame_drift(*zs)
-        out.append(zs[..., m - i0 % m::m].copy())
-        z = zs[..., -1]
-    return kh[::2 * m].copy(), theta[::m].copy(), np.concatenate(out, axis=-1)
+    kap, theta, out = [], [], [z[..., None]]
+    for c0 in range(0, nsteps, KAPPA_CHUNK):
+        c1 = min(c0 + KAPPA_CHUNK, nsteps)
+        sh = s0 + 0.5 * h * np.arange(2 * c0, 2 * c1 + 1)
+        kh = np.broadcast_to(np.asarray(kfun(sh), dtype=float), sh.shape)
+        k1, k2, k4 = kh[:-1:2], kh[1::2], kh[2::2]
+        ths = np.cumsum(np.concatenate([[th], h / 6 * (k1 + 4 * k2 + k4)]))
+        for i0 in range(0, c1 - c0, FRAME_BLOCK):
+            i1 = min(i0 + FRAME_BLOCK, c1 - c0)
+            if u0 is None:
+                k, km = k1[i0:i1], k2[i0:i1]
+                dz = np.exp(1j * ths[i0:i1]) * (1 + 2 * np.exp(0.5j * h * k)
+                                                + 2 * np.exp(0.5j * h * km) + np.exp(1j * h * km))
+                zs = np.cumsum(np.concatenate([[z], h / 6 * dz]))
+            else:
+                # quaternions that overflow on an unresolved curvature fail the drift check
+                with np.errstate(over="ignore", invalid="ignore"):
+                    zs = _frame_block(z, _half_step_stages(kh[2 * i0:2 * i1 + 1]), h)
+                    _check_frame_drift(*zs)
+            out.append(zs[..., m - (c0 + i0) % m::m].copy())
+            z = zs[..., -1]
+        # copies, so that the chunk's arrays are freed with it
+        first = m - c0 % m if c0 else 0
+        kap.append(kh[2 * first::2 * m].copy())
+        theta.append(ths[first::m].copy())
+        th = ths[-1]
+    return np.concatenate(kap), np.concatenate(theta), np.concatenate(out, axis=-1)
 
 
 # ----------------------------------------------------------------------

@@ -74,11 +74,21 @@ def is_closed_surface(s: ParamSurface) -> bool:
     p = s.position
     diam = float(np.linalg.norm(p.reshape(-1, p.shape[-1]).max(axis=0)
                                 - p.reshape(-1, p.shape[-1]).min(axis=0)))
+    return _ends_collapse([p[ix] for ix in _ring_index(g)], diam)
+
+
+def _ring_index(g) -> list[tuple]:
+    """Indices of the boundary rings of the open chart directions."""
     rings = []
     if not g.periodic_u:
-        rings += [p[0], p[-1]]
+        rings += [(0,), (-1,)]
     if not g.periodic_v:
-        rings += [p[:, 0], p[:, -1]]
+        rings += [(slice(None), 0), (slice(None), -1)]
+    return rings
+
+
+def _ends_collapse(rings, diam: float) -> bool:
+    """Whether every boundary ring is below CLOSED_END_TOL times the diameter."""
     return all(_boundary_ring_spread(r) < CLOSED_END_TOL * diam for r in rings)
 
 

@@ -9,7 +9,10 @@ the first time it is asked for, as the position derivatives are:
   and f_v; this stage holds the DegenerateImmersion and NotConformal gates;
 * unit normal -- xi, from f_u and f_v (and f in S^3);
 * second form -- e, f, g and the mean curvature H, from xi and the second
-  derivatives.
+  derivatives;
+* positions   -- the five derivatives differenced from f alone, whatever
+  the callbacks; deformed charts in R^3 add their change to these
+  (`variations`).
 
 `fundamental_data` assembles the full per-node data (metric, second
 fundamental form, Weingarten operator, mean/Gauss curvature, unit normal,
@@ -54,6 +57,8 @@ SPHERE3 = "Sphere3"
 # analytic-callback charts sit at machine precision, finite-difference
 # charts carry O(h^4) metric noise and still need to pass
 CONFORMAL_GATE = 1e-4
+
+DERIVATIVES = ("fu", "fv", "fuu", "fuv", "fvv")
 
 # |f| = 1 tolerance for S^3 charts
 SPHERE_TOL = 1e-10
@@ -130,6 +135,20 @@ class Grid2D:
         return np.ix_(self.u_coords(), self.v_coords())
 
 
+def _sq_norm(x: np.ndarray) -> np.ndarray:
+    """|x|^2 over the last axis, summed in component order: the bits of
+    np.linalg.norm squared, without its squared copy of x."""
+    r2 = x[..., 0] * x[..., 0]
+    for k in range(1, x.shape[-1]):
+        r2 += x[..., k] * x[..., k]
+    return r2
+
+
+def _check_on_sphere(position: np.ndarray) -> None:
+    if np.max(np.abs(np.sqrt(_sq_norm(position)) - 1.0)) > SPHERE_TOL:
+        raise ValueError("Sphere3 positions must satisfy |f| = 1")
+
+
 def _check_field(grid: Grid2D, arr: np.ndarray, trailing: tuple = ()) -> np.ndarray:
     arr = np.asarray(arr)
     want = (grid.nu, grid.nv) + trailing
@@ -192,13 +211,11 @@ class ParamSurface:
         if quotient_seam and not self.has_analytic_derivatives:
             raise ValueError("quotient-seam charts require analytic derivative callbacks")
         if space_form.kind == SPHERE3:
-            r = np.linalg.norm(self.position, axis=-1)
-            if np.max(np.abs(r - 1.0)) > SPHERE_TOL:
-                raise ValueError("Sphere3 positions must satisfy |f| = 1")
+            _check_on_sphere(self.position)
 
     @property
     def has_analytic_derivatives(self) -> bool:
-        return all(k in self.callbacks for k in ("fu", "fv", "fuu", "fuv", "fvv"))
+        return all(k in self.callbacks for k in DERIVATIVES)
 
     def with_orientation(self, orientation: int) -> "ParamSurface":
         """Copy of this surface with the normal-sign convention flipped/set."""
@@ -363,6 +380,35 @@ def _cross4(f: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_immersion(w2_min: float, eg_max: float) -> None:
+    """The immersion gate on min W^2 and max EG over a whole chart."""
+    if w2_min <= (IMMERSION_TOL ** 2) * eg_max:
+        raise DegenerateImmersion("coordinate tangents nearly collinear")
+
+
+def _unit_normal(xi: np.ndarray, orientation: int) -> np.ndarray:
+    """Normalize the normal field xi in place, times the orientation flag."""
+    xi /= np.sqrt(_sq_norm(xi))[..., None]
+    if orientation < 0:
+        np.negative(xi, out=xi)
+    return xi
+
+
+def _second_form(E, F, Gm, W2, xi, fuu, fuv, fvv) -> tuple[np.ndarray, ...]:
+    """e, f, g = <f_uu, xi>, <f_uv, xi>, <f_vv, xi> and the mean curvature H.
+
+    H = (G e - 2 F f + E g) / (2 W^2), evaluated as half the trace of the
+    Weingarten operator A = g^-1 II, term by term as `fundamental_data`
+    forms A's diagonal, so both carry the same bits.
+    """
+    e = np.einsum("ijk,ijk->ij", fuu, xi)
+    f2 = np.einsum("ijk,ijk->ij", fuv, xi)
+    g2 = np.einsum("ijk,ijk->ij", fvv, xi)
+    bf = (F / W2) * f2
+    H = 0.5 * (((Gm / W2) * e - bf) + ((E / W2) * g2 - bf))
+    return e, f2, g2, H
+
+
 def _first_stage(s: ParamSurface) -> tuple[np.ndarray, ...]:
     """E, F, G, W^2 = EG - F^2 and W of the induced metric, gated and cached.
 
@@ -374,8 +420,7 @@ def _first_stage(s: ParamSurface) -> tuple[np.ndarray, ...]:
         E, F, Gm = _first_form(s.derivative("fu"), s.derivative("fv"))
         EG = E * Gm
         W2 = EG - F * F
-        if np.min(W2) <= (IMMERSION_TOL ** 2) * np.max(EG):
-            raise DegenerateImmersion("coordinate tangents nearly collinear")
+        _check_immersion(np.min(W2), np.max(EG))
         if s.conformal:
             res = s._residual = _conformality_residual(E, F, Gm)
             if res > CONFORMAL_GATE:
@@ -398,35 +443,35 @@ def _normal_stage(s: ParamSurface) -> np.ndarray:
             xi = _cross3(fu, fv)
         else:
             xi = _cross4(s.position, fu, fv)
-        # |xi|^2 summed in component order: the bits of np.linalg.norm
-        # without its squared copy of xi
-        r2 = xi[..., 0] * xi[..., 0]
-        for k in range(1, xi.shape[-1]):
-            r2 += xi[..., k] * xi[..., k]
-        xi /= np.sqrt(r2)[..., None]
-        if s.orientation < 0:
-            np.negative(xi, out=xi)
-        s._stage_cache["normal"] = xi
+        s._stage_cache["normal"] = _unit_normal(xi, s.orientation)
     return xi
 
 
 def _second_stage(s: ParamSurface) -> tuple[np.ndarray, ...]:
-    """Second-form coefficients e, f, g and the mean curvature H, cached.
-
-    H = (G e - 2 F f + E g) / (2 W^2), evaluated as half the trace of the
-    Weingarten operator A = g^-1 II, term by term as `fundamental_data`
-    forms A's diagonal, so both carry the same bits.
-    """
+    """Second-form coefficients e, f, g and the mean curvature H, cached
+    (`_second_form`)."""
     stage = s._stage_cache.get("second")
     if stage is None:
         E, F, Gm, W2, _ = _first_stage(s)
-        xi = _normal_stage(s)
-        e = np.einsum("ijk,ijk->ij", s.derivative("fuu"), xi)
-        f2 = np.einsum("ijk,ijk->ij", s.derivative("fuv"), xi)
-        g2 = np.einsum("ijk,ijk->ij", s.derivative("fvv"), xi)
-        bf = (F / W2) * f2
-        H = 0.5 * (((Gm / W2) * e - bf) + ((E / W2) * g2 - bf))
-        stage = s._stage_cache["second"] = (e, f2, g2, H)
+        stage = s._stage_cache["second"] = _second_form(
+            E, F, Gm, W2, _normal_stage(s),
+            s.derivative("fuu"), s.derivative("fuv"), s.derivative("fvv"))
+    return stage
+
+
+def _position_stage(s: ParamSurface) -> dict[str, np.ndarray]:
+    """The five position derivatives differenced from the positions, cached.
+
+    A chart without derivative callbacks already differences its positions,
+    and the stage shares those arrays; otherwise they are formed here from a
+    positions-only copy of the chart, whatever its callbacks return.
+    """
+    stage = s._stage_cache.get("positions")
+    if stage is None:
+        src = s
+        if any(k in s.callbacks for k in DERIVATIVES):
+            src = ParamSurface(s.space_form, s.grid, s.position)
+        stage = s._stage_cache["positions"] = {k: src.derivative(k) for k in DERIVATIVES}
     return stage
 
 

@@ -82,10 +82,13 @@ def solve_multiplier(
     """Minimize ||grad(kind) - delta_star(sum c_i q_i)||_{L2(dsigma)}.
 
     The empty basis is allowed (residual equals the gradient norm), which is
-    the genus-zero case with no holomorphic quadratic differentials.
+    the genus-zero case with no holomorphic quadratic differentials. The
+    basis is holomorphic in z = x + i y, so the chart must be conformal
+    (NotConformal otherwise).
     """
     _check_kind(kind)
     fd = s.fundamental_data()
+    s.require_conformal()  # reads the residual that the first-form stage measured
     D, Q, sw = _weighted_design(s, basis, HOLO_TOL)
     # independence of the basis itself (not of its delta_star image)
     if len(basis) >= 2 and np.linalg.cond((Q.conj().T @ Q).real) > GRAM_COND_LIMIT:

@@ -7,6 +7,14 @@ straight lines in R^3 and along great-circle geodesics in S^3, so deformed
 surfaces stay on the space form exactly; their geometry is recomputed from
 positions with finite differences, which is what the analytic rate formulas
 (metric_dot, jdot_normal, the functional gradients) are checked against.
+
+`fd_functional_derivative` evaluates the functional on all its deformed
+charts in one pass over row blocks of BLOCK_NODES nodes, each with two halo
+rows along u, so no whole-grid field is formed per deformed chart. In R^3
+the differences are linear in the positions, D(f + t u xi) = D f + t D(u xi):
+D f is the chart's cached position stage and D(u xi) is formed once per
+block for every step. In S^3 each block of cos(t u) f + sin(t u) xi is
+differenced as it is.
 """
 
 from __future__ import annotations
@@ -17,18 +25,27 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from ._stencils import MARGIN, diff_uniform
+from ._stencils import HALO, MARGIN, _diff_block, diff_uniform
 from .conformal_ops import delta_op, dbar_vector_field
-from .errors import DegenerateDeformation, NotRotationallySymmetric
-from .functionals import value
+from .errors import DegenerateDeformation, NotClosed, NotRotationallySymmetric, WrongSpaceForm
+from .functionals import AREA, VOLUME, WILLMORE, _ends_collapse, _ring_index, gradient
 from .geom_core import (
     EUCLIDEAN3,
     ParamSurface,
     _check_field,
+    _check_immersion,
+    _check_on_sphere,
     _complex_structure,
+    _cross3,
+    _cross4,
     _first_form,
+    _position_stage,
+    _second_form,
+    _unit_normal,
     integrate_2form,
 )
+
+BLOCK_NODES = 16384  # chart nodes per row block of the deformed-chart pass
 
 
 def _support_violation(grid, arr) -> float:
@@ -188,14 +205,9 @@ def fd_functional_derivative(
     Central differences at each step are Richardson-extrapolated (order 2);
     returns {"analytic", "fd", "rel_err", "fd_by_step"}.
     """
-    from .functionals import gradient
-
     analytic = integrate_2form(s, gradient(s, kind) * v.u)
-    fds = []
-    for t in steps:
-        fp = value(deform(s, v.u, +t), kind)
-        fm = value(deform(s, v.u, -t), kind)
-        fds.append((fp - fm) / (2.0 * t))
+    vals = _deformed_values(s, kind, v.u, [sign * t for t in steps for sign in (1.0, -1.0)])
+    fds = [(vals[2 * i] - vals[2 * i + 1]) / (2.0 * t) for i, t in enumerate(steps)]
     fd_best = fds[-1]
     if len(fds) >= 2:
         t1, t2 = steps[-2], steps[-1]
@@ -203,6 +215,119 @@ def fd_functional_derivative(
         fd_best = (t1 ** 2 * fds[-1] - t2 ** 2 * fds[-2]) / (t1 ** 2 - t2 ** 2)
     rel = abs(fd_best - analytic) / max(abs(analytic), 1e-12)
     return {"analytic": analytic, "fd": fd_best, "rel_err": rel, "fd_by_step": fds}
+
+
+def prepare_deformations(s: ParamSurface) -> None:
+    """Fill every cache of s that fd_functional_derivative reads, so worker
+    threads can share s: its fundamental data and, in R^3, its position
+    stage."""
+    s.fundamental_data()
+    if s.space_form.kind == EUCLIDEAN3 and not s.quotient_seam:
+        _position_stage(s)
+
+
+def _row_blocks(g):
+    """(r0, r1, rows, lo) per row block of the grid: the block is rows r0:r1
+    of the chart, and rows indexes it with its halo, wrapped on a periodic u
+    axis and clipped at the ends of an open one, so that it starts at
+    rows[lo]. Blocks have at most BLOCK_NODES // nv rows (at least 16) and
+    nearly equal sizes."""
+    nb = -(-g.nu // max(16, BLOCK_NODES // g.nv))
+    for i in range(nb):
+        r0, r1 = i * g.nu // nb, (i + 1) * g.nu // nb
+        if g.periodic_u:
+            yield r0, r1, np.arange(r0 - HALO, r1 + HALO) % g.nu, HALO
+        else:
+            start = max(r0 - HALO, 0)
+            yield r0, r1, np.arange(start, min(r1 + HALO, g.nu)), r0 - start
+
+
+def _block_derivatives(ext, g, lo, hi, second):
+    """fu, fv (and fuu, fuv, fvv when second) of the rows ext[lo:hi] of a
+    block with its halo, as diff_uniform forms them on the whole chart."""
+    blk = ext[lo:hi]
+    d = {"fu": _diff_block(ext, g.hu, 1, lo, hi),
+         "fv": diff_uniform(blk, g.hv, 1, g.periodic_v, axis=1)}
+    if second:
+        d["fuu"] = _diff_block(ext, g.hu, 2, lo, hi)
+        d["fuv"] = diff_uniform(d["fu"], g.hv, 1, g.periodic_v, axis=1)
+        d["fvv"] = diff_uniform(blk, g.hv, 2, g.periodic_v, axis=1)
+    return d
+
+
+def _deformed_values(s: ParamSurface, kind: str, u: np.ndarray, ts) -> list[float]:
+    """value(deform(s, u, t), kind) for every t in ts, in one pass over row
+    blocks (`_row_blocks`), with the errors deform and value raise.
+
+    The immersion gate and, for the volume of an open chart, the closed-end
+    test read the whole deformed chart: min W^2, max EG and the bounding box
+    are gathered over the blocks and checked after the last one.
+    """
+    if s.quotient_seam:
+        raise DegenerateDeformation("quotient-seam charts cannot be deformed node-wise")
+    euclid = s.space_form.kind == EUCLIDEAN3
+    if kind == VOLUME and not euclid:
+        raise WrongSpaceForm("enclosed volume is only defined in R^3")
+    g = s.grid
+    xi = s.fundamental_data().xi
+    wu, wv = s.quadrature()
+    kbar = s.space_form.sectional_curvature
+    second = kind == WILLMORE
+    check_ends = kind == VOLUME and not (g.periodic_u and g.periodic_v)
+    n = len(ts)
+    total, w2_min, eg_max = np.zeros(n), np.full(n, np.inf), np.zeros(n)
+    box_lo, box_hi = np.full((n, 3), np.inf), np.full((n, 3), -np.inf)
+    if euclid:
+        Df = _position_stage(s)
+    # a chart that fails the immersion gate may divide by zero first
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for r0, r1, rows, lo in _row_blocks(g):
+            hi = lo + r1 - r0
+            u_ext, xi_ext = u[rows], xi[rows]
+            if euclid:
+                dU = _block_derivatives(u_ext[..., None] * xi_ext, g, lo, hi, second)
+            else:
+                p_ext = s.position[rows]
+            for i, t in enumerate(ts):
+                if euclid:
+                    d = {k: Df[k][r0:r1] + t * dk for k, dk in dU.items()}
+                    if kind == VOLUME:
+                        pos = s.position[r0:r1] + t * u[r0:r1, :, None] * xi[r0:r1]
+                else:
+                    ang = t * u_ext[..., None]
+                    p_t = np.cos(ang) * p_ext + np.sin(ang) * xi_ext
+                    pos = p_t[lo:hi]
+                    _check_on_sphere(pos)
+                    d = _block_derivatives(p_t, g, lo, hi, second)
+                E, F, Gm = _first_form(d["fu"], d["fv"])
+                EG = E * Gm
+                W2 = EG - F * F
+                w2_min[i] = min(w2_min[i], np.min(W2))
+                eg_max[i] = max(eg_max[i], np.max(EG))
+                W = np.sqrt(W2)
+                if kind == AREA:
+                    integrand = W
+                else:
+                    nt = _cross3(d["fu"], d["fv"]) if euclid else _cross4(pos, d["fu"], d["fv"])
+                    nt = _unit_normal(nt, s.orientation)
+                    if kind == VOLUME:
+                        integrand = np.einsum("ijk,ijk->ij", pos, nt) * W
+                        flat = pos.reshape(-1, 3)
+                        box_lo[i] = np.minimum(box_lo[i], flat.min(axis=0))
+                        box_hi[i] = np.maximum(box_hi[i], flat.max(axis=0))
+                    else:
+                        *_, H = _second_form(E, F, Gm, W2, nt, d["fuu"], d["fuv"], d["fvv"])
+                        integrand = (H ** 2 + kbar) * W
+                total[i] += np.einsum("i,j,ij->", wu[r0:r1], wv, integrand)
+    for i, t in enumerate(ts):
+        if check_ends:
+            ends = [s.position[ix] + t * u[ix][..., None] * xi[ix] for ix in _ring_index(g)]
+            if not _ends_collapse(ends, float(np.linalg.norm(box_hi[i] - box_lo[i]))):
+                raise NotClosed("surface has genuinely open ends")
+        _check_immersion(w2_min[i], eg_max[i])
+    if kind == VOLUME:
+        total /= 3.0
+    return [float(x) for x in total]
 
 
 def conformal_completion_revolution(s: ParamSurface, u: np.ndarray) -> Variation:

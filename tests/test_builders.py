@@ -17,10 +17,12 @@ from conwill.builders import (
     torus_profile,
 )
 from conwill.curves import CurvatureCurve, integrate_curve
-from conwill.errors import (AxisContact, BadRadii, GridMismatch, NotArcLength, StepTooLarge,
-                            WrongSpaceForm)
-from conwill.functionals import area, willmore_energy
-from conwill.geom_core import R3, Grid2D, ParamSurface
+from conwill.conformal_ops import make_qd_basis
+from conwill.errors import (AxisContact, BadRadii, GridMismatch, NotArcLength, NotConformal,
+                            StepTooLarge, WrongSpaceForm)
+from conwill.functionals import AREA, area, value, willmore_energy
+from conwill.geom_core import CONFORMAL_GATE, R3, Grid2D, ParamSurface
+from conwill.multiplier import solve_multiplier
 
 
 def test_cylinder_weingarten(ellipse_cylinder, ellipse_curve):
@@ -38,6 +40,23 @@ def test_cylinder_straight_line_is_plane():
     s = cylinder_over_curve(line, (-1.0, 1.0), 64, 32)
     fd = s.fundamental_data()
     assert np.max(np.abs(fd.A)) < 1e-12
+
+
+def test_positions_only_cylinder_flag_is_measured(ellipse_curve):
+    # the 2:1 ellipse at 128 x 32 misses the gate from its differences alone
+    # (residual about 3.2e-4), so it is built unflagged and stays usable
+    coarse = cylinder_over_curve(ellipse_curve, (-1.0, 1.0), 128, 32, analytic=False)
+    assert not coarse.conformal
+    assert coarse.conformality_residual() > CONFORMAL_GATE
+    coarse.fundamental_data()
+    for kind in ("area", "willmore"):
+        assert np.isfinite(value(coarse, kind))
+    with pytest.raises(NotConformal):
+        solve_multiplier(coarse, AREA, make_qd_basis(coarse))
+    # the positions-only chart of acceptance criterion 1 passes and keeps its flag
+    fine = cylinder_over_curve(ellipse_curve, (-2.0, 2.0), 256, 48, analytic=False)
+    assert fine.conformal
+    assert fine.conformality_residual() <= CONFORMAL_GATE
 
 
 def test_cylinder_rejects_sphere_curve(latitude_curve):

@@ -224,9 +224,20 @@ def test_check_gradients_rejects_bad_arguments(tmp_path, capsys, extra):
     assert not out.exists()
 
 
-def test_check_gradients_pool_leaves_shared_caches_alone(monkeypatch, tmp_path, capsys):
+def test_check_gradients_pool_leaves_shared_caches_alone(monkeypatch, tmp_path):
     """The warm-up fills every cache of the shared surface before the pool starts,
     so no worker thread adds or replaces an entry."""
+    _check_pool_caches(monkeypatch, tmp_path, "homogeneous-torus", {"first", "normal", "second"})
+
+
+def test_check_gradients_pool_leaves_r3_caches_alone(monkeypatch, tmp_path):
+    """An R^3 chart also carries the position stage its deformed charts
+    share, filled before the pool starts."""
+    _check_pool_caches(monkeypatch, tmp_path, "revolution-torus",
+                       {"first", "normal", "second", "positions"})
+
+
+def _check_pool_caches(monkeypatch, tmp_path, builder, stages):
     import threading
 
     import conwill.cli as cli
@@ -252,12 +263,12 @@ def test_check_gradients_pool_leaves_shared_caches_alone(monkeypatch, tmp_path, 
     monkeypatch.setenv("CONWILL_THREADS", "2")
     monkeypatch.setattr(cli, "build_surface", keep)
     monkeypatch.setattr(cli, "fd_functional_derivative", snapshot_first)
-    assert run(["check-gradients", "--builder", "homogeneous-torus", "--resolution", "32",
+    assert run(["check-gradients", "--builder", builder, "--resolution", "32",
                 "--trials", "3", "--out", str(tmp_path / "g.csv")]) == 0
     assert threads and threading.get_ident() not in threads
     before, after = seen[0], caches(shared[0])
     assert set(before["deriv"]) == {"fu", "fv", "fuu", "fuv", "fvv"}
-    assert set(before["stage"]) == {"first", "normal", "second"}
+    assert set(before["stage"]) == stages
     assert before["fund"] is not None and after["fund"] is before["fund"]
     for name in ("deriv", "stage"):
         assert after[name].keys() == before[name].keys()

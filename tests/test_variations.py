@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import conwill.variations as variations
 from conwill.builders import (
     disc_profile,
     homogeneous_torus,
@@ -11,11 +12,21 @@ from conwill.builders import (
     surface_of_revolution,
     torus_profile,
 )
-from conwill.errors import DegenerateDeformation, NotRotationallySymmetric
-from conwill.functionals import AREA, VOLUME, WILLMORE, gradient
-from conwill.geom_core import anticommutator_defect, integrate_2form
+from conwill.cli import _support_window
+from conwill.errors import (
+    DegenerateDeformation,
+    DegenerateImmersion,
+    NotClosed,
+    NotRotationallySymmetric,
+    WrongSpaceForm,
+)
+from conwill.functionals import AREA, VOLUME, WILLMORE, gradient, value
+from conwill.geom_core import _position_stage, anticommutator_defect, integrate_2form
 from conwill.variations import (
     Variation,
+    _block_derivatives,
+    _deformed_values,
+    _row_blocks,
     conformal_completion_revolution,
     conformality_residual,
     deform,
@@ -207,6 +218,157 @@ def test_fd_order_slope(homog_torus):
 def test_deform_quotient_seam_blocked(hopf_clifford):
     with pytest.raises(DegenerateDeformation):
         deform(hopf_clifford, np.ones(hopf_clifford.position.shape[:2]), 1e-3)
+
+
+# ---------------------------------------------------------------- deformed-chart pass
+
+STEPS = (1e-4, -1e-4, 5e-5, -5e-5)
+
+
+def _torus_u(s):
+    U, V = s.grid.mesh()
+    g = s.grid
+    return 0.2 + 0.1 * np.cos(2 * np.pi * U / g.Lu) + 0.05 * np.sin(2 * np.pi * V / g.Lv)
+
+
+def _bump_u(s):
+    U, V = s.grid.mesh()
+    half = 1.8
+    return np.where(np.abs(V) < half, np.cos(np.pi * V / (2 * half)) ** 4, 0.0) \
+        * (1.0 + 0.4 * np.sin(U))
+
+
+def _plane_u(s):
+    U, V = s.grid.mesh()
+    return (0.3 + np.sin(U) * np.cos(2 * V)) * _support_window(s)
+
+
+@pytest.fixture(scope="module")
+def pass_charts(revolution_torus, circle_cylinder, homog_torus):
+    """(chart, u, kinds) for every chart layout the deformed-chart pass meets."""
+    plane = plane_patch(2.0, 1.5, 96, 80)
+    odd = surface_of_revolution(torus_profile(2.0, 0.6), nu=70, nv=40)
+    return {
+        "revolution torus": (revolution_torus, _torus_u(revolution_torus),
+                             (AREA, WILLMORE, VOLUME)),
+        "plane, support window": (plane, _plane_u(plane), (AREA, WILLMORE)),
+        "cylinder, cos^4 bump": (circle_cylinder, _bump_u(circle_cylinder), (AREA, WILLMORE)),
+        "homogeneous torus": (homog_torus, _torus_u(homog_torus), (AREA, WILLMORE)),
+        "cylinder, orientation -1": (circle_cylinder.with_orientation(-1),
+                                     _bump_u(circle_cylinder), (AREA, WILLMORE)),
+        "70 rows": (odd, _torus_u(odd), (AREA, WILLMORE, VOLUME)),
+    }
+
+
+@pytest.mark.parametrize("budget", [None, 640])
+@pytest.mark.parametrize("name", ["revolution torus", "plane, support window",
+                                  "cylinder, cos^4 bump", "homogeneous torus",
+                                  "cylinder, orientation -1", "70 rows"])
+def test_deformed_values_match_deformed_charts(pass_charts, monkeypatch, name, budget):
+    # budget 640 splits every chart into row blocks (70 rows of 40 nodes:
+    # blocks of 14, not a multiple of the 16 block rows)
+    if budget is not None:
+        monkeypatch.setattr(variations, "BLOCK_NODES", budget)
+        assert len(list(_row_blocks(pass_charts[name][0].grid))) > 1
+    s, u, kinds = pass_charts[name]
+    for kind in kinds:
+        got = _deformed_values(s, kind, u, STEPS)
+        want = [value(deform(s, u, t), kind) for t in STEPS]
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0), (kind, got, want)
+
+
+@pytest.mark.parametrize("name", ["revolution torus", "plane, support window", "70 rows"])
+def test_linear_stencils_match_deformed_positions(pass_charts, monkeypatch, name):
+    """In R^3 every derivative D f + t D(u xi) equals diff_uniform of the
+    deformed positions to 1e-12 relative, above the rounding floor of those
+    positions: one ulp of |f| through the stencil weights (sum |c| = 3/2 and
+    16/3 on a unit grid)."""
+    monkeypatch.setattr(variations, "BLOCK_NODES", 640)
+    s, u, _ = pass_charts[name]
+    g, xi = s.grid, s.fundamental_data().xi
+    Df = _position_stage(s)
+    ulp = np.finfo(float).eps * np.max(np.abs(s.position))
+    floor = {"fu": 1.5 / g.hu, "fv": 1.5 / g.hv, "fuu": 16 / 3 / g.hu ** 2,
+             "fuv": 2.25 / (g.hu * g.hv), "fvv": 16 / 3 / g.hv ** 2}
+    for t in STEPS:
+        explicit = deform(s, u, t)  # positions only, so it differences them
+        for r0, r1, rows, lo in _row_blocks(g):
+            dU = _block_derivatives(u[rows][..., None] * xi[rows], g, lo, lo + r1 - r0, True)
+            for k, dk in dU.items():
+                want = explicit.derivative(k)
+                err = np.max(np.abs(Df[k][r0:r1] + t * dk - want[r0:r1]))
+                assert err <= 1e-12 * np.max(np.abs(want)) + ulp * floor[k], (k, t, r0)
+
+
+def test_position_stage_differences_positions(revolution_torus):
+    # the revolution torus has callbacks; its position stage does not read them
+    plain = type(revolution_torus)(revolution_torus.space_form, revolution_torus.grid,
+                                   revolution_torus.position)
+    stage = _position_stage(revolution_torus)
+    for k, arr in stage.items():
+        assert np.array_equal(arr, plain.derivative(k))
+
+
+def test_fd_quotient_seam_refused(hopf_clifford):
+    v = Variation(hopf_clifford, np.ones(hopf_clifford.position.shape[:2]))
+    with pytest.raises(DegenerateDeformation):
+        fd_functional_derivative(hopf_clifford, AREA, v)
+
+
+def test_fd_volume_in_s3_refused(homog_torus):
+    with pytest.raises(WrongSpaceForm):
+        fd_functional_derivative(homog_torus, VOLUME, Variation(homog_torus, _torus_u(homog_torus)))
+
+
+def test_fd_volume_of_open_chart_refused():
+    s = plane_patch(2.0, 1.5, 48, 40)
+    u = _plane_u(s)
+    with pytest.raises(NotClosed):
+        value(deform(s, u, 1e-4), VOLUME)
+    with pytest.raises(NotClosed):
+        fd_functional_derivative(s, VOLUME, Variation(s, u))
+
+
+@pytest.mark.parametrize("budget", [None, 640])
+def test_fd_folded_step_refused(monkeypatch, budget):
+    # a step this large tilts the graph (x, y, t u) until f_u and f_v are
+    # collinear to within the immersion gate
+    if budget is not None:
+        monkeypatch.setattr(variations, "BLOCK_NODES", budget)
+    s = plane_patch(2.0, 1.5, 48, 40)
+    u = _plane_u(s)
+    with pytest.raises(DegenerateImmersion):
+        value(deform(s, u, 1e8), AREA)
+    with pytest.raises(DegenerateImmersion):
+        fd_functional_derivative(s, AREA, Variation(s, u), steps=(1e8,))
+
+
+def test_immersion_gate_reads_whole_deformed_chart(monkeypatch):
+    # graph z = t u(x) over a plane: f_u and f_v stay orthogonal at every node,
+    # but a step of 1e7 makes max EG ~ 1e14 on the ramp while W^2 = 1 where
+    # the ramp has not started. Only the whole-chart gate sees both: with
+    # blocks of 16 rows the flat rows 0:16 and the ramp rows 16: lie in
+    # different blocks, and neither block fails on its own.
+    monkeypatch.setattr(variations, "BLOCK_NODES", 640)
+    s = plane_patch(2.0, 1.5, 48, 40)
+    assert [r0 for r0, *_ in _row_blocks(s.grid)] == [0, 16, 32]
+    ramp = np.maximum(np.arange(48) - 17, 0) * s.grid.hu
+    u = np.repeat(ramp[:, None], 40, axis=1)
+    with pytest.raises(DegenerateImmersion):
+        value(deform(s, u, 1e7), AREA)
+    with pytest.raises(DegenerateImmersion):
+        _deformed_values(s, AREA, u, [1e7])
+
+
+def test_fd_off_sphere_deformation_refused():
+    # a normal field scaled by 2 moves cos(t u) f + sin(t u) xi off S^3
+    s = homogeneous_torus(0.6, 0.8, 32, 32)
+    u = _torus_u(s)
+    s.fundamental_data().xi[...] *= 2.0
+    with pytest.raises(ValueError, match=r"\|f\| = 1"):
+        deform(s, u, 1e-4)
+    with pytest.raises(ValueError, match=r"\|f\| = 1"):
+        fd_functional_derivative(s, AREA, Variation(s, u))
 
 
 def test_variation_support_enforced(circle_cylinder):
