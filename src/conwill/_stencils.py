@@ -11,6 +11,7 @@ import numpy as np
 
 MARGIN = 2  # nodes at each end of an open axis that integrals and variations leave out
 HALO = 2  # half-width of the central stencils: the rows a block reads on each side
+BLOCK_NODES = 16384  # chart nodes per row block of the passes over a chart (`row_blocks`)
 
 
 def fornberg_weights(x0: float, xs: np.ndarray, m: int) -> np.ndarray:
@@ -76,11 +77,10 @@ def diff_uniform(values: np.ndarray, h: float, order: int, periodic: bool, axis:
     n = v.shape[axis]
     if n < 8:
         raise ValueError("need at least 8 samples along the differentiated axis")
-    cw = _C1 if order == 1 else _C2
     if periodic:
-        out = _diff_periodic(v, cw, axis % v.ndim)
-        out /= h ** order
-        return out
+        axis %= v.ndim
+        return _diff_padded(_wrap_pad(v, axis), h, order, axis)
+    cw = _C1 if order == 1 else _C2
     v = np.moveaxis(v, axis, 0)
     out = np.zeros_like(v)
     for k, c in zip(range(-2, 3), cw):
@@ -97,6 +97,13 @@ def diff_uniform(values: np.ndarray, h: float, order: int, periodic: bool, axis:
     return np.moveaxis(out, 0, axis)
 
 
+def row_blocks(nu: int, nv: int) -> list[tuple[int, int]]:
+    """(r0, r1) of the row blocks of an nu x nv chart: at most BLOCK_NODES // nv
+    rows each (at least 16), in blocks of nearly equal size."""
+    nb = -(-nu // max(16, BLOCK_NODES // nv))
+    return [(i * nu // nb, (i + 1) * nu // nb) for i in range(nb)]
+
+
 def _diff_block(ext: np.ndarray, h: float, order: int, lo: int, hi: int) -> np.ndarray:
     """Derivative along axis 0 of the rows ext[lo:hi] of a row block.
 
@@ -107,37 +114,34 @@ def _diff_block(ext: np.ndarray, h: float, order: int, lo: int, hi: int) -> np.n
     the whole axis.
     """
     if lo == HALO and hi == ext.shape[0] - HALO:
-        out = _diff_padded(ext, _C1 if order == 1 else _C2, 0)
-        out /= h ** order
-        return out
+        return _diff_padded(ext, h, order, 0)
     return diff_uniform(ext, h, order, False, axis=0)[lo:hi]
 
 
-def _diff_periodic(v: np.ndarray, cw: np.ndarray, axis: int) -> np.ndarray:
-    """Unscaled sum of c_k v[i + k] along a periodic axis.
-
-    The axis is wrap-padded by two nodes at each end once (`_diff_padded`).
-    """
+def _wrap_pad(v: np.ndarray, axis: int) -> np.ndarray:
+    """v wrap-padded by HALO nodes at each end of a periodic axis."""
     n = v.shape[axis]
     pre = (slice(None),) * axis
-    vp = np.concatenate((v[pre + (slice(n - 2, n),)], v, v[pre + (slice(0, 2),)]), axis=axis)
-    return _diff_padded(vp, cw, axis)
+    return np.concatenate((v[pre + (slice(n - HALO, n),)], v, v[pre + (slice(0, HALO),)]),
+                          axis=axis)
 
 
-def _diff_padded(vp: np.ndarray, cw: np.ndarray, axis: int) -> np.ndarray:
-    """Unscaled sum of c_k vp[i + 2 + k] for the n = len - 4 inner nodes of
-    an axis padded by two nodes at each end.
+def _diff_padded(vp: np.ndarray, h: float, order: int, axis: int) -> np.ndarray:
+    """Derivative at the n = len - 4 inner nodes of an axis padded by two
+    nodes at each end: the sum of c_k vp[i + 2 + k], divided by h^order.
 
     Each stencil tap is a slice of vp, so no shifted copy is made.
     """
-    n = vp.shape[axis] - 4
+    n = vp.shape[axis] - 2 * HALO
     pre = (slice(None),) * axis
+    cw = _C1 if order == 1 else _C2
     taps = [(c, vp[pre + (slice(2 + k, 2 + k + n),)]) for k, c in zip(range(-2, 3), cw) if c != 0.0]
     c, tap = taps[0]
     out = c * tap
     tmp = np.empty_like(out)
     for c, tap in taps[1:]:
         out += np.multiply(c, tap, out=tmp)
+    out /= h ** order
     return out
 
 

@@ -16,7 +16,8 @@ Conventions (verified against closed forms in the test suite):
 
 On flat doubly periodic charts the holomorphic quadratic differentials are
 exactly the constant-phi ones, so the default torus basis is {dz^2, i dz^2}.
-Open charts optionally extend the basis by centered polynomials z^k dz^2.
+Open charts optionally extend the basis by centered polynomials z^k dz^2;
+a chart periodic in both axes refuses them (ConfigError).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._stencils import diff_uniform
-from .errors import EmptyBasis, GridMismatch, NonHolomorphicBasis, NotAnticommuting
+from .errors import ConfigError, EmptyBasis, GridMismatch, NonHolomorphicBasis, NotAnticommuting
 from .geom_core import ParamSurface, _check_field, _mul2, anticommutator_defect, integrate_2form
 
 ANTICOMMUTE_TOL = 1e-9
@@ -81,10 +82,14 @@ def make_qd_basis(s: ParamSurface, degree: int = 0) -> list[QuadraticDifferentia
 
     degree 0 is the full space of holomorphic quadratic differentials on a
     flat torus chart; higher degrees only make sense on open charts. A degree
-    that is not a non-negative integer raises ValueError.
+    that is not a non-negative integer raises ValueError, and a degree above
+    0 on a chart periodic in both u and v raises ConfigError.
     """
     if isinstance(degree, bool) or not isinstance(degree, (int, np.integer)) or degree < 0:
         raise ValueError(f"basis degree must be a non-negative integer, got {degree!r}")
+    if degree > 0 and s.grid.periodic_u and s.grid.periodic_v:
+        raise ConfigError(f"basis degree {degree} on a chart periodic in u and v: only "
+                          "constant phi are holomorphic there, so the basis has degree 0")
     basis = [QuadraticDifferential.constant(s, 1.0, "dz^2"),
              QuadraticDifferential.constant(s, 1j, "i*dz^2")]
     if degree > 0:
@@ -154,7 +159,17 @@ def dbar_vector_field(s: ParamSurface, X: np.ndarray) -> np.ndarray:
 
 
 def _dbar_norms(s: ParamSurface, phi: np.ndarray) -> np.ndarray:
-    """L2 norms over the chart of d phi_i / d z-bar for a (k, nu, nv) stack."""
+    """L2 norms over the chart of d phi_i / d z-bar for a (k, nu, nv) stack.
+
+    An element that equals its first node everywhere is constant, so exactly
+    holomorphic: it gets 0 without being differenced.
+    """
+    norms = np.zeros(len(phi))
+    vary = np.array([bool(np.any(p != p.flat[0])) for p in phi], dtype=bool)
+    if not vary.any():
+        return norms
+    if not vary.all():
+        phi = phi[vary]
     g, a, b = s.grid, phi.real, phi.imag
     # 2 d phi / d z-bar = (a_x - b_y) + i (b_x + a_y), squared one part at a time
     dens = (diff_uniform(a, g.hu, 1, g.periodic_u, axis=1)
@@ -162,7 +177,8 @@ def _dbar_norms(s: ParamSurface, phi: np.ndarray) -> np.ndarray:
     dens += (diff_uniform(b, g.hu, 1, g.periodic_u, axis=1)
              + diff_uniform(a, g.hv, 1, g.periodic_v, axis=2)) ** 2
     wu, wv = s.quadrature()
-    return 0.5 * np.sqrt(np.einsum("i,j,kij->k", wu, wv, dens))
+    norms[vary] = 0.5 * np.sqrt(np.einsum("i,j,kij->k", wu, wv, dens))
+    return norms
 
 
 def dbar_residual(q: QuadraticDifferential) -> float:

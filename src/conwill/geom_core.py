@@ -21,6 +21,16 @@ less read the stages directly: the functional values in `functionals` never
 build the 2x2 fields, and the area never differentiates to second order.
 A surface shared between threads must have its stages filled first.
 
+The stages come in row blocks (`_stencils.row_blocks`, about BLOCK_NODES
+nodes each), so every temporary is block-sized and stays in cache. The first
+pass forms the first form and runs both gates on the whole chart; only then
+does a second pass form the normal, the second form and, for
+`fundamental_data`, the assembled fields. Every per-node scalar field a chart
+keeps is a row of one (25, nu, nv) array, the chart's slab (`SLAB_ROWS`),
+allocated by the first stage: its rows are touched only when a stage writes
+them, and one large array is not handed back to the allocator and faulted in
+again field by field. Only xi has an array of its own.
+
 Field conventions used throughout the package:
 
 * ScalarField  -- array (nu, nv)
@@ -43,7 +53,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._stencils import diff_uniform, quadrature_weights
+from ._stencils import diff_uniform, quadrature_weights, row_blocks
 from .errors import (
     DegenerateImmersion,
     GridMismatch,
@@ -206,6 +216,7 @@ class ParamSurface:
         self.metadata = dict(metadata or {})
         self._deriv_cache: dict[str, np.ndarray] = {}
         self._stage_cache: dict[str, object] = {}
+        self._slab: Optional[np.ndarray] = None
         self._fund: Optional[FundamentalData] = None
         self._residual: Optional[float] = None
         if quotient_seam and not self.has_analytic_derivatives:
@@ -299,7 +310,7 @@ class FundamentalData:
     dsigma, e2l are (nu, nv); xi is (nu, nv, ambient_dim).  dsigma is the
     coefficient of the area element w.r.t. dx ^ dy and is positive; e2l is
     the conformal factor (E + G)/2, which equals e^{2 lambda} exactly on
-    conformal charts.
+    conformal charts. Every field but xi is a view of the chart's slab.
     """
 
     g: np.ndarray
@@ -314,13 +325,26 @@ class FundamentalData:
     e2l: np.ndarray
 
 
+# rows of a chart's slab, one (nu, nv) scalar field each: the 2x2 fields take
+# four rows (components 00, 01, 10, 11), then H, the Gauss curvature G, W,
+# W^2 and e2l
+_G2, _II, _A, _A0, _J = 0, 4, 8, 12, 16
+_H, _GAUSS, _W, _W2, _E2L = 20, 21, 22, 23, 24
+SLAB_ROWS = 25
+
+
+def _endo(rows: np.ndarray) -> np.ndarray:
+    """The (*shape, 2, 2) view of four rows (4, *shape), component-major."""
+    return np.moveaxis(rows.reshape((2, 2) + rows.shape[1:]), (0, 1), (-2, -1))
+
+
 def _empty2(shape: tuple) -> np.ndarray:
     """Uninitialized (*shape, 2, 2) field stored component-major.
 
     A view of a (2, 2, *shape) array, so each [..., i, j] slice is
     C-contiguous and the per-component reads and writes are not strided.
     """
-    return np.moveaxis(np.empty((2, 2) + shape), (0, 1), (-2, -1))
+    return _endo(np.empty((4,) + shape))
 
 
 def _mul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -344,9 +368,10 @@ def _conformality_residual(E: np.ndarray, F: np.ndarray, G: np.ndarray) -> float
     return float(np.max(np.maximum(np.abs(E - G), 2.0 * np.abs(F)) / np.maximum(E, G)))
 
 
-def _complex_structure(E: np.ndarray, F: np.ndarray, G: np.ndarray, W: np.ndarray) -> np.ndarray:
+def _complex_structure(E: np.ndarray, F: np.ndarray, G: np.ndarray, W: np.ndarray,
+                       out: Optional[np.ndarray] = None) -> np.ndarray:
     """J, the rotation by +90 degrees in the metric (E, F, G); W = sqrt(EG - F^2)."""
-    J = _empty2(E.shape)
+    J = _empty2(E.shape) if out is None else out
     J[..., 0, 0] = -F / W
     J[..., 0, 1] = -G / W
     J[..., 1, 0] = E / W
@@ -354,16 +379,18 @@ def _complex_structure(E: np.ndarray, F: np.ndarray, G: np.ndarray, W: np.ndarra
     return J
 
 
-def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _cross3(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-node cross product of two (..., 3) fields, written out by component."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape))
     out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
     out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
     out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
     return out
 
 
-def _cross4(f: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _cross4(f: np.ndarray, a: np.ndarray, b: np.ndarray,
+            out: Optional[np.ndarray] = None) -> np.ndarray:
     """Vector xi with xi . w = det[f; a; b; w] (rows), per node.
 
     xi_i is the signed 3x3 minor of [f; a; b] without column i, expanded
@@ -372,7 +399,8 @@ def _cross4(f: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     p = {(k, l): a[..., k] * b[..., l] - a[..., l] * b[..., k]
          for k, l in itertools.combinations(range(4), 2)}
-    out = np.empty(np.broadcast_shapes(f.shape, a.shape, b.shape))
+    if out is None:
+        out = np.empty(np.broadcast_shapes(f.shape, a.shape, b.shape))
     for i, sign in enumerate((-1.0, 1.0, -1.0, 1.0)):
         j0, j1, j2 = (j for j in range(4) if j != i)
         out[..., i] = sign * (f[..., j0] * p[j1, j2] - f[..., j1] * p[j0, j2]
@@ -398,8 +426,8 @@ def _second_form(E, F, Gm, W2, xi, fuu, fuv, fvv) -> tuple[np.ndarray, ...]:
     """e, f, g = <f_uu, xi>, <f_uv, xi>, <f_vv, xi> and the mean curvature H.
 
     H = (G e - 2 F f + E g) / (2 W^2), evaluated as half the trace of the
-    Weingarten operator A = g^-1 II, term by term as `fundamental_data`
-    forms A's diagonal, so both carry the same bits.
+    Weingarten operator A = g^-1 II, term by term as `_assemble` forms A's
+    diagonal, so both carry the same bits.
     """
     e = np.einsum("ijk,ijk->ij", fuu, xi)
     f2 = np.einsum("ijk,ijk->ij", fuv, xi)
@@ -409,54 +437,119 @@ def _second_form(E, F, Gm, W2, xi, fuu, fuv, fvv) -> tuple[np.ndarray, ...]:
     return e, f2, g2, H
 
 
+def _assemble(blk: np.ndarray) -> None:
+    """Fill the assembled rows of a slab block from its first- and
+    second-form rows: the copies F and f of g and II, A = g^-1 II, its
+    trace-free part A0, det A, J and e2l."""
+    E, F, Gm, W2, W = blk[_G2], blk[_G2 + 1], blk[_G2 + 3], blk[_W2], blk[_W]
+    e, f2, g2, H = blk[_II], blk[_II + 1], blk[_II + 3], blk[_H]
+    blk[_G2 + 2] = F
+    blk[_II + 2] = f2
+    # A = g^-1 II with g^-1 = [[a, -b], [-b, c]]; rows 00, 01, 10, 11
+    a, b, c = Gm / W2, F / W2, E / W2
+    A = blk[_A:_A + 4]
+    A[0] = a * e - b * f2
+    A[1] = a * f2 - b * g2
+    A[2] = c * f2 - b * e
+    A[3] = c * g2 - b * f2
+    blk[_GAUSS] = A[0] * A[3] - A[1] * A[2]
+    A0 = blk[_A0:_A0 + 4]
+    np.subtract(A[0], H, out=A0[0])
+    A0[1:3] = A[1:3]
+    np.subtract(A[3], H, out=A0[3])
+    _complex_structure(E, F, Gm, W, out=_endo(blk[_J:_J + 4]))
+    blk[_E2L] = 0.5 * (E + Gm)
+
+
 def _first_stage(s: ParamSurface) -> tuple[np.ndarray, ...]:
     """E, F, G, W^2 = EG - F^2 and W of the induced metric, gated and cached.
 
-    Raises DegenerateImmersion for nearly collinear tangents and NotConformal
-    for a chart flagged conformal whose metric is not.
+    The first pass over row blocks: it allocates the chart's slab and fills
+    these rows of it. Raises DegenerateImmersion for nearly collinear
+    tangents and NotConformal for a chart flagged conformal whose metric is
+    not; both gates read the whole chart after the last block.
     """
     stage = s._stage_cache.get("first")
     if stage is None:
-        E, F, Gm = _first_form(s.derivative("fu"), s.derivative("fv"))
-        EG = E * Gm
-        W2 = EG - F * F
-        _check_immersion(np.min(W2), np.max(EG))
+        fu, fv = s.derivative("fu"), s.derivative("fv")
+        slab = np.empty((SLAB_ROWS, s.grid.nu, s.grid.nv))
+        E, F, Gm, W2, W = slab[_G2], slab[_G2 + 1], slab[_G2 + 3], slab[_W2], slab[_W]
+        w2_min, eg_max, res = np.inf, 0.0, 0.0
+        # a chart that fails the immersion gate may divide by zero or take
+        # the root of a negative W^2 before the gate reads the last block
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for r0, r1 in row_blocks(s.grid.nu, s.grid.nv):
+                b = slice(r0, r1)
+                E[b], F[b], Gm[b] = _first_form(fu[b], fv[b])
+                EG = E[b] * Gm[b]
+                np.subtract(EG, F[b] * F[b], out=W2[b])
+                np.sqrt(W2[b], out=W[b])
+                w2_min = np.minimum(w2_min, np.min(W2[b]))
+                eg_max = np.maximum(eg_max, np.max(EG))
+                if s.conformal:
+                    res = np.maximum(res, _conformality_residual(E[b], F[b], Gm[b]))
+        _check_immersion(w2_min, eg_max)
         if s.conformal:
-            res = s._residual = _conformality_residual(E, F, Gm)
+            res = s._residual = float(res)
             if res > CONFORMAL_GATE:
                 raise NotConformal(f"chart flagged conformal but residual is {res:.3e}")
-        stage = s._stage_cache["first"] = (E, F, Gm, W2, np.sqrt(W2))
+        s._slab = slab
+        stage = s._stage_cache["first"] = (E, F, Gm, W2, W)
     return stage
 
 
-def _normal_stage(s: ParamSurface) -> np.ndarray:
-    """Unit normal xi, times the orientation flag, cached.
+def _second_pass(s: ParamSurface, upto: str) -> None:
+    """Fill the stages after the first up to `upto`, one of "normal",
+    "second" and "assembled", in one pass over row blocks.
 
-    For Sphere3 charts xi lies in T_f S^3: the ambient 4-vector orthogonal
-    to f, f_u and f_v.
+    The first stage and its gates come before, so nothing here divides on a
+    chart that fails them. Stages already cached are read, not formed again.
+    The unit normal is xi, times the orientation flag; for Sphere3 charts it
+    lies in T_f S^3: the ambient 4-vector orthogonal to f, f_u and f_v.
     """
+    E, F, Gm, W2, _ = _first_stage(s)
+    slab = s._slab
     xi = s._stage_cache.get("normal")
-    if xi is None:
-        _first_stage(s)  # the immersion gate runs before |xi| divides
+    new_xi = xi is None
+    if new_xi:
+        xi = np.empty(s.position.shape)
         fu, fv = s.derivative("fu"), s.derivative("fv")
-        if s.space_form.kind == EUCLIDEAN3:
-            xi = _cross3(fu, fv)
-        else:
-            xi = _cross4(s.position, fu, fv)
-        s._stage_cache["normal"] = _unit_normal(xi, s.orientation)
-    return xi
+    new_second = upto != "normal" and "second" not in s._stage_cache
+    if new_second:
+        fuu, fuv, fvv = (s.derivative(k) for k in ("fuu", "fuv", "fvv"))
+        e, f2, g2, H = slab[_II], slab[_II + 1], slab[_II + 3], slab[_H]
+    for r0, r1 in row_blocks(s.grid.nu, s.grid.nv):
+        b = slice(r0, r1)
+        if new_xi:
+            if s.space_form.kind == EUCLIDEAN3:
+                _cross3(fu[b], fv[b], out=xi[b])
+            else:
+                _cross4(s.position[b], fu[b], fv[b], out=xi[b])
+            _unit_normal(xi[b], s.orientation)
+        if new_second:
+            e[b], f2[b], g2[b], H[b] = _second_form(E[b], F[b], Gm[b], W2[b], xi[b],
+                                                    fuu[b], fuv[b], fvv[b])
+        if upto == "assembled":
+            _assemble(slab[:, b])
+    if new_xi:
+        s._stage_cache["normal"] = xi
+    if new_second:
+        s._stage_cache["second"] = (e, f2, g2, H)
+
+
+def _normal_stage(s: ParamSurface) -> np.ndarray:
+    """Unit normal xi, times the orientation flag, cached (`_second_pass`)."""
+    if "normal" not in s._stage_cache:
+        _second_pass(s, "normal")
+    return s._stage_cache["normal"]
 
 
 def _second_stage(s: ParamSurface) -> tuple[np.ndarray, ...]:
     """Second-form coefficients e, f, g and the mean curvature H, cached
-    (`_second_form`)."""
-    stage = s._stage_cache.get("second")
-    if stage is None:
-        E, F, Gm, W2, _ = _first_stage(s)
-        stage = s._stage_cache["second"] = _second_form(
-            E, F, Gm, W2, _normal_stage(s),
-            s.derivative("fuu"), s.derivative("fuv"), s.derivative("fvv"))
-    return stage
+    (`_second_pass`, `_second_form`)."""
+    if "second" not in s._stage_cache:
+        _second_pass(s, "second")
+    return s._stage_cache["second"]
 
 
 def _position_stage(s: ParamSurface) -> dict[str, np.ndarray]:
@@ -478,44 +571,18 @@ def _position_stage(s: ParamSurface) -> dict[str, np.ndarray]:
 def fundamental_data(s: ParamSurface) -> FundamentalData:
     """Assemble metric, shape operator, curvatures, normal, area form, J.
 
-    Built from the cached first-form, normal and second-form stages. For
-    Sphere3 charts G is the extrinsic det A; the induced intrinsic
-    curvature is G + 1.
+    The first stage and its gates, then one pass over row blocks that forms
+    the normal and second-form stages still missing and assembles the rest
+    of the slab (`_assemble`). For Sphere3 charts G is the extrinsic det A;
+    the induced intrinsic curvature is G + 1.
     """
-    E, F, Gm, W2, W = _first_stage(s)
-    xi = _normal_stage(s)
-    e, f2, g2, H = _second_stage(s)
-
-    g = _empty2(E.shape)
-    g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1] = E, F, F, Gm
-    II = _empty2(E.shape)
-    II[..., 0, 0], II[..., 0, 1], II[..., 1, 0], II[..., 1, 1] = e, f2, f2, g2
-
-    # A = g^-1 II with g^-1 = [[a, -b], [-b, c]]
-    a, b, c = Gm / W2, F / W2, E / W2
-    A = _empty2(E.shape)
-    A[..., 0, 0] = a * e - b * f2
-    A[..., 0, 1] = a * f2 - b * g2
-    A[..., 1, 0] = c * f2 - b * e
-    A[..., 1, 1] = c * g2 - b * f2
-
-    G = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
-    # component by component: A.copy() would be a node-major C-order copy
-    A0 = _empty2(E.shape)
-    A0[..., 0, 0] = A[..., 0, 0] - H
-    A0[..., 0, 1] = A[..., 0, 1]
-    A0[..., 1, 0] = A[..., 1, 0]
-    A0[..., 1, 1] = A[..., 1, 1] - H
-
-    fd = FundamentalData(
-        g=g, II=II, A=A, A0=A0, H=H, G=G, xi=xi,
-        dsigma=W, J=_complex_structure(E, F, Gm, W), e2l=0.5 * (E + Gm),
+    _second_pass(s, "assembled")
+    slab = s._slab
+    return FundamentalData(
+        g=_endo(slab[_G2:_G2 + 4]), II=_endo(slab[_II:_II + 4]), A=_endo(slab[_A:_A + 4]),
+        A0=_endo(slab[_A0:_A0 + 4]), H=slab[_H], G=slab[_GAUSS], xi=s._stage_cache["normal"],
+        dsigma=slab[_W], J=_endo(slab[_J:_J + 4]), e2l=slab[_E2L],
     )
-    # point the stages at the entries of g and II, so that a chart keeps one
-    # copy of E, F, G, e, f, g and not two
-    s._stage_cache["first"] = (g[..., 0, 0], g[..., 0, 1], g[..., 1, 1], W2, W)
-    s._stage_cache["second"] = (II[..., 0, 0], II[..., 0, 1], II[..., 1, 1], H)
-    return fd
 
 
 def laplace_beltrami(s: ParamSurface, phi: np.ndarray) -> np.ndarray:

@@ -9,11 +9,11 @@ positions with finite differences, which is what the analytic rate formulas
 (metric_dot, jdot_normal, the functional gradients) are checked against.
 
 `fd_functional_derivative` evaluates the functional on all its deformed
-charts in one pass over row blocks of BLOCK_NODES nodes, each with two halo
-rows along u, so no whole-grid field is formed per deformed chart. In R^3
-the differences are linear in the positions, D(f + t u xi) = D f + t D(u xi):
-D f is the chart's cached position stage and D(u xi) is formed once per
-block for every step. In S^3 each block of cos(t u) f + sin(t u) xi is
+charts in one pass over the chart's row blocks (`_stencils.row_blocks`),
+each with two halo rows along u, so no whole-grid field is formed per
+deformed chart. In R^3 the differences are linear in the positions,
+D(f + t u xi) = D f + t D(u xi): D f is the chart's cached position stage
+and D(u xi) is formed once per block for every step. In S^3 each block of cos(t u) f + sin(t u) xi is
 differenced as it is.
 """
 
@@ -25,7 +25,15 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from ._stencils import HALO, MARGIN, _diff_block, diff_uniform
+from ._stencils import (
+    HALO,
+    MARGIN,
+    _diff_block,
+    _diff_padded,
+    _wrap_pad,
+    diff_uniform,
+    row_blocks,
+)
 from .conformal_ops import delta_op, dbar_vector_field
 from .errors import DegenerateDeformation, NotClosed, NotRotationallySymmetric, WrongSpaceForm
 from .functionals import AREA, VOLUME, WILLMORE, _ends_collapse, _ring_index, gradient
@@ -44,8 +52,6 @@ from .geom_core import (
     _unit_normal,
     integrate_2form,
 )
-
-BLOCK_NODES = 16384  # chart nodes per row block of the deformed-chart pass
 
 
 def _support_violation(grid, arr) -> float:
@@ -227,14 +233,11 @@ def prepare_deformations(s: ParamSurface) -> None:
 
 
 def _row_blocks(g):
-    """(r0, r1, rows, lo) per row block of the grid: the block is rows r0:r1
-    of the chart, and rows indexes it with its halo, wrapped on a periodic u
-    axis and clipped at the ends of an open one, so that it starts at
-    rows[lo]. Blocks have at most BLOCK_NODES // nv rows (at least 16) and
-    nearly equal sizes."""
-    nb = -(-g.nu // max(16, BLOCK_NODES // g.nv))
-    for i in range(nb):
-        r0, r1 = i * g.nu // nb, (i + 1) * g.nu // nb
+    """(r0, r1, rows, lo) per row block of the grid (`row_blocks`): the block
+    is rows r0:r1 of the chart, and rows indexes it with its halo, wrapped on
+    a periodic u axis and clipped at the ends of an open one, so that it
+    starts at rows[lo]."""
+    for r0, r1 in row_blocks(g.nu, g.nv):
         if g.periodic_u:
             yield r0, r1, np.arange(r0 - HALO, r1 + HALO) % g.nu, HALO
         else:
@@ -244,14 +247,19 @@ def _row_blocks(g):
 
 def _block_derivatives(ext, g, lo, hi, second):
     """fu, fv (and fuu, fuv, fvv when second) of the rows ext[lo:hi] of a
-    block with its halo, as diff_uniform forms them on the whole chart."""
+    block with its halo, as diff_uniform forms them on the whole chart. On a
+    periodic v axis fv and fvv read one wrap-padded copy of the block."""
     blk = ext[lo:hi]
-    d = {"fu": _diff_block(ext, g.hu, 1, lo, hi),
-         "fv": diff_uniform(blk, g.hv, 1, g.periodic_v, axis=1)}
+    if g.periodic_v:
+        vp = _wrap_pad(blk, 1)
+        dv = lambda order: _diff_padded(vp, g.hv, order, 1)
+    else:
+        dv = lambda order: diff_uniform(blk, g.hv, order, False, axis=1)
+    d = {"fu": _diff_block(ext, g.hu, 1, lo, hi), "fv": dv(1)}
     if second:
         d["fuu"] = _diff_block(ext, g.hu, 2, lo, hi)
         d["fuv"] = diff_uniform(d["fu"], g.hv, 1, g.periodic_v, axis=1)
-        d["fvv"] = diff_uniform(blk, g.hv, 2, g.periodic_v, axis=1)
+        d["fvv"] = dv(2)
     return d
 
 

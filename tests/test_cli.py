@@ -190,6 +190,15 @@ def test_certify_rejects_negative_basis_degree(capsys):
     assert captured.out == "" and "basis degree" in captured.err
 
 
+def test_certify_refuses_basis_degree_on_flat_torus_chart(capsys):
+    # a revolution torus chart is periodic in u and v: only constant phi there
+    code = run(["certify", "--builder", "revolution-torus", "--resolution", "32",
+                "--functional", "willmore", "--basis-degree", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "" and "only constant phi are holomorphic" in captured.err
+
+
 def test_bad_tolerance():
     code = run(["certify", "--builder", "clifford", "--resolution", "32",
                 "--tol", "-1"])

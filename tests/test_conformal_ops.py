@@ -18,7 +18,13 @@ from conwill.conformal_ops import (
     pair_form_function,
     pair_qd_endo,
 )
-from conwill.errors import EmptyBasis, GridMismatch, NonHolomorphicBasis, NotAnticommuting
+from conwill.errors import (
+    ConfigError,
+    EmptyBasis,
+    GridMismatch,
+    NonHolomorphicBasis,
+    NotAnticommuting,
+)
 from conwill.geom_core import anticommutator_defect, integrate_2form
 
 
@@ -307,3 +313,49 @@ def test_basis_degree_must_be_a_non_negative_integer(degree):
     # fractional one raises before it reaches range()
     with pytest.raises(ValueError, match="basis degree"):
         make_qd_basis(plane_patch(1.0, 1.0, 16, 16), degree)
+
+
+def test_constant_basis_is_not_differenced(monkeypatch):
+    """dz^2 and i dz^2 are exactly holomorphic: certifying with them does
+    not difference phi."""
+    import conwill.conformal_ops as conformal_ops
+    from conwill.multiplier import certify_constrained_willmore
+
+    s = homogeneous_torus(0.6, 0.8, 48, 48)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("constant phi differenced")
+
+    monkeypatch.setattr(conformal_ops, "diff_uniform", refuse)
+    assert certify_constrained_willmore(s, make_qd_basis(s, 0)).is_critical
+    assert dbar_residual(QuadraticDifferential.constant(s, 2.3 - 0.7j)) == 0.0
+
+
+def test_mixed_basis_still_gated(homog_torus):
+    # the wave next to dz^2 is differenced and fails
+    from conwill.multiplier import solve_multiplier
+
+    U, _ = homog_torus.grid.mesh()
+    wave = QuadraticDifferential(homog_torus, np.exp(2j * np.pi * U / homog_torus.grid.Lu), "wave")
+    with pytest.raises(NonHolomorphicBasis, match="wave"):
+        solve_multiplier(homog_torus, "willmore", [make_qd_basis(homog_torus)[0], wave])
+
+
+def test_dbar_residual_of_z_keeps_its_value():
+    from conwill._stencils import diff_uniform, quadrature_weights
+
+    s = plane_patch(1.0, 1.0, 96, 96)
+    U, V = s.grid.mesh()
+    h = 1.0 / 96
+    # 2 dz / d z-bar = (U_x - V_y) + i (V_x + U_y), differenced
+    dens = ((diff_uniform(U, h, 1, False, axis=0) - diff_uniform(V, h, 1, False, axis=1)) ** 2
+            + (diff_uniform(V, h, 1, False, axis=0) + diff_uniform(U, h, 1, False, axis=1)) ** 2)
+    w = quadrature_weights(96, h, False)
+    want = 0.5 * np.sqrt(np.einsum("i,j,ij->", w, w, dens))
+    assert dbar_residual(QuadraticDifferential(s, U + 1j * V)) == want
+
+
+def test_doubly_periodic_chart_refuses_higher_degree(homog_torus):
+    with pytest.raises(ConfigError, match="only constant phi are holomorphic"):
+        make_qd_basis(homog_torus, 1)
+    assert len(make_qd_basis(plane_patch(1.0, 1.0, 16, 16), 1)) == 4

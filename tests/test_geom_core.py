@@ -1,5 +1,7 @@
 """Fundamental data, field operators, quadrature, and grid plumbing."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,8 @@ from conwill.builders import (
     surface_of_revolution,
     torus_profile,
 )
-from conwill import geom_core
-from conwill._stencils import diff_uniform
+from conwill import _stencils, geom_core
+from conwill._stencils import diff_uniform, row_blocks
 from conwill.curves import integrate_curve
 from conwill.errors import (
     BadRadii,
@@ -29,6 +31,7 @@ from conwill.geom_core import (
     _cross4,
     _first_form,
     _mul2,
+    _second_stage,
     anticommutator_defect,
     integrate_2form,
     laplace_beltrami,
@@ -386,3 +389,131 @@ def test_conformal_completion_reads_contiguous_a0(request, name):
     psi = CubicSpline(x, 2.0 * uprof * alpha).antiderivative()(x)
     assert np.array_equal(X[..., 0], np.repeat(psi[:, None], s.grid.nv, axis=1))
     assert not np.any(X[..., 1])
+
+
+FD_FIELDS = ("g", "II", "A", "A0", "H", "G", "xi", "dsigma", "J", "e2l")
+
+
+def _positions_only_chart():
+    """A revolution torus from its positions alone: 70 rows, which 16-row
+    blocks do not divide."""
+    s = surface_of_revolution(torus_profile(2.0, 0.6), nu=70, nv=40)
+    return ParamSurface(R3, s.grid, s.position, conformal=True)
+
+
+def _fresh(request, name):
+    """A copy of a fixture chart with empty caches."""
+    if name == "positions_only":
+        return _positions_only_chart()
+    s = request.getfixturevalue(name)
+    return s.with_orientation(s.orientation)
+
+
+def _chart_data(s):
+    first, second = [tuple(a.copy() for a in stage(s))
+                     for stage in (geom_core._first_stage, _second_stage)]
+    fd = s.fundamental_data()
+    return first, second, fd, s.conformality_residual()
+
+
+@pytest.mark.parametrize("name", ["revolution_torus", "homog_torus", "sphere_band",
+                                  "hopf_latitude", "sheared_torus", "positions_only"])
+def test_blocked_pass_matches_one_block(request, monkeypatch, name):
+    """Row blocks of 16 rows (three or more per chart) give every stage and
+    field the bits of a one-block pass and of a node-major assembly."""
+    monkeypatch.setattr(_stencils, "BLOCK_NODES", 1 << 30)
+    one = _fresh(request, name)
+    assert len(row_blocks(one.grid.nu, one.grid.nv)) == 1
+    # one block, whole chart: fundamental data before any stage is asked for
+    fd1 = one.fundamental_data()
+    want = ([a.copy() for a in geom_core._first_stage(one)],
+            [a.copy() for a in _second_stage(one)], fd1, one.conformality_residual())
+
+    monkeypatch.setattr(_stencils, "BLOCK_NODES", 1)
+    blocked = _fresh(request, name)
+    bounds = row_blocks(blocked.grid.nu, blocked.grid.nv)
+    assert len(bounds) >= 3 and bounds[0] == (0, blocked.grid.nu // len(bounds))
+    # the stages in the order the functional values read them, then the rest
+    got = _chart_data(blocked)
+    for a, b in zip(got[0] + got[1], want[0] + want[1]):
+        assert np.array_equal(a, b)
+    for key in FD_FIELDS:
+        assert np.array_equal(getattr(got[2], key), getattr(want[2], key)), key
+    assert got[3] == want[3]
+    ref = _node_major_reference(blocked)
+    for key in ("g", "II", "A", "A0", "J"):
+        assert np.array_equal(getattr(got[2], key), ref[key]), key
+
+
+def test_fundamental_data_is_one_slab(revolution_torus):
+    """Every field but xi is a view of one (25, nu, nv) slab, and the stages
+    point into it."""
+    s = revolution_torus.with_orientation(revolution_torus.orientation)
+    fd = s.fundamental_data()
+    slab = s._slab
+    assert slab.shape == (geom_core.SLAB_ROWS, s.grid.nu, s.grid.nv)
+    for key in FD_FIELDS:
+        assert np.shares_memory(getattr(fd, key), slab) == (key != "xi"), key
+    for arr in geom_core._first_stage(s) + _second_stage(s):
+        assert np.shares_memory(arr, slab)
+
+
+def test_stages_fill_only_what_is_asked(revolution_torus):
+    s = revolution_torus.with_orientation(revolution_torus.orientation)
+    geom_core._first_stage(s)
+    assert set(s._stage_cache) == {"first"}
+    geom_core._normal_stage(s)
+    assert set(s._stage_cache) == {"first", "normal"}
+    xi = s._stage_cache["normal"]
+    _second_stage(s)
+    assert s._stage_cache["normal"] is xi and s._fund is None
+    first = s._stage_cache["first"]
+    s.fundamental_data()
+    assert s._stage_cache["first"] is first and s._fund.xi is xi
+
+
+def _several_blocks(monkeypatch, pos_fn, conformal=False):
+    """A 48 x 16 open chart in three blocks of 16 rows, from a position map of (U, V)."""
+    monkeypatch.setattr(_stencils, "BLOCK_NODES", 1)
+    grid = Grid2D(48, 16, 1.0, 1.0, False, False)
+    assert len(row_blocks(grid.nu, grid.nv)) == 3
+    U, V = grid.mesh()
+    return ParamSurface(R3, grid, np.stack(pos_fn(U, V), axis=-1), conformal=conformal)
+
+
+def test_degenerate_immersion_raises_on_several_blocks(monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # fu parallel fv in every block, as in test_degenerate_immersion_raises
+        s = _several_blocks(monkeypatch, lambda U, V: (U, U, 0.0 * V), conformal=True)
+        with pytest.raises(DegenerateImmersion):
+            s.fundamental_data()
+        # the first block is one point: E = F = G = 0, and the conformality
+        # ratio there is 0 / 0
+        s = _several_blocks(monkeypatch, lambda U, V: (np.maximum(U - 0.5, 0.0),
+                                                       np.maximum(U - 0.5, 0.0) * V, 0.0 * U),
+                            conformal=True)
+        with pytest.raises(DegenerateImmersion):
+            s.fundamental_data()
+        assert s._residual is None and not s._stage_cache and s._slab is None
+        # only the last block folds
+        s = _several_blocks(monkeypatch, lambda U, V: (U, np.where(U > 0.7, 0.0, V), 0.0 * U))
+        with pytest.raises(DegenerateImmersion):
+            s.fundamental_data()
+
+
+def test_not_conformal_raises_on_several_blocks(monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # as in test_not_conformal_raises
+        s = _several_blocks(monkeypatch, lambda U, V: (U, 2.0 * V, 0.0 * U), conformal=True)
+        with pytest.raises(NotConformal):
+            s.fundamental_data()
+        # only the last block is stretched
+        s = _several_blocks(monkeypatch,
+                            lambda U, V: (U, np.where(U > 0.7, 2.0, 1.0) * V, 0.0 * U),
+                            conformal=True)
+        with pytest.raises(NotConformal):
+            s.fundamental_data()
+        assert s._residual == _conformality_residual(
+            *_first_form(s.derivative("fu"), s.derivative("fv")))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-import conwill.variations as variations
+import conwill._stencils as _stencils
 from conwill.builders import (
     disc_profile,
     homogeneous_torus,
@@ -268,7 +268,7 @@ def test_deformed_values_match_deformed_charts(pass_charts, monkeypatch, name, b
     # budget 640 splits every chart into row blocks (70 rows of 40 nodes:
     # blocks of 14, not a multiple of the 16 block rows)
     if budget is not None:
-        monkeypatch.setattr(variations, "BLOCK_NODES", budget)
+        monkeypatch.setattr(_stencils, "BLOCK_NODES", budget)
         assert len(list(_row_blocks(pass_charts[name][0].grid))) > 1
     s, u, kinds = pass_charts[name]
     for kind in kinds:
@@ -283,7 +283,7 @@ def test_linear_stencils_match_deformed_positions(pass_charts, monkeypatch, name
     deformed positions to 1e-12 relative, above the rounding floor of those
     positions: one ulp of |f| through the stencil weights (sum |c| = 3/2 and
     16/3 on a unit grid)."""
-    monkeypatch.setattr(variations, "BLOCK_NODES", 640)
+    monkeypatch.setattr(_stencils, "BLOCK_NODES", 640)
     s, u, _ = pass_charts[name]
     g, xi = s.grid, s.fundamental_data().xi
     Df = _position_stage(s)
@@ -334,7 +334,7 @@ def test_fd_folded_step_refused(monkeypatch, budget):
     # a step this large tilts the graph (x, y, t u) until f_u and f_v are
     # collinear to within the immersion gate
     if budget is not None:
-        monkeypatch.setattr(variations, "BLOCK_NODES", budget)
+        monkeypatch.setattr(_stencils, "BLOCK_NODES", budget)
     s = plane_patch(2.0, 1.5, 48, 40)
     u = _plane_u(s)
     with pytest.raises(DegenerateImmersion):
@@ -349,7 +349,7 @@ def test_immersion_gate_reads_whole_deformed_chart(monkeypatch):
     # the ramp has not started. Only the whole-chart gate sees both: with
     # blocks of 16 rows the flat rows 0:16 and the ramp rows 16: lie in
     # different blocks, and neither block fails on its own.
-    monkeypatch.setattr(variations, "BLOCK_NODES", 640)
+    monkeypatch.setattr(_stencils, "BLOCK_NODES", 640)
     s = plane_patch(2.0, 1.5, 48, 40)
     assert [r0 for r0, *_ in _row_blocks(s.grid)] == [0, 16, 32]
     ramp = np.maximum(np.arange(48) - 17, 0) * s.grid.hu
