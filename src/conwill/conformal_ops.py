@@ -208,13 +208,16 @@ def pair_qd_endo(s: ParamSurface, q: QuadraticDifferential, R: np.ndarray) -> fl
 
 def _weighted_design(s: ParamSurface, basis: Sequence[QuadraticDifferential],
                      holo_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weighted design matrices (D, Q, sw) of a holomorphic basis on s.
+    """Weighted design matrix D, basis Gram matrix G and weights sw of a
+    holomorphic basis on s.
 
     sw = sqrt(wu wv dsigma), so |sw * density| is the L2(dsigma) norm of a
-    density. Column i of D (N x k) is sw delta_star(q_i) / dsigma and of Q
-    (N x k, complex) sw phi_i / e^{2 lambda}, so D^T D and Re Q^H Q are the
-    Gram matrices of the delta_star image and of the basis. Raises
-    GridMismatch or NonHolomorphicBasis (dbar_residual > holo_tol max(1, |q|)).
+    density. Column i of D (N x k) is sw delta_star(q_i) / dsigma, so D^T D
+    is the Gram matrix of the delta_star image. With q_i weighted as
+    sw phi_i / e^{2 lambda}, G (k x k) = Re <q_i, q_j>, formed from the real
+    and imaginary parts together as one real product; its diagonal holds
+    |q_i|^2. Raises GridMismatch or NonHolomorphicBasis
+    (dbar_residual > holo_tol max(1, |q|)).
     """
     if any(q.surface is not s for q in basis):
         raise GridMismatch("basis element belongs to a different surface")
@@ -224,13 +227,15 @@ def _weighted_design(s: ParamSurface, basis: Sequence[QuadraticDifferential],
     sw = np.sqrt(np.outer(wu, wv) * fd.dsigma)
     phi = np.array([q.phi for q in basis], dtype=complex).reshape((k,) + sw.shape)
     dbar = _dbar_norms(s, phi)
-    Q = (phi * (sw / fd.e2l)).reshape(k, sw.size).T
-    bad = dbar > holo_tol * np.maximum(1.0, np.linalg.norm(Q, axis=0))
+    # (k, 2N) real view: a row holds the real and imaginary parts of one q_i
+    Q = (phi * (sw / fd.e2l)).reshape(k, sw.size).view(np.float64)
+    G = Q @ Q.T
+    bad = dbar > holo_tol * np.maximum(1.0, np.sqrt(np.diag(G)))
     if np.any(bad):
         raise NonHolomorphicBasis(
             f"basis element {basis[int(np.argmax(bad))].label} fails holomorphicity")
     D = (4.0 * _wedge_coeff(_mul2(fd.A0, fd.J), phi) * (sw / fd.dsigma)).reshape(k, sw.size).T
-    return D, Q, sw
+    return D, G, sw
 
 
 @dataclass
@@ -261,8 +266,8 @@ def is_strongly_isothermic(
 
     if len(basis) == 0:
         raise EmptyBasis("strong-isothermicity test needs a basis")
-    D, Q, _ = _weighted_design(s, basis, ISOTHERMIC_HOLO_TOL)
-    vals, vecs = eigh(D.T @ D, (Q.conj().T @ Q).real)
+    D, G, _ = _weighted_design(s, basis, ISOTHERMIC_HOLO_TOL)
+    vals, vecs = eigh(D.T @ D, G)
     lam = max(float(vals[0]), 0.0)
     sigma = float(np.sqrt(lam))
     c = vecs[:, 0]

@@ -23,28 +23,29 @@ chunks of FRAME_CHUNK steps, all chunks at once, and the quaternion carried
 over the chunk totals), and the march carries u from one block to the next.
 The same march serves `integrate_curve`, which reads the frames (p, t, n)
 off u as the columns of R(u / |u|), and the Hopf lift in `builders`, which
-applies u and e^{-i theta/2} to a point of S^3; the frame transfer of the
-shooting method needs only the total product of its step quaternions, which
-`_total_product` forms pairwise, and reads the rotation angle Theta in
-[0, 2 pi] off its real part cos(Theta/2). Quaternions are not renormalized
-during the integration; their drift from unit norm is the step-size check
-(`_check_frame_drift`).
+applies u and e^{-i theta/2} to a point of S^3. Quaternions are not
+renormalized during the integration; their drift from unit norm is the
+step-size check (`_check_frame_drift`).
 
 The generalized elastic-curve equation 2 k'' + k^3 + a k + b = 0 and its
 linearly-forced variant k'' + k^3/2 = (a + b s) k are integrated by one
 scalar RK4 stepper for k'' = f(s, k). Closed spherical solutions are found by
 shooting on the rotation angle of the frame transfer over one curvature
-period, and both come from the first integral E = k'^2 + V(k),
-V = k^4/4 + a k^2/2 + b k, without stepping the curvature: between the
+period, and neither the period nor the transfer steps an ODE. Both rest on
+the first integral E = k'^2 + V(k), V = k^4/4 + a k^2/2 + b k: between the
 turning points lo, hi the substitution k = m + r sin(theta) gives the smooth
-2 pi-periodic speed ds/dtheta, so the period is a trapezoid sum in theta and
-the transfer is RK4 on the quaternion equation in theta over one turn. Its grid
-sizes itself: from THETA_STEPS steps it doubles until the RK4 error
-estimate of the rotation angle is below THETA_TOL. The curvature of a shot
-curve is read off the same map: s(theta) is the FFT antiderivative of the
-speed, and kappa(s) a periodic spline through (s(theta_j), k(theta_j)). An
-orbit too close to its separatrix for the period sum, for THETA_MAX_STEPS
-transfer steps or for the arc-length antiderivative raises NearSeparatrix.
+2 pi-periodic speed ds/dtheta, so the period is a trapezoid sum in theta.
+The transfer fixes the constant Killing field
+J = (2 k + b) p + 2 k' t + (2 - a - k^2) n of the solution, so it is a
+rotation about J; its angle is the advance of the curve's azimuth about J,
+again a smooth periodic integral on the theta-map (`_azimuth_advance`), with
+nodes doubled from PERIOD_NODES up to ANGLE_MAX_NODES. The winding of a
+closed solution is read off the same advance. The curvature of a shot curve
+is read off the same map: s(theta) is the FFT antiderivative of the speed,
+and kappa(s) a periodic spline through (s(theta_j), k(theta_j)). An orbit
+too close to its separatrix for the period sum or for the arc-length
+antiderivative, or too close to the axis +-J for the azimuth sum, raises
+NearSeparatrix.
 """
 
 from __future__ import annotations
@@ -69,9 +70,7 @@ FRAME_BLOCK = 1024          # RK4 steps per batched block of step matrices
 KAPPA_CHUNK = 16 * FRAME_BLOCK  # RK4 steps per evaluation of kappa and theta
 FRAME_CHUNK = 32            # steps per chunk of the in-block prefix product
 PERIOD_NODES = 256          # trapezoid nodes in theta for the curvature period
-THETA_STEPS = 4096          # first RK4 grid in theta for the frame transfer over one period
-THETA_MAX_STEPS = 16 * THETA_STEPS  # finest transfer grid before NearSeparatrix
-THETA_TOL = 1e-10           # bound on the error estimate of the transfer angle
+ANGLE_MAX_NODES = 2 ** 16   # finest theta grid of the azimuth advance before NearSeparatrix
 SEPARATRIX_TOL = 1e-12      # relative change of the period sum on every other node
 ARC_TOL = 1e-10             # change of the theta-map arc lengths on every other node, per period
 DUPLICATE_TOL = 1e-9        # turning points closer than this (relative) belong to one orbit
@@ -89,7 +88,7 @@ def _check_count(name, value, least):
 
 
 # ----------------------------------------------------------------------
-# RK4 on the SU(2) lift of the S^2 frame: u' = u sigma (kappa i + k) / 2
+# RK4 on the SU(2) lift of the S^2 frame: u' = u (kappa i + k) / 2
 # ----------------------------------------------------------------------
 # A quaternion w + x i + y j + z k is stored as the complex pair
 # (a, c) = (w + i z, y + i x) of the SU(2) matrix [[a, -conj(c)], [c, conj(a)]];
@@ -100,43 +99,31 @@ def _qmul(a1, c1, a2, c2):
     return a1 * a2 - c1.conjugate() * c2, c1 * a2 + a1.conjugate() * c2
 
 
-def _step_quaternions(sigma, kap, h):
+def _step_quaternions(kap, h):
     """RK4 step quaternions (a, c), each (b,), of u' = u omega / 2 from the stage
-    speeds sigma and curvatures kap (b, 4); sigma broadcasts against kap.
+    curvatures kap (b, 4).
 
-    The stage vectors o_j = sigma_j (kappa_j, 0, 1) act at half rate, so with
-    g = h/2 one step is u -> u M for M = 1 + g/6 S1 + g^2/6 S2 + g^3/12 S3 +
+    The stage vectors o_j = (kappa_j, 0, 1) act at half rate, so with g = h/2
+    one step is u -> u M for M = 1 + g/6 S1 + g^2/6 S2 + g^3/12 S3 +
     g^4/24 S4, S1 = o1 + 2 o2 + 2 o3 + o4, S2 = o1 o2 + o2 o3 + o3 o4,
     S3 = o1 o2 o3 + o2 o3 o4 and S4 = o1 o2 o3 o4 (quaternion products). The
     o_j lie in the x-z plane, so o_i o_j = -d_ij + e_ij j with the dot
-    products d_ij = o_i . o_j and e_ij = z_i x_j - x_i z_j, and
+    products d_ij = kappa_i kappa_j + 1 and e_ij = kappa_j - kappa_i, and
     j (x, 0, z) = (z, 0, -x): the even terms give the w and y parts of M, the
     odd terms its x and z parts.
     """
-    z = np.broadcast_to(sigma, kap.shape)
-    x = z * kap
-    (x1, x2, x3, x4), (z1, z2, z3, z4) = x.T, z.T
-    d12, d23, d34 = x1 * x2 + z1 * z2, x2 * x3 + z2 * z3, x3 * x4 + z3 * z4
-    e12, e23, e34 = z1 * x2 - x1 * z2, z2 * x3 - x2 * z3, z3 * x4 - x3 * z4
+    x1, x2, x3, x4 = kap.T
+    d12, d23, d34 = x1 * x2 + 1.0, x2 * x3 + 1.0, x3 * x4 + 1.0
+    e12, e23, e34 = x2 - x1, x3 - x2, x4 - x3
     g = 0.5 * h
     c1, c2, c3, c4 = g / 6.0, g * g / 6.0, g ** 3 / 12.0, g ** 4 / 24.0
     a = np.empty(kap.shape[:-1], dtype=complex)
     c = np.empty_like(a)
     a.real = 1.0 - c2 * (d12 + d23 + d34) + c4 * (d12 * d34 - e12 * e34)
-    a.imag = c1 * (z1 + 2 * (z2 + z3) + z4) - c3 * (d12 * z3 + d23 * z4 + e12 * x3 + e23 * x4)
+    a.imag = 6.0 * c1 - c3 * (d12 + d23 + e12 * x3 + e23 * x4)
     c.real = c2 * (e12 + e23 + e34) - c4 * (d12 * e34 + d34 * e12)
-    c.imag = c1 * (x1 + 2 * (x2 + x3) + x4) - c3 * (d12 * x3 + d23 * x4 - e12 * z3 - e23 * z4)
+    c.imag = c1 * (x1 + 2 * (x2 + x3) + x4) - c3 * (d12 * x3 + d23 * x4 - e12 - e23)
     return a, c
-
-
-def _total_product(a, c):
-    """The ordered product of the quaternions (a[0], c[0]) ... (a[-1], c[-1]),
-    by pairwise products (an odd level is padded with 1)."""
-    while len(a) > 1:
-        if len(a) % 2:
-            a, c = np.append(a, 1.0), np.append(c, 0.0)
-        a, c = _qmul(a[0::2], c[0::2], a[1::2], c[1::2])
-    return a[0], c[0]
 
 
 def _frame_quaternion(F):
@@ -186,7 +173,7 @@ def _frame_block(u, kap, h):
     b, nc = len(kap), -(-len(kap) // FRAME_CHUNK)
     A = np.ones(nc * FRAME_CHUNK, dtype=complex)
     C = np.zeros(nc * FRAME_CHUNK, dtype=complex)
-    A[:b], C[:b] = _step_quaternions(1.0, kap, h)
+    A[:b], C[:b] = _step_quaternions(kap, h)
     A, C = A.reshape(nc, FRAME_CHUNK), C.reshape(nc, FRAME_CHUNK)
     for j in range(1, FRAME_CHUNK):
         A[:, j], C[:, j] = _qmul(A[:, j - 1], C[:, j - 1], A[:, j], C[:, j])
@@ -209,13 +196,6 @@ def _check_frame_drift(a, c):
     drift = np.max(np.abs(n2 * n2 - 1.0))
     if not drift <= FRAME_DRIFT_TOL:
         raise StepTooLarge(f"frame drift {drift:.2e} exceeds {FRAME_DRIFT_TOL:.0e}")
-
-
-def _half_step_stages(kh):
-    """RK4 stage values (k(s), k(s + h/2), k(s + h/2), k(s + h)) per step from
-    samples kh on the half-step grid (2 b + 1 values for b steps)."""
-    mid = kh[1::2]
-    return np.stack([kh[:-1:2], mid, mid, kh[2::2]], axis=-1)
 
 
 def _march(kfun, s0, span, n_samples, u0=None):
@@ -252,15 +232,15 @@ def _march(kfun, s0, span, n_samples, u0=None):
         ths = np.cumsum(np.concatenate([[th], h / 6 * (k1 + 4 * k2 + k4)]))
         for i0 in range(0, c1 - c0, FRAME_BLOCK):
             i1 = min(i0 + FRAME_BLOCK, c1 - c0)
+            k, km = k1[i0:i1], k2[i0:i1]
             if u0 is None:
-                k, km = k1[i0:i1], k2[i0:i1]
                 dz = np.exp(1j * ths[i0:i1]) * (1 + 2 * np.exp(0.5j * h * k)
                                                 + 2 * np.exp(0.5j * h * km) + np.exp(1j * h * km))
                 zs = np.cumsum(np.concatenate([[z], h / 6 * dz]))
             else:
                 # quaternions that overflow on an unresolved curvature fail the drift check
                 with np.errstate(over="ignore", invalid="ignore"):
-                    zs = _frame_block(z, _half_step_stages(kh[2 * i0:2 * i1 + 1]), h)
+                    zs = _frame_block(z, np.stack([k, km, km, k4[i0:i1]], axis=-1), h)
                     _check_frame_drift(*zs)
             out.append(zs[..., m - (c0 + i0) % m::m].copy())
             z = zs[..., -1]
@@ -595,7 +575,7 @@ class ClosedElastica:
     period: float           # total length of the closed curve
     closure_gap: float
     n_lobes: int            # curvature periods until closure (0 for circles)
-    winding: int
+    winding: int            # turns about the Killing axis until closure (1 for circles)
     curve: CurvatureCurve = field(repr=False, default=None)
 
 
@@ -689,48 +669,56 @@ def _orbit_curvature(a, b, k0, h):
     return T, spline, float(k[M // 2])
 
 
-def _transfer_angle(sigma, k, H):
-    """Rotation angle Theta in [0, 2 pi] of the RK4 frame transfer of step H
-    from the speeds sigma and curvatures k on its half-step grid (2 n + 1
-    samples for n steps): the transfer quaternion, integrated from 1, has
-    real part cos(Theta/2) times its norm. The step quaternions are formed
-    and reduced THETA_STEPS steps at a time."""
-    a, c = 1.0 + 0j, 0j
-    for j in range(0, len(k) - 1, 2 * THETA_STEPS):
-        part = slice(j, j + 2 * THETA_STEPS + 1)
-        a, c = _qmul(a, c, *_total_product(*_step_quaternions(
-            _half_step_stages(sigma[part]), _half_step_stages(k[part]), H)))
-    return 2.0 * float(np.arccos(np.clip(a.real / np.sqrt(_norm2(a, c)), -1.0, 1.0)))
+def _azimuth_advance(a, b, k0):
+    """Advance Phi of the azimuth about the Killing axis J over one period of
+    the elastica orbit through (k0, 0), the period T, and whether the vector
+    (2 k', 2 - a - k^2) winds about 0 (2 - a - k^2 changes sign between the
+    turning points, where k' = 0).
+
+    J = (2 k + b) p + 2 k' t + (2 - a - k^2) n is constant (docs/notes.md),
+    and the azimuth advances at phi' = (2 - a - k^2) |J| / (4 k'^2 +
+    (2 - a - k^2)^2); with k' = r cos(theta) / sigma on the theta-map, Phi is
+    the trapezoid sum of sigma phi' over one turn. From PERIOD_NODES nodes
+    the count doubles until the sum over every other node moves by at most
+    SEPARATRIX_TOL times the sum of |sigma phi'|. The denominator vanishes
+    only on an orbit through the axis: an integrand that is not finite, or
+    more than ANGLE_MAX_NODES nodes, raises NearSeparatrix.
+    """
+    T, orbit = _theta_orbit(a, b, k0)
+    hi, lo = orbit(0.5 * np.pi)[1], orbit(-0.5 * np.pi)[1]
+    r = 0.5 * (hi - lo)
+    J = np.hypot(2 * k0 + b, 2 - a - k0 * k0)
+    M = PERIOD_NODES
+    while True:
+        theta = 2 * np.pi / M * np.arange(M)
+        sigma, k = orbit(theta)
+        # the t and n components of J; an orbit through the axis divides by 0
+        jn = 2 - a - k * k
+        with np.errstate(invalid="ignore", divide="ignore"):
+            jt = 2 * r * np.cos(theta) / sigma
+            f = sigma * jn * J / (jt * jt + jn * jn)
+        if not np.all(np.isfinite(f)):
+            raise NearSeparatrix(f"elastica orbit (a, b, k0) = ({a}, {b}, {k0}) passes "
+                                 f"through its Killing axis")
+        phi = 2 * np.pi * float(np.mean(f))
+        change = abs(phi - 2 * np.pi * float(np.mean(f[::2])))
+        if change <= SEPARATRIX_TOL * 2 * np.pi * float(np.mean(np.abs(f))):
+            return phi, T, (2 - a - hi * hi > 0) != (2 - a - lo * lo > 0)
+        if 2 * M > ANGLE_MAX_NODES:
+            raise NearSeparatrix(
+                f"elastica orbit (a, b, k0) = ({a}, {b}, {k0}) is too close to its Killing "
+                f"axis: azimuth sums differ by {change:.1e} at {M} theta nodes")
+        M *= 2
 
 
 def _monodromy_angle(a, b, k0):
-    """Rotation angle in [0, 2 pi] of the frame transfer over one curvature
-    period, and the period.
-
-    The transfer solves u_theta = u sigma(theta) (k(theta) i + k) / 2 over
-    one turn in theta by RK4; it starts at k(0) = m and not at k0, which
-    conjugates it and leaves its rotation angle unchanged. The grid starts at
-    THETA_STEPS steps, and the angle a_n of n steps is compared with a_{n/2},
-    from every other sample of the same orbit evaluation: n doubles while
-    the RK4 error estimate |a_n - a_{n/2}| / 15 exceeds THETA_TOL, and an
-    orbit that needs more than THETA_MAX_STEPS steps raises NearSeparatrix.
-    """
-    T, orbit = _theta_orbit(a, b, k0)
-    n, coarse = THETA_STEPS, None
-    while True:
-        H = 2 * np.pi / n
-        sigma, k = orbit(0.5 * H * np.arange(2 * n + 1))
-        if coarse is None:
-            coarse = _transfer_angle(sigma[::2], k[::2], 2 * H)
-        angle = _transfer_angle(sigma, k, H)
-        estimate = abs(angle - coarse) / 15.0
-        if estimate <= THETA_TOL:
-            return angle, T
-        if 2 * n > THETA_MAX_STEPS:
-            raise NearSeparatrix(
-                f"elastica orbit (a, b, k0) = ({a}, {b}, {k0}) is too close to its "
-                f"separatrix: transfer angle error {estimate:.1e} at {n} theta steps")
-        n, coarse = 2 * n, angle
+    """Rotation angle Theta in [0, 2 pi] of the frame transfer over one
+    curvature period, and the period. The transfer is the rotation about J
+    by Phi (`_azimuth_advance`); its SU(2) lift has real part cos(Phi / 2),
+    with the sign flipped when (2 k', 2 - a - k^2) winds about 0."""
+    phi, T, winds = _azimuth_advance(a, b, k0)
+    c = np.cos(0.5 * phi)
+    return 2.0 * float(np.arccos(-c if winds else c)), T
 
 
 def shoot_closed_elastica(
@@ -750,14 +738,16 @@ def shoot_closed_elastica(
     solutions are located by matching the rotation angle Theta in [0, 2 pi]
     of the frame transfer over one curvature period to 2 pi m / n for target
     (m, n) with 0 < m/n < 1 (other targets are skipped); the curve then
-    closes after n periods. `winding` reports the target's m; it is not
-    measured from the curve. Period and angle come from the theta
-    quadrature, and so does the curvature of the returned curve: kappa(s) is
-    a periodic spline through samples of the theta-map at most h apart in
-    arc length (`_orbit_curvature`), integrated on S^2 by `integrate_curve`.
-    Each orbit is returned once: when both of its turning points are found,
-    the entry keeps the upper one as kappa0, and max_results counts orbits.
-    Scan points, brackets and roots too close to a separatrix are skipped.
+    closes after n periods. `winding` is measured: |round(n Phi / 2 pi)| for
+    the azimuth advance Phi about the Killing axis per period, the turns
+    about whichever of +-J makes it non-negative. Period, angle and Phi come
+    from the theta quadrature, and so does the curvature of the returned
+    curve: kappa(s) is a periodic spline through samples of the theta-map at
+    most h apart in arc length (`_orbit_curvature`), integrated on S^2 by
+    `integrate_curve`. Each orbit is returned once: when both of its turning
+    points are found, the entry keeps the upper one as kappa0, and
+    max_results counts orbits. Scan points, brackets and roots too close to
+    a separatrix or to the Killing axis are skipped.
     """
     from scipy.optimize import brentq
 
@@ -806,11 +796,12 @@ def shoot_closed_elastica(
                         try:
                             k0 = brentq(f, k_grid[i], k_grid[i + 1], xtol=1e-12, rtol=8.9e-16)
                             T, kfun, k1 = _orbit_curvature(a, b, k0, h)
+                            phi = _azimuth_advance(a, b, k0)[0]
                         except NearSeparatrix:
                             continue
                         # the other turning point of an orbit already found
                         twin = next((j for j, e in enumerate(results)
-                                     if (e.a, e.b, e.n_lobes, e.winding) == (a, b, nl, mw)
+                                     if (e.a, e.b, e.n_lobes) == (a, b, nl)
                                      and abs(e.kappa0 - k1) <= DUPLICATE_TOL * (1 + abs(k1))),
                                     None)
                         if twin is not None and k0 < k1:
@@ -818,7 +809,7 @@ def shoot_closed_elastica(
                         curve = integrate_curve(kfun, SPHERE2, (0.0, nl * T), n_samples=4097)
                         if curve.closed:
                             found = ClosedElastica(a, b, float(k0), nl * T, curve.closure_gap,
-                                                   nl, mw, curve)
+                                                   nl, abs(round(nl * phi / (2 * np.pi))), curve)
                             if twin is None:
                                 results.append(found)
                             else:

@@ -89,9 +89,9 @@ def solve_multiplier(
     _check_kind(kind)
     fd = s.fundamental_data()
     s.require_conformal()  # reads the residual that the first-form stage measured
-    D, Q, sw = _weighted_design(s, basis, HOLO_TOL)
+    D, G, sw = _weighted_design(s, basis, HOLO_TOL)
     # independence of the basis itself (not of its delta_star image)
-    if len(basis) >= 2 and np.linalg.cond((Q.conj().T @ Q).real) > GRAM_COND_LIMIT:
+    if len(basis) >= 2 and np.linalg.cond(G) > GRAM_COND_LIMIT:
         raise SingularBasis("quadratic-differential basis is numerically dependent")
 
     g = (sw * gradient(s, kind) / fd.dsigma).ravel()

@@ -359,3 +359,24 @@ def test_doubly_periodic_chart_refuses_higher_degree(homog_torus):
     with pytest.raises(ConfigError, match="only constant phi are holomorphic"):
         make_qd_basis(homog_torus, 1)
     assert len(make_qd_basis(plane_patch(1.0, 1.0, 16, 16), 1)) == 4
+
+
+def test_weighted_design_gram_matrix(homog_torus):
+    # G is Re Q^H Q of the weighted basis columns sw phi_i / e^{2 lambda}; the
+    # gate reads |q_i| off its diagonal, so a scaled wave still fails it
+    from conwill.conformal_ops import _weighted_design
+    from conwill.multiplier import HOLO_TOL
+
+    s = homog_torus
+    basis = make_qd_basis(s)
+    fd = s.fundamental_data()
+    wu, wv = s.quadrature()
+    w = np.sqrt(np.outer(wu, wv) * fd.dsigma) / fd.e2l
+    Q = np.stack([(q.phi * w).ravel() for q in basis], axis=1)
+    G = _weighted_design(s, basis, HOLO_TOL)[1]
+    assert np.max(np.abs(G - (Q.conj().T @ Q).real)) <= 1e-13 * np.max(np.abs(G))
+    U, _ = s.grid.mesh()
+    for scale in (1.0, 1e12):
+        wave = QuadraticDifferential(s, scale * np.exp(2j * np.pi * U / s.grid.Lu), "wave")
+        with pytest.raises(NonHolomorphicBasis, match="wave"):
+            _weighted_design(s, [wave], HOLO_TOL)

@@ -67,13 +67,12 @@ def _su2(a, c):
     return np.moveaxis(np.array([[a, -np.conj(c)], [c, np.conj(a)]]), (0, 1), (-2, -1))
 
 
-def _omega(sigma, kap):
-    """sigma (kappa i + k) as 2x2 complex matrices, with i -> [[0, i], [i, 0]]
-    and k -> [[i, 0], [0, -i]]."""
-    sigma, kap = np.broadcast_arrays(sigma, kap)
-    W = np.zeros(kap.shape + (2, 2), dtype=complex)
-    W[..., 0, 0], W[..., 1, 1] = 1j * sigma, -1j * sigma
-    W[..., 0, 1] = W[..., 1, 0] = 1j * sigma * kap
+def _omega(kap):
+    """kappa i + k as 2x2 complex matrices, with i -> [[0, i], [i, 0]] and
+    k -> [[i, 0], [0, -i]]."""
+    W = np.zeros(np.shape(kap) + (2, 2), dtype=complex)
+    W[..., 0, 0], W[..., 1, 1] = 1j, -1j
+    W[..., 0, 1] = W[..., 1, 0] = 1j * np.asarray(kap)
     return W
 
 
@@ -84,10 +83,10 @@ def _stepwise_su2(u0, kap, h):
     U = _su2(*u0)
     out = [U[:, 0]]
     for k1, k2, k3, k4 in kap:
-        a = U @ _omega(1.0, k1) / 2
-        b = (U + h / 2 * a) @ _omega(1.0, k2) / 2
-        c = (U + h / 2 * b) @ _omega(1.0, k3) / 2
-        d = (U + h * c) @ _omega(1.0, k4) / 2
+        a = U @ _omega(k1) / 2
+        b = (U + h / 2 * a) @ _omega(k2) / 2
+        c = (U + h / 2 * b) @ _omega(k3) / 2
+        d = (U + h * c) @ _omega(k4) / 2
         U = U + h / 6 * (a + 2 * b + 2 * c + d)
         out.append(U[:, 0])
     return np.array(out)
@@ -155,38 +154,20 @@ def test_march_memory_does_not_grow_with_the_span():
 
 def test_step_matrices_match_stage_product():
     # the closed-form step quaternions against the RK4 stages of
-    # U' = U Omega_j / 2 multiplied out as 2x2 complex matrices, at speeds
-    # sigma != 1
+    # U' = U Omega_j / 2 multiplied out as 2x2 complex matrices
     from conwill.curves import _step_quaternions
 
     rng = np.random.default_rng(5)
     h = 1e-2
-    sigma = rng.uniform(0.3, 3.0, (500, 4))
     kap = rng.uniform(-3.0, 3.0, (500, 4))
-    W = _omega(sigma, kap) / 2
+    W = _omega(kap) / 2
     eye = np.eye(2)
     A1 = W[:, 0]
     A2 = (eye + h / 2 * A1) @ W[:, 1]
     A3 = (eye + h / 2 * A2) @ W[:, 2]
     A4 = (eye + h * A3) @ W[:, 3]
     ref = eye + h / 6 * (A1 + 2 * A2 + 2 * A3 + A4)
-    assert np.max(np.abs(_su2(*_step_quaternions(sigma, kap, h)) - ref)) < 1e-15
-    one = _step_quaternions(1.0, kap, h)
-    ones = _step_quaternions(np.ones_like(kap), kap, h)
-    assert np.array_equal(one[0], ones[0]) and np.array_equal(one[1], ones[1])
-
-
-def test_total_product_matches_sequential():
-    from conwill.curves import _step_quaternions, _total_product
-
-    rng = np.random.default_rng(7)
-    for n in (1, 2, 3, 1000, 1025):
-        a, c = _step_quaternions(rng.uniform(0.5, 2.0, (n, 4)), rng.uniform(-2.0, 2.0, (n, 4)),
-                                 1e-2)
-        ref = np.eye(2)
-        for M in _su2(a, c):
-            ref = ref @ M
-        assert np.max(np.abs(_su2(*_total_product(a, c)) - ref)) < 1e-14
+    assert np.max(np.abs(_su2(*_step_quaternions(kap, h)) - ref)) < 1e-15
 
 
 def test_plane_matches_stepwise_rk4():
@@ -387,7 +368,8 @@ def test_duplicate_orbit_is_returned_once():
     assert len(found) == 1
     sol = found[0]
     assert abs(sol.kappa0 - 0.3996706913246467) < 1e-10
-    assert (sol.n_lobes, sol.winding) == (3, 1)
+    # the measured winding: 3 Phi / 2 pi = 13.0 about the Killing axis
+    assert (sol.n_lobes, sol.winding) == (3, 13)
     assert sol.period == pytest.approx(78.72653996023723, rel=1e-9, abs=0.0)
     assert sol.curve.closed
 
@@ -445,29 +427,64 @@ def test_separatrix_raises():
                               kappa0_bracket=(1.98, 2.06), n_scan=2)
 
 
-@pytest.mark.parametrize("a, b, k0", [(0.0, 0.0, 0.2), (-2.0, 1.0, 0.6)])
+# orbits of both parity classes: 2 - a - k^2 keeps its sign at the two
+# turning points of the first and third, and changes it on the other two
+ORBITS = [(1.0, 0.5, 1.8), (0.2, 0.4, 1.0), (0.0, 0.0, 0.2), (-2.0, 1.0, 0.6)]
+
+
+@pytest.mark.parametrize("a, b, k0", ORBITS)
 def test_theta_grid_error_control(a, b, k0):
-    # a long period (T ~ 52) and an orbit next to the unstable equilibrium
-    # k = 0.618: 4096 theta steps leave the angle 8.7e-10 and 8.2e-10 off
-    from conwill.curves import _transfer_angle
+    # the quadrature angle against the frame march, the one integrator of the
+    # frame ODE, over one period of the orbit's kappa(s) from the identity:
+    # its transfer quaternion has real part cos(Theta/2) times its norm. The
+    # list holds a long period (T ~ 52) and an orbit next to the unstable
+    # equilibrium k = 0.618
+    from conwill.curves import _azimuth_advance, _march
 
-    T, orbit = _theta_orbit(a, b, k0)
-    n = 131072
-    H = 2 * np.pi / n
-    ref = _transfer_angle(*orbit(0.5 * H * np.arange(2 * n + 1)), H)
     ang, period = _monodromy_angle(a, b, k0)
+    T, kappa, _ = _orbit_curvature(a, b, k0, 1e-3)
     assert period == T
-    assert abs(ang - ref) < 1e-10
+    _, _, q = _march(kappa, 0.0, T, 2, (1.0 + 0j, 0j))
+    qa, qc = q[:, -1]
+    ref = 2.0 * np.arccos(qa.real / np.sqrt(abs(qa) ** 2 + abs(qc) ** 2))
+    assert abs(ang - ref) < 1e-12
+    assert _azimuth_advance(a, b, k0)[2] == (k0 in (1.0, 0.6))
 
 
-def test_theta_grid_cap_raises(monkeypatch):
-    # (0, 0, 0.2) needs 8192 theta steps (error estimate 5.5e-11; 4096 steps
-    # read 8.7e-10 off); below that the orbit is refused
+def test_theta_grid_cap_raises():
+    # a turning point at 2 - a - k^2 = -1e-3 puts the curve next to its
+    # Killing axis, where the azimuth speed peaks too sharply for 2^16 theta
+    # nodes; at -1e-2 the orbit is accepted
+    a, b = 1.0, 0.5
+    with pytest.raises(NearSeparatrix, match="Killing axis"):
+        _monodromy_angle(a, b, np.sqrt(2 - a + 1e-3))
+    assert 0.0 <= _monodromy_angle(a, b, np.sqrt(2 - a + 1e-2))[0] <= 2 * np.pi
+
+
+def test_monodromy_angle_steps_no_ode(monkeypatch):
+    # the angle is a quadrature on the theta-map: no RK4 step is made
     import conwill.curves as curves
 
-    monkeypatch.setattr(curves, "THETA_MAX_STEPS", 4096)
-    with pytest.raises(NearSeparatrix):
-        _monodromy_angle(0.0, 0.0, 0.2)
+    def refuse(*args, **kwargs):
+        raise AssertionError("RK4 step quaternions formed for the monodromy angle")
+
+    monkeypatch.setattr(curves, "_step_quaternions", refuse)
+    ang, T = _monodromy_angle(1.0, 0.5, 1.8)
+    assert abs(ang - 2.090086553182765) < 1e-10
+    assert T == pytest.approx(4.640291656455351, rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("a, b, k0", ORBITS)
+def test_killing_field_is_constant(a, b, k0):
+    # |J|^2 = (2k + b)^2 + 4 k'^2 + (2 - a - k^2)^2 on the theta-nodes, with
+    # k' = r cos(theta) / sigma, equals its value at the turning point k0
+    _, orbit = _theta_orbit(a, b, k0)
+    r = 0.5 * (orbit(0.5 * np.pi)[1] - orbit(-0.5 * np.pi)[1])
+    theta = 2 * np.pi / 256 * np.arange(256)
+    sigma, k = orbit(theta)
+    J = np.sqrt((2 * k + b) ** 2 + (2 * r * np.cos(theta) / sigma) ** 2 + (2 - a - k * k) ** 2)
+    J0 = np.hypot(2 * k0 + b, 2 - a - k0 * k0)
+    assert np.max(np.abs(J - J0)) <= 1e-14 * J0
 
 
 def _shoot_empty_box(h):
