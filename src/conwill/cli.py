@@ -36,11 +36,15 @@ RESOLUTION_RANGE = (8, 4096)
 
 
 def max_threads() -> int:
+    """CONWILL_THREADS if it is an integer (at least 1), else the CPUs this
+    process may run on: its affinity mask where the platform has one."""
     raw = os.environ.get("CONWILL_THREADS", "")
     try:
         n = int(raw)
         return max(1, n)
     except ValueError:
+        if hasattr(os, "sched_getaffinity"):
+            return max(1, len(os.sched_getaffinity(0)))
         return os.cpu_count() or 1
 
 
@@ -231,11 +235,11 @@ def cmd_check_gradients(args) -> int:
             or len(set(args.steps)) < len(args.steps)):
         raise ConfigError(f"--steps must be distinct positive finite numbers, got {args.steps}")
     s = build_surface(args)
-    # fills every derivative and chart stage of s (and s._fund) before the
-    # worker pool shares s, so no worker writes to its caches
+    # fills every chart stage of s that a trial reads (and s._fund) before
+    # the worker pool shares s, so no worker writes to its caches
     prepare_deformations(s)
     rng = np.random.default_rng(args.seed)
-    U, V = s.grid.mesh()
+    U, V = s.grid.open_mesh()
     rows = []
     kinds = [args.functional] if args.functional else ["area", "willmore"]
 
@@ -243,11 +247,7 @@ def cmd_check_gradients(args) -> int:
     jobs = []
     for kind in kinds:
         for trial in range(args.trials):
-            c = rng.normal(size=5)
-            u = (c[0] + c[1] * np.cos(2 * np.pi * U / s.grid.Lu)
-                 + c[2] * np.sin(2 * np.pi * V / s.grid.Lv)
-                 + c[3] * np.cos(2 * np.pi * (U / s.grid.Lu + V / s.grid.Lv))
-                 + c[4] * np.sin(4 * np.pi * U / s.grid.Lu)) * 0.2
+            u = _trial_field(s.grid, rng.normal(size=5), U, V)
             if not (s.grid.periodic_u and s.grid.periodic_v):
                 u = u * _support_window(s)
             jobs.append((kind, u))
@@ -272,6 +272,17 @@ def cmd_check_gradients(args) -> int:
     worst = max(r[4] for r in rows if r[1] == 0.0)
     print(f"wrote {out}; worst extrapolated rel_err = {worst:.3e}")
     return 0
+
+
+def _trial_field(g, c, U, V) -> np.ndarray:
+    """The (nu, nv) normal field of a check-gradients trial with the five
+    coefficients c, on node coordinates U, V; on the open mesh
+    (`Grid2D.open_mesh`) three of its four trigonometric terms are taken on
+    one axis only, with the same bits as on the dense mesh."""
+    return (c[0] + c[1] * np.cos(2 * np.pi * U / g.Lu)
+            + c[2] * np.sin(2 * np.pi * V / g.Lv)
+            + c[3] * np.cos(2 * np.pi * (U / g.Lu + V / g.Lv))
+            + c[4] * np.sin(4 * np.pi * U / g.Lu)) * 0.2
 
 
 def _support_window(s) -> np.ndarray:

@@ -158,18 +158,18 @@ def dbar_vector_field(s: ParamSurface, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dbar_norms(s: ParamSurface, phi: np.ndarray) -> np.ndarray:
-    """L2 norms over the chart of d phi_i / d z-bar for a (k, nu, nv) stack.
+def _dbar_norms(s: ParamSurface, phis: Sequence[np.ndarray]) -> np.ndarray:
+    """L2 norms over the chart of d phi_i / d z-bar for k (nu, nv) fields phi_i.
 
     An element that equals its first node everywhere is constant, so exactly
-    holomorphic: it gets 0 without being differenced.
+    holomorphic: it gets 0 without being differenced. The others are
+    differenced as one (k', nu, nv) stack.
     """
-    norms = np.zeros(len(phi))
-    vary = np.array([bool(np.any(p != p.flat[0])) for p in phi], dtype=bool)
+    norms = np.zeros(len(phis))
+    vary = np.array([bool(np.any(p != p.flat[0])) for p in phis], dtype=bool)
     if not vary.any():
         return norms
-    if not vary.all():
-        phi = phi[vary]
+    phi = np.array([p for p, v in zip(phis, vary) if v])
     g, a, b = s.grid, phi.real, phi.imag
     # 2 d phi / d z-bar = (a_x - b_y) + i (b_x + a_y), squared one part at a time
     dens = (diff_uniform(a, g.hu, 1, g.periodic_u, axis=1)
@@ -183,7 +183,7 @@ def _dbar_norms(s: ParamSurface, phi: np.ndarray) -> np.ndarray:
 
 def dbar_residual(q: QuadraticDifferential) -> float:
     """L2 norm over the chart of d phi / d z-bar; ~0 iff q is holomorphic."""
-    return float(_dbar_norms(q.surface, q.phi[None])[0])
+    return float(_dbar_norms(q.surface, [q.phi])[0])
 
 
 def pair_form_function(s: ParamSurface, omega: np.ndarray, u: np.ndarray) -> float:
@@ -216,8 +216,9 @@ def _weighted_design(s: ParamSurface, basis: Sequence[QuadraticDifferential],
     is the Gram matrix of the delta_star image. With q_i weighted as
     sw phi_i / e^{2 lambda}, G (k x k) = Re <q_i, q_j>, formed from the real
     and imaginary parts together as one real product; its diagonal holds
-    |q_i|^2. Raises GridMismatch or NonHolomorphicBasis
-    (dbar_residual > holo_tol max(1, |q|)).
+    |q_i|^2. Each basis element is written straight into its row of Q and of
+    D^T; no stack of the basis is formed. Raises GridMismatch or
+    NonHolomorphicBasis (dbar_residual > holo_tol max(1, |q|)).
     """
     if any(q.surface is not s for q in basis):
         raise GridMismatch("basis element belongs to a different surface")
@@ -225,17 +226,24 @@ def _weighted_design(s: ParamSurface, basis: Sequence[QuadraticDifferential],
     fd = s.fundamental_data()
     wu, wv = s.quadrature()
     sw = np.sqrt(np.outer(wu, wv) * fd.dsigma)
-    phi = np.array([q.phi for q in basis], dtype=complex).reshape((k,) + sw.shape)
-    dbar = _dbar_norms(s, phi)
+    dbar = _dbar_norms(s, [q.phi for q in basis])
+    wq = sw / fd.e2l
+    Qc = np.empty((k,) + sw.shape, dtype=complex)
+    for i, q in enumerate(basis):
+        np.multiply(q.phi, wq, out=Qc[i])
     # (k, 2N) real view: a row holds the real and imaginary parts of one q_i
-    Q = (phi * (sw / fd.e2l)).reshape(k, sw.size).view(np.float64)
+    Q = Qc.reshape(k, sw.size).view(np.float64)
     G = Q @ Q.T
     bad = dbar > holo_tol * np.maximum(1.0, np.sqrt(np.diag(G)))
     if np.any(bad):
         raise NonHolomorphicBasis(
             f"basis element {basis[int(np.argmax(bad))].label} fails holomorphicity")
-    D = (4.0 * _wedge_coeff(_mul2(fd.A0, fd.J), phi) * (sw / fd.dsigma)).reshape(k, sw.size).T
-    return D, G, sw
+    del Qc, Q  # D takes the pages of the basis rows
+    M, wd = _mul2(fd.A0, fd.J), sw / fd.dsigma
+    Dt = np.empty((k,) + sw.shape)
+    for i, q in enumerate(basis):
+        np.multiply(4.0 * _wedge_coeff(M, q.phi), wd, out=Dt[i])
+    return Dt.reshape(k, sw.size).T, G, sw
 
 
 @dataclass

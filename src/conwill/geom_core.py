@@ -3,7 +3,7 @@
 A surface is a map f(u, v) into the ambient space form sampled on a uniform
 (optionally periodic) grid, together with optional analytic derivative
 callbacks. Its geometry is computed in stages, each cached on the surface
-the first time it is asked for, as the position derivatives are:
+the first time it is asked for:
 
 * first form  -- E, F, G, W^2 = EG - F^2 and the area element W, from f_u
   and f_v; this stage holds the DegenerateImmersion and NotConformal gates;
@@ -25,11 +25,17 @@ The stages come in row blocks (`_stencils.row_blocks`, about BLOCK_NODES
 nodes each), so every temporary is block-sized and stays in cache. The first
 pass forms the first form and runs both gates on the whole chart; only then
 does a second pass form the normal, the second form and, for
-`fundamental_data`, the assembled fields. Every per-node scalar field a chart
-keeps is a row of one (25, nu, nv) array, the chart's slab (`SLAB_ROWS`),
-allocated by the first stage: its rows are touched only when a stage writes
-them, and one large array is not handed back to the allocator and faulted in
-again field by field. Only xi has an array of its own.
+`fundamental_data`, the assembled fields. Each pass reads the position
+derivatives one block at a time (`_derivative_blocks`): a chart with
+derivative callbacks calls them on the block's rows and never holds a
+whole-chart derivative field; a chart without them differences its positions
+once for the whole chart and keeps those five fields. Every per-node scalar
+field a chart keeps is a row of one (25, nu, nv) array, the chart's slab
+(`SLAB_ROWS`), allocated by the first stage: its rows are touched only when a
+stage writes them, and one large array is not handed back to the allocator
+and faulted in again field by field. Only xi has an array of its own. So a
+callback chart holds its positions, its slab and xi, and a whole-chart
+derivative only when a caller asks `ParamSurface.derivative` for it.
 
 Field conventions used throughout the package:
 
@@ -167,6 +173,16 @@ def _check_field(grid: Grid2D, arr: np.ndarray, trailing: tuple = ()) -> np.ndar
     return arr
 
 
+def _callback_rows(s: "ParamSurface", which: str, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The callback `which` of s on rows U (len(U), 1) of the open mesh and
+    its columns V (1, nv): a (len(U), nv, dim) field, GridMismatch otherwise."""
+    arr = np.asarray(s.callbacks[which](U, V), dtype=float)
+    want = (U.shape[0], s.grid.nv, s.space_form.ambient_dim)
+    if arr.shape != want:
+        raise GridMismatch(f"field shape {arr.shape} != {want}")
+    return arr
+
+
 class ParamSurface:
     """A parametrized surface on a Grid2D with optional analytic derivatives.
 
@@ -177,13 +193,14 @@ class ParamSurface:
     position : (nu, nv, dim) array of ambient points.
     callbacks : optional dict with keys among
         {"f", "fu", "fv", "fuu", "fuv", "fvv"}; each maps node coordinates
-        (U, V) to an (nu, nv, dim) array.  They are called with the open
-        mesh `grid.open_mesh()`, U of shape (nu, 1) and V of shape (1, nv),
-        so a separable chart evaluates its factors once per row and once
-        per column; the result must broadcast to the full (nu, nv, dim)
-        (GridMismatch otherwise), and the dense `grid.mesh()` works too.
-        When first/second derivative callbacks are present they are used
-        instead of finite differences.
+        (U, V) to an (len(U), nv, dim) array.  They are called with rows of
+        the open mesh `grid.open_mesh()`: the stages call them once per row
+        block with U[r0:r1] of shape (r1 - r0, 1) and V of shape (1, nv),
+        and `derivative` once with all of U. So a separable chart evaluates
+        its factors once per row and once per column. The result must
+        broadcast to the full (r1 - r0, nv, dim) (GridMismatch otherwise),
+        and the dense `grid.mesh()` works too. When first/second derivative
+        callbacks are present they are used instead of finite differences.
     orientation : +1 or -1, the normal-sign convention flag.
     conformal : whether the chart claims |f_u| = |f_v|, <f_u, f_v> = 0.
     quotient_seam : the grid wraps in u for fields and quadrature but the
@@ -241,14 +258,15 @@ class ParamSurface:
         return "analytic-callback" if self.has_analytic_derivatives else "fourth-order-central-differences"
 
     def derivative(self, which: str) -> np.ndarray:
-        """Position derivative field; which in {fu, fv, fuu, fuv, fvv}."""
+        """Whole-chart position derivative field, cached; which in
+        {fu, fv, fuu, fuv, fvv}. The stages do not call this on a chart with
+        callbacks (`_derivative_blocks`), so those are cached only when a
+        caller asks."""
         if which in self._deriv_cache:
             return self._deriv_cache[which]
         g = self.grid
         if which in self.callbacks:
-            U, V = g.open_mesh()
-            arr = _check_field(g, np.asarray(self.callbacks[which](U, V), dtype=float),
-                               (self.space_form.ambient_dim,))
+            arr = _callback_rows(self, which, *g.open_mesh())
         else:
             if self.quotient_seam:
                 raise GridMismatch("cannot finite-difference positions across a quotient seam")
@@ -461,26 +479,43 @@ def _assemble(blk: np.ndarray) -> None:
     blk[_E2L] = 0.5 * (E + Gm)
 
 
+def _derivative_blocks(s: ParamSurface, names: tuple[str, ...]):
+    """(b, d) per row block b = slice(r0, r1) of s (`row_blocks`), d the rows
+    b of each position derivative named in names.
+
+    A derivative that s has cached is sliced. One that s has a callback for
+    is that callback on the rows b of the open mesh, so it is never held for
+    the whole chart. Any other is differenced once on the whole chart and
+    cached (`ParamSurface.derivative`), and the R^3 position stage shares it.
+    """
+    U, V = s.grid.open_mesh()
+    whole = {k: s.derivative(k) for k in names
+             if k in s._deriv_cache or k not in s.callbacks}
+    for r0, r1 in row_blocks(s.grid.nu, s.grid.nv):
+        b = slice(r0, r1)
+        yield b, {k: whole[k][b] if k in whole else _callback_rows(s, k, U[b], V)
+                  for k in names}
+
+
 def _first_stage(s: ParamSurface) -> tuple[np.ndarray, ...]:
     """E, F, G, W^2 = EG - F^2 and W of the induced metric, gated and cached.
 
-    The first pass over row blocks: it allocates the chart's slab and fills
-    these rows of it. Raises DegenerateImmersion for nearly collinear
-    tangents and NotConformal for a chart flagged conformal whose metric is
-    not; both gates read the whole chart after the last block.
+    The first pass over row blocks (`_derivative_blocks`): it allocates the
+    chart's slab and fills these rows of it. Raises DegenerateImmersion for
+    nearly collinear tangents and NotConformal for a chart flagged conformal
+    whose metric is not; both gates read the whole chart after the last
+    block.
     """
     stage = s._stage_cache.get("first")
     if stage is None:
-        fu, fv = s.derivative("fu"), s.derivative("fv")
         slab = np.empty((SLAB_ROWS, s.grid.nu, s.grid.nv))
         E, F, Gm, W2, W = slab[_G2], slab[_G2 + 1], slab[_G2 + 3], slab[_W2], slab[_W]
         w2_min, eg_max, res = np.inf, 0.0, 0.0
-        # a chart that fails the immersion gate may divide by zero or take
-        # the root of a negative W^2 before the gate reads the last block
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for r0, r1 in row_blocks(s.grid.nu, s.grid.nv):
-                b = slice(r0, r1)
-                E[b], F[b], Gm[b] = _first_form(fu[b], fv[b])
+        for b, d in _derivative_blocks(s, ("fu", "fv")):
+            # a chart that fails the immersion gate may divide by zero or take
+            # the root of a negative W^2 before the gate reads the last block
+            with np.errstate(divide="ignore", invalid="ignore"):
+                E[b], F[b], Gm[b] = _first_form(d["fu"], d["fv"])
                 EG = E[b] * Gm[b]
                 np.subtract(EG, F[b] * F[b], out=W2[b])
                 np.sqrt(W2[b], out=W[b])
@@ -511,24 +546,24 @@ def _second_pass(s: ParamSurface, upto: str) -> None:
     slab = s._slab
     xi = s._stage_cache.get("normal")
     new_xi = xi is None
+    names = ()
     if new_xi:
         xi = np.empty(s.position.shape)
-        fu, fv = s.derivative("fu"), s.derivative("fv")
+        names = ("fu", "fv")
     new_second = upto != "normal" and "second" not in s._stage_cache
     if new_second:
-        fuu, fuv, fvv = (s.derivative(k) for k in ("fuu", "fuv", "fvv"))
+        names += ("fuu", "fuv", "fvv")
         e, f2, g2, H = slab[_II], slab[_II + 1], slab[_II + 3], slab[_H]
-    for r0, r1 in row_blocks(s.grid.nu, s.grid.nv):
-        b = slice(r0, r1)
+    for b, d in _derivative_blocks(s, names):
         if new_xi:
             if s.space_form.kind == EUCLIDEAN3:
-                _cross3(fu[b], fv[b], out=xi[b])
+                _cross3(d["fu"], d["fv"], out=xi[b])
             else:
-                _cross4(s.position[b], fu[b], fv[b], out=xi[b])
+                _cross4(s.position[b], d["fu"], d["fv"], out=xi[b])
             _unit_normal(xi[b], s.orientation)
         if new_second:
             e[b], f2[b], g2[b], H[b] = _second_form(E[b], F[b], Gm[b], W2[b], xi[b],
-                                                    fuu[b], fuv[b], fvv[b])
+                                                    d["fuu"], d["fuv"], d["fvv"])
         if upto == "assembled":
             _assemble(slab[:, b])
     if new_xi:

@@ -224,9 +224,10 @@ def fd_functional_derivative(
 
 
 def prepare_deformations(s: ParamSurface) -> None:
-    """Fill every cache of s that fd_functional_derivative reads, so worker
+    """Fill every stage of s that fd_functional_derivative reads, so worker
     threads can share s: its fundamental data and, in R^3, its position
-    stage."""
+    stage. A chart with derivative callbacks is left without whole-chart
+    derivative fields; the trials never read them."""
     s.fundamental_data()
     if s.space_form.kind == EUCLIDEAN3 and not s.quotient_seam:
         _position_stage(s)

@@ -1,5 +1,6 @@
 """Builder conventions: Weingarten forms, chart lattices, cross-checks."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -17,11 +18,12 @@ from conwill.builders import (
     torus_profile,
 )
 from conwill.curves import CurvatureCurve, integrate_curve
-from conwill.conformal_ops import make_qd_basis
+from conwill import _stencils
+from conwill.conformal_ops import _wedge_coeff, _weighted_design, make_qd_basis
 from conwill.errors import (AxisContact, BadRadii, GridMismatch, NotArcLength, NotConformal,
                             StepTooLarge, WrongSpaceForm)
 from conwill.functionals import AREA, area, value, willmore_energy
-from conwill.geom_core import CONFORMAL_GATE, R3, Grid2D, ParamSurface
+from conwill.geom_core import CONFORMAL_GATE, DERIVATIVES, R3, Grid2D, ParamSurface, _mul2
 from conwill.multiplier import solve_multiplier
 
 
@@ -395,6 +397,63 @@ def test_callbacks_on_dense_mesh_match_open_mesh(request, name):
     assert np.array_equal(s.callbacks["f"](U, V), s.position)
     for k in ("fu", "fv", "fuu", "fuv", "fvv"):
         assert np.array_equal(s.callbacks[k](U, V), s.derivative(k)), k
+
+
+CALLBACK_CHARTS = ["plane", "homog_torus", "ellipse_cylinder", "revolution_torus", "sphere_band",
+                   "hopf_latitude", "hopf_open_arc"]
+
+
+def _fresh(request, name):
+    """An uncached copy of a callback chart fixture."""
+    s = plane_patch(2.0, 1.5, 40, 32) if name == "plane" else request.getfixturevalue(name)
+    return s.with_orientation(s.orientation)
+
+
+@pytest.mark.parametrize("name", CALLBACK_CHARTS)
+def test_blockwise_callbacks_match_cached_derivatives(request, monkeypatch, name):
+    """Stages that call the callbacks once per row block have the bits of
+    stages that slice the five whole-chart derivatives, and hold none."""
+    monkeypatch.setattr(_stencils, "BLOCK_NODES", 1)
+    s, ref = _fresh(request, name), _fresh(request, name)
+    assert len(_stencils.row_blocks(s.grid.nu, s.grid.nv)) > 1
+    for k in DERIVATIVES:
+        ref.derivative(k)
+    fd, want = s.fundamental_data(), ref.fundamental_data()
+    for f in dataclasses.fields(fd):
+        assert np.array_equal(getattr(fd, f.name), getattr(want, f.name)), f.name
+    assert s._stage_cache.keys() == ref._stage_cache.keys() == {"first", "normal", "second"}
+    for key, stage in s._stage_cache.items():
+        for got, exp in zip(stage, ref._stage_cache[key]):
+            assert np.array_equal(got, exp), key
+    assert s._deriv_cache == {}
+
+
+def _stacked_design(s, basis):
+    """D, G and sw of `_weighted_design` from the (k, nu, nv) stack of the basis."""
+    k = len(basis)
+    fd = s.fundamental_data()
+    wu, wv = s.quadrature()
+    sw = np.sqrt(np.outer(wu, wv) * fd.dsigma)
+    phi = np.array([q.phi for q in basis])
+    Q = (phi * (sw / fd.e2l)).reshape(k, sw.size).view(np.float64)
+    D = (4.0 * _wedge_coeff(_mul2(fd.A0, fd.J), phi) * (sw / fd.dsigma)).reshape(k, sw.size).T
+    return D, Q @ Q.T, sw
+
+
+@pytest.mark.parametrize("name, degree", [(n, 0) for n in CALLBACK_CHARTS] + [("plane", 4)])
+def test_weighted_design_rows_match_stacked_basis(request, monkeypatch, name, degree):
+    """The design written one basis element at a time has the bits of the
+    stacked formula, and a certificate leaves the derivative cache empty."""
+    monkeypatch.setattr(_stencils, "BLOCK_NODES", 1)
+    s = _fresh(request, name)
+    willmore_energy(s)
+    basis = make_qd_basis(s, degree)
+    got, want = _weighted_design(s, basis, np.inf), _stacked_design(s, basis)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a, b)
+    assert got[0].flags.f_contiguous
+    solve_multiplier(s, "willmore", basis)
+    assert s._deriv_cache == {}
 
 
 def test_callback_that_does_not_broadcast_raises():
