@@ -1,21 +1,47 @@
 """OBJ / CSV artifact writers.
 
 S^3 surfaces are stereographically projected from the pole (0, 0, 0, 1)
-before OBJ export. All writers format floats with repr-style %.17g so that
-identical inputs give byte-identical files.
+before OBJ export. Every file is one table that `_write_rows` writes a
+block of rows at a time: floats as %.17g, index columns as %d
+('%d' % 3.0 == '3') and text as %s, byte for byte as Python's `%` writes
+them, so identical inputs give byte-identical files.
 
-Each file is one table that `_write_rows` formats block-wise, one `%` per
-block of rows; index columns are `%d` of floats ('%d' % 3.0 == '3').
+The numbers are formatted with numpy, without a Python call per value.
+A %.17g cell of x = m * 2^e (`np.frexp`, m an integer below 2^53) is the
+correctly rounded 17-digit decimal D * 10^(k - 16), D in [10^16, 10^17),
+the digits Python's `%` writes:
+
+* k = floor(log10 |x|), moved by one where the floor of the product
+  |x| * 10^(16 - k) falls outside [10^16, 10^17);
+* the product is m * 2^e times (H + L) * 2^b, a double-double within
+  2^-106 of 10^(16 - k) that `fractions.Fraction` gives exactly for each
+  exponent the first time a value needs it; m * H is an exact
+  two-product, so the fraction of the product is known to within 2^-46;
+* D rounds that product to nearest; a carry to 10^17 is 10^16 with k + 1;
+* D's digits are laid out as %g lays them out: fixed notation for
+  -4 <= k < 17, otherwise d.ddd...e+XX; trailing zeros are dropped, and the
+  point when no fraction digit is left; a zero is 0 or -0.
+
+A %d cell is the decimal digits of its integer value. Python's `%` still
+writes single cells: inf and nan; a %.17g whose product lies within 2^-20
+of a half-integer (an exact tie, which rounds to even, or a near one); a %d
+of a value that is not an integer below 10^18 in magnitude, or of any
+object column; and every %s cell.
 """
 
 from __future__ import annotations
+
+import re
+from fractions import Fraction
 
 import numpy as np
 
 from .geom_core import SPHERE3, ParamSurface
 
 FLT = "%.17g"
-_BLOCK_ROWS = 16384  # rows per `%`; bounds the formatted strings held at once
+# rows formatted at once: a block's byte matrix, NUL-padded, is about twice
+# its text, and the writer holds two copies of it while it compacts them
+_BLOCK_ROWS = 8192
 POLE_CLIP = 1e-12  # smallest |1 - x4| divided by in the stereographic projection
 
 
@@ -27,11 +53,241 @@ def stereographic_project(points: np.ndarray) -> np.ndarray:
     return points[..., :3] / w[..., None]
 
 
+_SPEC = re.compile(r"%(\.17g|d|s|%)?")
+
+# The ASCII digits of 0..9999, four to a uint32 (%d) and four to the even
+# bytes of a uint64 (%.17g, whose odd bytes are slots for the point); the
+# trailing zeros of each (4 for 0); and masks keeping the last c bytes of a
+# uint32 and the first c digits of a uint64, c = 0..4. Built from bytes, so
+# the words mean the same on either byte order.
+_QUAD_BYTES = (np.arange(10000, dtype=np.uint16)[:, None]
+               // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10 + ord("0")).astype(np.uint8)
+_QUAD = _QUAD_BYTES.view(np.uint32).ravel()
+_SPREAD = np.zeros((10000, 8), dtype=np.uint8)
+_SPREAD[:, ::2] = _QUAD_BYTES
+_SPREAD = _SPREAD.view(np.uint64).ravel()
+_TRAIL = sum((_QUAD_BYTES[:, t:] == ord("0")).all(axis=1) for t in range(4)).astype(np.intp)
+_KEEP_LAST = np.frombuffer(b"".join(b"\0" * (4 - c) + b"\xff" * c for c in range(5)), dtype=np.uint32)
+_KEEP_FIRST = np.frombuffer(b"".join(b"\xff\0" * c + b"\0\0" * (4 - c) for c in range(5)),
+                            dtype=np.uint64)
+# row n: the masks of the four words of digits 1..16 when n digits of the 17
+# are written
+_KEEP_WORDS = _KEEP_FIRST[np.clip(np.arange(18)[:, None] - [1, 5, 9, 13], 0, 4)]
+
+# A %.17g cell is laid out as: the sign; the prefix 0.000 (5 columns, for
+# -4 <= k < 0); digit j of D at 2j with a slot for the point after it at
+# 2j + 1 (34 columns); the suffix e+ddd (5 columns, outside -4 <= k < 17).
+# Columns not written stay NUL; a block without any prefix or suffix leaves
+# those columns out. The prefix, the suffix, the digit the point follows
+# (-1: none) and the digits written whatever their value (the integer part)
+# depend on k alone.
+_K_MIN = -325  # k ranges over [-325, 309] before its last correction
+
+
+def _k_tables():
+    ks = range(_K_MIN, _K_MIN + 640)
+    head = np.zeros((len(ks), 2, 6), dtype=np.uint8)  # [k, sign bit]: sign and prefix
+    head[:, 1, 0] = ord("-")
+    suffix = np.zeros((len(ks), 5), dtype=np.uint8)
+    dot = np.full(len(ks), -1, dtype=np.intp)
+    whole = np.ones(len(ks), dtype=np.intp)
+    for i, k in enumerate(ks):
+        if -4 <= k < 0:
+            head[i, :, 1:2 - k] = np.frombuffer(b"0." + b"0" * (-k - 1), dtype=np.uint8)
+        elif 0 <= k < 17:
+            dot[i], whole[i] = k if k < 16 else -1, k + 1
+        else:
+            dot[i] = 0
+            e = b"e%+03d" % k
+            suffix[i, :len(e)] = np.frombuffer(e, dtype=np.uint8)
+    return head.reshape(-1, 6), suffix, dot, whole
+
+
+_HEAD, _SUFFIX, _DOT, _WHOLE = _k_tables()
+
+# Powers 10^s, s = 16 - k: rows H, Hh, Hl, L of _P10 and b in _P10_EXP, with
+# 10^s = (H + L) * 2^b to within 2^-106 of it, H an integer in [2^52, 2^53]
+# and Hh + Hl = H its halves of 26 bits. An entry is filled the first time a
+# value needs it; any two fillings of it write the same numbers.
+_S_MIN = 16 - (_K_MIN + 639)
+_P10 = np.zeros((4, 640))
+_P10_EXP = np.zeros(640, dtype=np.int32)
+_P10_SEEN = np.zeros(640, dtype=bool)
+_TIE_BAND = 2.0 ** -20  # products this close to a half-integer are left to `%`
+
+
+def _split(a):
+    """Veltkamp's split a = hi + lo, each of at most 26 significant bits."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _pow10_entry(s: int) -> tuple[list[float], int]:
+    x = Fraction(10) ** s
+    b = x.numerator.bit_length() - x.denominator.bit_length() - 53
+    y = x / Fraction(2) ** b
+    while y >= 2 ** 53:
+        y, b = y / 2, b + 1
+    while y < 2 ** 52:
+        y, b = y * 2, b - 1
+    h = round(y)
+    return [float(h), *_split(float(h)), float(y - h)], b
+
+
+def _scaled_floor(m: np.ndarray, e: np.ndarray, k: np.ndarray):
+    """Floor (int64) and fraction of m * 2^e * 10^(16 - k), the fraction to
+    within 2^-46 where the product lies in [10^16, 10^17)."""
+    i = 16 - _S_MIN - k
+    if not _P10_SEEN[i.min():i.max() + 1].all():
+        for j in np.unique(i[~_P10_SEEN[i]]).tolist():
+            _P10[:, j], _P10_EXP[j] = _pow10_entry(j + _S_MIN)
+            _P10_SEEN[j] = True
+    H, hh, hl, lo = (np.take(row, i) for row in _P10)
+    p = m * H
+    mh, ml = _split(m)
+    err = mh * hh  # Dekker: p + err == m * H exactly after four terms
+    err -= p
+    err += mh * hl
+    err += ml * hh
+    err += ml * hl
+    err += m * lo
+    scale = np.ldexp(1.0, e + np.take(_P10_EXP, i))
+    err *= scale
+    whole = np.floor(err)
+    p *= scale
+    D = p.astype(np.int64)
+    D += whole.astype(np.int64)
+    err -= whole
+    return D, err
+
+
+def _text_cells(cells: list[str]) -> np.ndarray:
+    """The strings `cells` as the rows of a NUL-padded uint8 matrix."""
+    arr = np.array([c.encode() for c in cells], dtype=bytes)
+    return arr.view(np.uint8).reshape(len(cells), arr.itemsize)
+
+
+def _g17_cells(col: np.ndarray) -> np.ndarray:
+    """%.17g of each value of col, as the rows of a NUL-padded uint8 matrix."""
+    x = np.asarray(col, dtype=np.float64)
+    a = np.abs(x)
+    finite = np.isfinite(a)
+    zero = a == 0
+    a = np.where(finite & ~zero, a, 1.0)
+    mant, e = np.frexp(a)
+    m, e = mant * 2.0 ** 53, e - 53
+    k = np.floor(np.log10(a)).astype(np.intp)
+    D, frac = _scaled_floor(m, e, k)
+    moved = np.flatnonzero((D < 10 ** 16) | (D >= 10 ** 17))
+    if len(moved):
+        k[moved] += np.where(D[moved] < 10 ** 16, -1, 1)
+        D[moved], frac[moved] = _scaled_floor(m[moved], e[moved], k[moved])
+    by_percent = np.flatnonzero(~finite | (np.abs(frac - 0.5) < _TIE_BAND)
+                                | (D < 10 ** 16) | (D >= 10 ** 17))
+    D += frac > 0.5
+    carry = D == 10 ** 17
+    D[carry], k[carry] = 10 ** 16, k[carry] + 1
+
+    lead, rest = np.divmod(D, 10 ** 16)
+    lead[zero] = 0
+    high, low = np.divmod(rest, 10 ** 8)
+    chunks = np.empty((4, len(x)), dtype=np.int64)  # digits 1-4, 5-8, 9-12, 13-16
+    np.divmod(high, 10 ** 4, out=(chunks[0], chunks[1]))
+    np.divmod(low, 10 ** 4, out=(chunks[2], chunks[3]))
+    trail = np.take(_TRAIL, chunks[0])
+    for c in chunks[1:]:
+        trail = np.where(c == 0, trail + 4, np.take(_TRAIL, c))
+    ik = k - _K_MIN
+    whole = np.take(_WHOLE, ik)
+    n = np.maximum(17 - trail, whole)  # digits written
+    words = np.take(_SPREAD, chunks.T)
+    words &= np.take(_KEEP_WORDS, n, axis=0)
+    dot = np.take(_DOT, ik)
+    pointed = np.flatnonzero((n > whole) & (dot >= 0))
+    h = 6 if np.any((k >= -4) & (k < 0)) else 1
+    suffix = np.any((k < -4) | (k >= 17))
+    out = np.zeros((len(x), h + 34 + 5 * suffix), dtype=np.uint8)
+    out[:, :h] = np.take(_HEAD, 2 * ik + np.signbit(x), axis=0)[:, :h]
+    out[:, h] = lead + ord("0")
+    out[:, h + 2:h + 34] = words.view(np.uint8)
+    out[pointed, h + 1 + 2 * dot[pointed]] = ord(".")
+    if suffix:
+        out[:, h + 34:] = np.take(_SUFFIX, ik, axis=0)
+    return _by_percent(out, by_percent, [FLT % v for v in x[by_percent].tolist()])
+
+
+def _by_percent(out: np.ndarray, idx: np.ndarray, text: list[str]) -> np.ndarray:
+    """out with its rows idx replaced by text, widened to the widest."""
+    if len(idx):
+        txt = _text_cells(text)
+        if txt.shape[1] > out.shape[1]:
+            out = np.pad(out, ((0, 0), (0, txt.shape[1] - out.shape[1])))
+        out[idx] = 0
+        out[idx, :txt.shape[1]] = txt
+    return out
+
+
+def _d_cells(col: np.ndarray) -> np.ndarray:
+    """%d of each value of col, as the rows of a NUL-padded uint8 matrix."""
+    v = np.asarray(col)
+    if v.dtype.kind == "f":
+        ok = (np.abs(v) < 1e18) & (v == np.trunc(v))
+    elif v.dtype.kind in "iub":
+        ok = (v > -10 ** 18) & (v < 10 ** 18)
+    else:  # objects: every cell by `%`
+        v, ok = np.zeros(len(v)), np.zeros(len(v), dtype=bool)
+    u = np.where(ok, np.abs(v), 0).astype(np.int64)
+    width = len(str(int(u.max())))
+    quads = -(-width // 4)
+    n = sum((u >= 10 ** t for t in range(1, width)), np.ones(len(u), np.intp))  # digits
+    words = (np.stack([np.take(_QUAD, u // 10 ** (4 * i) % 10 ** 4) for i in range(quads - 1, -1, -1)],
+                      axis=1)
+             & np.take(_KEEP_LAST, np.clip(n[:, None] - 4 * np.arange(quads - 1, -1, -1), 0, 4)))
+    out = np.empty((len(u), 1 + 4 * quads), dtype=np.uint8)
+    out[:, 0] = np.where(v < 0, ord("-"), 0)
+    out[:, 1:] = words.view(np.uint8)
+    by_percent = np.flatnonzero(~ok)
+    return _by_percent(out, by_percent, ["%d" % val for val in col[by_percent].tolist()])
+
+
+_CELLS = {".17g": _g17_cells, "d": _d_cells,
+          "s": lambda col: _text_cells(["%s" % v for v in col.tolist()])}
+
+
 def _write_rows(fh, row_fmt: str, table: np.ndarray) -> None:
-    """Write each row of the 2-D `table` as `row_fmt`, one `%` per block of rows."""
+    """Write each row of the 2-D `table` as `row_fmt`, whose conversions are
+    %.17g, %d and %s (and %% for a percent sign), byte for byte as
+    `row_fmt % tuple(row)`.
+
+    A block of rows becomes one uint8 matrix with the literal bytes and the
+    NUL-padded cells side by side, written without its NULs; text (literals
+    and %s cells) must therefore hold no NUL.
+    """
+    literals, specs, pos = [""], [], 0
+    for match in _SPEC.finditer(row_fmt):
+        conv = match.group(1)
+        if conv is None:
+            raise ValueError(f"unsupported conversion at {row_fmt[match.start():]!r}")
+        literals[-1] += row_fmt[pos:match.start()] + ("%" if conv == "%" else "")
+        if conv != "%":
+            specs.append(conv)
+            literals.append("")
+        pos = match.end()
+    literals[-1] += row_fmt[pos:]
+    if table.ndim != 2 or table.shape[1] != len(specs):
+        raise TypeError(f"{len(specs)} conversions in {row_fmt!r} for a table of shape {table.shape}")
+    lits = [np.frombuffer(s.encode(), dtype=np.uint8) for s in literals]
     for start in range(0, len(table), _BLOCK_ROWS):
         block = table[start:start + _BLOCK_ROWS]
-        fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+        cells = [np.broadcast_to(lits[0], (len(block), len(lits[0])))]
+        for c, conv in enumerate(specs):
+            cells += [_CELLS[conv](block[:, c]), np.broadcast_to(lits[c + 1], (len(block), len(lits[c + 1])))]
+        rows = np.concatenate(cells, axis=1)
+        del cells  # at most two copies of the block's bytes are held at once
+        data = rows.tobytes()
+        del rows
+        fh.write(data.translate(None, b"\0").decode())
 
 
 def write_obj(path, s: ParamSurface) -> None:

@@ -295,13 +295,18 @@ class ParamSurface:
         """Max relative deviation of the metric from e^{2 lambda} Id, cached.
 
         Read from the first-form stage when it is cached; otherwise the
-        metric is formed here, without the stage's gates.
+        metric is formed here per row block (`_derivative_blocks`), without
+        the stage's gates and without caching the stage.
         """
         if self._residual is None:
             first = self._stage_cache.get("first")
-            E, F, Gm = first[:3] if first is not None else _first_form(
-                self.derivative("fu"), self.derivative("fv"))
-            self._residual = _conformality_residual(E, F, Gm)
+            if first is not None:
+                self._residual = _conformality_residual(*first[:3])
+            else:
+                res = 0.0
+                for _, d in _derivative_blocks(self, ("fu", "fv")):
+                    res = np.maximum(res, _conformality_residual(*_first_form(d["fu"], d["fv"])))
+                self._residual = float(res)
         return self._residual
 
     def require_conformal(self, tol: float = CONFORMAL_GATE) -> None:

@@ -1,7 +1,11 @@
 """OBJ / CSV writers and the stereographic projection."""
 
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conwill.builders import homogeneous_torus, plane_patch
 from conwill.conformal_ops import hopf_differential
@@ -126,6 +130,80 @@ def test_write_rows_object_table(tmp_path):
     expected = "".join("%s,%s,%s,%s,%s\n" % (r[0], FLT % r[1], FLT % r[2], FLT % r[3],
                                                FLT % r[4]) for r in rows)
     assert path.read_text() == expected
+
+
+# Exactness of `_write_rows` value by value: each table is compared with one
+# `%` per row, the formatting the writer must reproduce byte for byte.
+
+def _written(row_fmt, table):
+    buf = io.StringIO()
+    _write_rows(buf, row_fmt, table)
+    return buf.getvalue()
+
+
+def _percent(row_fmt, table):
+    return "".join(row_fmt % tuple(row) for row in table.tolist())
+
+
+def _check_exact(row_fmt, table):
+    got, want = _written(row_fmt, table), _percent(row_fmt, table)
+    if got != want:
+        bad = [(g, w) for g, w in zip(got.splitlines(), want.splitlines()) if g != w]
+        raise AssertionError(f"{len(bad)} rows differ, first {bad[:3]}")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(floats=st.lists(st.floats(width=64), min_size=1, max_size=40),
+       ints=st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1, max_size=40))
+def test_write_rows_matches_percent_on_drawn_values(floats, ints):
+    x = np.array(floats)
+    # %d of nan or inf raises in `%` as well; any other double has a %d
+    whole = np.where(np.isfinite(x), x, 0.0)
+    _check_exact("%.17g,%d %s;%.17g\n", np.column_stack([x, whole, x, -x]))
+    i = np.array(ints, dtype=np.int64)
+    _check_exact("%d|%.17g|%s%%\n", np.column_stack([i, i, i]))
+
+
+def test_write_rows_matches_percent_on_random_bits():
+    rng = np.random.default_rng(20260419)
+    x = rng.integers(0, 2 ** 64, 2 ** 20, dtype=np.uint64).view(np.float64)
+    _check_exact("%.17g\n", x[:, None])
+    i = rng.integers(-2 ** 63, 2 ** 63 - 1, 2 ** 16)
+    _check_exact("%d,%d\n", np.column_stack([i, i >> rng.integers(0, 63, len(i))]))
+
+
+def test_write_rows_matches_percent_on_edge_values():
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    edges = np.concatenate([
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+         np.nextafter(2.2250738585072014e-308, 0.0), 2.2250738585072014e-308,
+         1.7976931348623157e308, -1.7976931348623157e308,
+         2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2, 1000000000000000.25, 0.5, 0.1, 1e-4,
+         9.9999999999999995e-5, 1e16, 1e17, 1e18, 123456789012345678.0, -1e17,
+         99999999999999999.0, 0.30000000000000004, 1 / 3, 2 / 3],
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        # exact ties: 18 significant digits, the last a 5
+        np.add.outer(10.0 ** 15 + np.arange(100), [0.25, 0.75]).ravel(),
+        np.add.outer(10.0 ** 14 + np.arange(100), [0.125, 0.375, 0.625, 0.875]).ravel(),
+    ])
+    table = np.column_stack([edges, -edges])
+    _check_exact("%.17g %.17g\n", table)
+    assert _written("%.17g\n", np.array([[1000000000000000.25]])) == "1000000000000000.2\n"
+    assert _written("%.17g\n", np.array([[np.nextafter(1e-304, 0.0)]])) == \
+        "9.9999999999999977e-305\n"
+    ints = np.array([0, -1, 1, 9, 10, -10, 9999, 10000, -99999999, 10 ** 17, 10 ** 18 - 1,
+                     -(10 ** 18 - 1), 10 ** 18, -10 ** 18, 2 ** 63 - 1, -2 ** 63], dtype=np.int64)
+    _check_exact("%d;%s\n", np.column_stack([ints, ints]))
+    # %d of doubles: integral ones, fractions (truncated) and ones beyond 10^18
+    whole = np.array([-0.0, 0.0, 3.0, -3.0, 2.5, -2.5, 1e17, 1e18, -1e18, 1e300, 2.0 ** 60])
+    _check_exact("%d\n", whole[:, None])
+
+
+def test_write_rows_rejects_other_formats():
+    with pytest.raises(ValueError, match="unsupported"):
+        _written("%5d\n", np.zeros((2, 1)))
+    with pytest.raises(TypeError):
+        _written("%d %d\n", np.zeros((2, 1)))
 
 
 def test_stereographic_projection_values():

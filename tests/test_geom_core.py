@@ -327,6 +327,20 @@ def test_conformality_residual_without_first_stage():
         s.require_conformal()
 
 
+@pytest.mark.parametrize("blocks", [1, 4])
+def test_conformality_residual_holds_no_field(monkeypatch, blocks):
+    # a callback chart: the residual before any stage keeps no derivative
+    # field and no stage, and equals the whole-chart value bit for bit
+    if blocks > 1:
+        monkeypatch.setattr(_stencils, "BLOCK_NODES", 1)
+    s = surface_of_revolution(torus_profile(2.0, 0.7), nu=64, nv=48)
+    assert {"fu", "fv"} <= set(s.callbacks)
+    assert len(row_blocks(64, 48)) == blocks
+    res = s.conformality_residual()
+    assert not s._deriv_cache and not s._stage_cache and s._slab is None
+    assert res == _conformality_residual(*_first_form(s.derivative("fu"), s.derivative("fv")))
+
+
 def _node_major_reference(s):
     """g, II, A, A0, J and A0 J of s, each a C-order (nu, nv, 2, 2) array, from
     the derivatives and the unit normal, assembled node by node."""
