@@ -12,6 +12,7 @@ CONWILL_THREADS caps the worker pool used by finite-difference sweeps.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -103,7 +104,7 @@ def build_surface(args) -> "builders.ParamSurface":
 
 def _add_builder_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--builder", choices=BUILDERS, required=True)
-    p.add_argument("--resolution", type=int, nargs="+", default=[128],
+    p.add_argument("--resolution", type=int, nargs="+", default=(128,),
                    help="grid nodes (one value for both axes, or NU NV)")
     p.add_argument("--r1", type=float, default=0.6)
     p.add_argument("--r2", type=float, default=0.8)
@@ -378,11 +379,9 @@ def make_parser() -> argparse.ArgumentParser:
     _add_builder_args(p)
     p.add_argument("--spec", help="JSON job file overriding the flags")
     p.add_argument("--out", default="surface")
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("energy", help="area / Willmore / volume table with one refinement")
     _add_builder_args(p)
-    p.set_defaults(func=cmd_energy)
 
     p = sub.add_parser("certify", help="solve for the Lagrange multiplier and print a certificate")
     _add_builder_args(p)
@@ -391,7 +390,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-5)
     p.add_argument("--expect-critical", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("curve", help="integrate a curvature ODE and trace the curve")
     p.add_argument("--ode", choices=["elastica", "burstall"], required=True)
@@ -402,36 +400,38 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--span", type=float, default=60.0)
     p.add_argument("--ambient", choices=["Plane", "Sphere2"], default="Plane")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("check-gradients", help="finite-difference gradient sweep, CSV output")
     _add_builder_args(p)
     p.add_argument("--functional", choices=["area", "volume", "willmore"])
     p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--steps", type=float, nargs="+", default=[1e-4, 5e-5])
+    p.add_argument("--steps", type=float, nargs="+", default=(1e-4, 5e-5))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_check_gradients)
 
     p = sub.add_parser("export", help="write OBJ/CSV for a builder surface")
     _add_builder_args(p)
     p.add_argument("--obj")
     p.add_argument("--csv")
-    p.set_defaults(func=cmd_export)
 
-    p = sub.add_parser("verify-identities", help="closed-form identity suite")
-    p.set_defaults(func=cmd_verify_identities)
-
+    sub.add_parser("verify-identities", help="closed-form identity suite")
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process. Each parse_args call fills a new
+    namespace, and the defaults the calls share are immutable."""
+    return make_parser()
+
+
 def run(argv=None) -> int:
-    ap = make_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if getattr(args, "tol", 1.0) <= 0:
             raise ConfigError("tolerances must be positive")
-        return args.func(args)
+        # looked up at each call, so a wrapped or replaced cmd_* is the one run
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except ConwillError as exc:
         print(f"error ({args.command}): {exc}", file=sys.stderr)
         return 1

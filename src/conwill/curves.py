@@ -8,19 +8,22 @@ classical RK4 integration of the frame equations:
   K(kappa) = [[0, -1, 0], [1, 0, -kappa], [0, kappa, 0]]
 
 Both are evaluated without a per-step Python loop, by one march (`_march`)
-that evaluates kappa on the half-step grid and sums the turning
-theta = int kappa ds KAPPA_CHUNK steps at a time, and steps FRAME_BLOCK
-steps at a time. In the plane the
+that goes KAPPA_CHUNK steps at a time: per chunk one evaluation of kappa on
+the half-step grid, one cumulative sum of the turning theta = int kappa ds,
+and one cumulative sum of positions or one frame product. In the plane the
 theta stages do not depend on the state, so theta and (x, y) are cumulative
 sums of the RK4 stage formula. On the sphere the frame is the rotation R(u)
 of a unit quaternion u, and F' = F K(kappa) lifts to the linear equation
 u' = u (kappa i + k) / 2 in SU(2). One RK4 step of it is a quaternion,
 u_{i+1} = u_i M_i, written out from the four stage curvatures of the step
 (`_step_quaternions`); quaternions are stored as the complex pairs (a, c)
-of [[a, -conj(c)], [c, conj(a)]]. `_frame_block` multiplies out the step
-quaternions of one block chunk by chunk (a sequential prefix product inside
-chunks of FRAME_CHUNK steps, all chunks at once, and the quaternion carried
-over the chunk totals), and the march carries u from one block to the next.
+of [[a, -conj(c)], [c, conj(a)]]. `_frame_product` multiplies out the b
+step quaternions of a chunk by a two-level scan: a sequential prefix
+product inside runs of ceil(sqrt(b)) steps, all runs at once, then the
+quaternion carried over the run totals in Python complex; so a chunk costs
+about 2 sqrt(b) array or scalar products, not one per step. The march
+carries theta and u from one chunk to the next.
+
 The same march serves `integrate_curve`, which reads the frames (p, t, n)
 off u as the columns of R(u / |u|), and the Hopf lift in `builders`, which
 applies u and e^{-i theta/2} to a point of S^3. Quaternions are not
@@ -29,9 +32,11 @@ step-size check (`_check_frame_drift`).
 
 The generalized elastic-curve equation 2 k'' + k^3 + a k + b = 0 and its
 linearly-forced variant k'' + k^3/2 = (a + b s) k are integrated by one
-scalar RK4 stepper for k'' = f(s, k). Closed spherical solutions are found by
-shooting on the rotation angle of the frame transfer over one curvature
-period, and neither the period nor the transfer steps an ODE. Both rest on
+plain-Python scalar RK4 stepper for k'' = (p + q s) k + r k^3 + c, with the
+right-hand side written out in the step rather than called. Closed
+spherical solutions are found by shooting on the rotation angle of the
+frame transfer over one curvature period, and neither the period nor the
+transfer steps an ODE. Both rest on
 the first integral E = k'^2 + V(k), V = k^4/4 + a k^2/2 + b k: between the
 turning points lo, hi the substitution k = m + r sin(theta) gives the smooth
 2 pi-periodic speed ds/dtheta, so the period is a trapezoid sum in theta.
@@ -51,6 +56,7 @@ NearSeparatrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isqrt
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -66,9 +72,7 @@ MAX_STEP = 1e-3
 MIN_STEPS_PER_SPAN = 10_000
 BLOWUP_LIMIT = 1e6
 FRAME_DRIFT_TOL = 1e-6
-FRAME_BLOCK = 1024          # RK4 steps per batched block of step matrices
-KAPPA_CHUNK = 16 * FRAME_BLOCK  # RK4 steps per evaluation of kappa and theta
-FRAME_CHUNK = 32            # steps per chunk of the in-block prefix product
+KAPPA_CHUNK = 8192          # RK4 steps per evaluation of kappa, theta and the frame product
 PERIOD_NODES = 256          # trapezoid nodes in theta for the curvature period
 ANGLE_MAX_NODES = 2 ** 16   # finest theta grid of the azimuth advance before NearSeparatrix
 SEPARATRIX_TOL = 1e-12      # relative change of the period sum on every other node
@@ -100,8 +104,8 @@ def _qmul(a1, c1, a2, c2):
 
 
 def _step_quaternions(kap, h):
-    """RK4 step quaternions (a, c), each (b,), of u' = u omega / 2 from the stage
-    curvatures kap (b, 4).
+    """RK4 step quaternions (a, c), each (b,), of u' = u omega / 2 from the four
+    stage curvatures kap, arrays (b,) each.
 
     The stage vectors o_j = (kappa_j, 0, 1) act at half rate, so with g = h/2
     one step is u -> u M for M = 1 + g/6 S1 + g^2/6 S2 + g^3/12 S3 +
@@ -112,12 +116,12 @@ def _step_quaternions(kap, h):
     j (x, 0, z) = (z, 0, -x): the even terms give the w and y parts of M, the
     odd terms its x and z parts.
     """
-    x1, x2, x3, x4 = kap.T
+    x1, x2, x3, x4 = kap
     d12, d23, d34 = x1 * x2 + 1.0, x2 * x3 + 1.0, x3 * x4 + 1.0
     e12, e23, e34 = x2 - x1, x3 - x2, x4 - x3
     g = 0.5 * h
     c1, c2, c3, c4 = g / 6.0, g * g / 6.0, g ** 3 / 12.0, g ** 4 / 24.0
-    a = np.empty(kap.shape[:-1], dtype=complex)
+    a = np.empty(np.shape(x1), dtype=complex)
     c = np.empty_like(a)
     a.real = 1.0 - c2 * (d12 + d23 + d34) + c4 * (d12 * d34 - e12 * e34)
     a.imag = 6.0 * c1 - c3 * (d12 + d23 + e12 * x3 + e23 * x4)
@@ -156,36 +160,40 @@ def _frame_columns(a, c):
     return p, t, nn
 
 
-def _frame_block(u, kap, h):
+def _frame_product(u, kap, h):
     """RK4 on the SU(2) lift u' = u (kappa i + k) / 2 of the sphere frame
     equation F' = F K(kappa) from the start quaternion u = (a0, c0) over b
-    steps with the stage curvatures kap (b, 4). Returns the quaternions
-    (2, b + 1), the pairs (a, c) before step 0 and after each step; they are
-    not renormalized.
+    steps with the four stage curvatures kap, arrays (b,) each. Returns the
+    quaternions (2, b + 1), the pairs (a, c) before step 0 and after each
+    step; they are not renormalized.
 
-    The step quaternions are multiplied out in chunks of FRAME_CHUNK steps:
-    a sequential prefix product inside every chunk, all chunks at once, then
-    the quaternion carried over the chunk totals, then one product of each
-    chunk's incoming quaternion with its prefixes; about two quaternion
-    products per step.
+    The step quaternions are multiplied out by a two-level scan over runs of
+    L = ceil(sqrt(b)) steps: a sequential prefix product inside every run,
+    all runs at once (L - 1 products of arrays of b / L quaternions), then
+    the quaternion carried over the run totals in Python complex, then one
+    product of each run's incoming quaternion with its prefixes.
     """
-    a, c = u
-    b, nc = len(kap), -(-len(kap) // FRAME_CHUNK)
-    A = np.ones(nc * FRAME_CHUNK, dtype=complex)
-    C = np.zeros(nc * FRAME_CHUNK, dtype=complex)
-    A[:b], C[:b] = _step_quaternions(kap, h)
-    A, C = A.reshape(nc, FRAME_CHUNK), C.reshape(nc, FRAME_CHUNK)
-    for j in range(1, FRAME_CHUNK):
+    b = len(kap[0])
+    L = isqrt(b - 1) + 1
+    nr = -(-b // L)
+    a, c = _step_quaternions(kap, h)
+    q = np.empty((2, nr * L + 1), dtype=complex)
+    q[:, 0] = u
+    q[0, 1:b + 1], q[1, 1:b + 1] = a, c
+    q[0, b + 1:], q[1, b + 1:] = 1.0, 0.0  # identity steps fill the last run
+    del a, c
+    # step j of run r at [r, j]; the runs are scanned in place
+    A, C = q[0, 1:].reshape(nr, L), q[1, 1:].reshape(nr, L)
+    for j in range(1, L):
         A[:, j], C[:, j] = _qmul(A[:, j - 1], C[:, j - 1], A[:, j], C[:, j])
-    GA, GC = np.empty(nc, dtype=complex), np.empty(nc, dtype=complex)
-    GA[0], GC[0] = a, c
-    for k in range(1, nc):
-        GA[k], GC[k] = _qmul(GA[k - 1], GC[k - 1], A[k - 1, -1], C[k - 1, -1])
-    q = np.empty((2, b + 1), dtype=complex)
-    q[:, 0] = a, c
-    pa, pc = _qmul(GA[:, None], GC[:, None], A, C)
-    q[0, 1:], q[1, 1:] = pa.reshape(-1)[:b], pc.reshape(-1)[:b]
-    return q
+    ga, gc = complex(u[0]), complex(u[1])
+    GA, GC = [ga], [gc]
+    for ta, tc in zip(A[:-1, -1].tolist(), C[:-1, -1].tolist()):
+        ga, gc = ga * ta - gc.conjugate() * tc, gc * ta + ga.conjugate() * tc
+        GA.append(ga)
+        GC.append(gc)
+    A[...], C[...] = _qmul(np.array(GA)[:, None], np.array(GC)[:, None], A, C)
+    return q[:, :b + 1]
 
 
 def _check_frame_drift(a, c):
@@ -210,12 +218,12 @@ def _march(kfun, s0, span, n_samples, u0=None):
       stage average of e^{i theta} at the stage angles;
     * on S^2 the quaternions (2, n_samples) of the frame lift from the start
       quaternion u0 = (a0, c0), checked for drift (`_check_frame_drift`).
-    kfun is evaluated on the array of half-step arc lengths of KAPPA_CHUNK
-    steps at a time (a scalar result is broadcast), and theta is summed on
-    from the chunk before, so memory does not grow with the span. Positions
-    and quaternions are formed FRAME_BLOCK steps at a time (`_frame_block`
-    on S^2). A chunk or block starts from the last entry of the one before,
-    so only its later entries are sampled.
+    The steps go KAPPA_CHUNK at a time: one evaluation of kfun on the chunk's
+    half-step arc lengths (a scalar result is broadcast), one cumulative sum
+    of theta and one of the positions (in the plane) or one frame product
+    (`_frame_product` on S^2), each started from the last entry of the chunk
+    before, so memory does not grow with the span and only a chunk's later
+    entries are sampled.
     """
     ds = span / (n_samples - 1)
     m = max(1, int(np.ceil(ds / _default_step(span))))
@@ -230,25 +238,23 @@ def _march(kfun, s0, span, n_samples, u0=None):
         kh = np.broadcast_to(np.asarray(kfun(sh), dtype=float), sh.shape)
         k1, k2, k4 = kh[:-1:2], kh[1::2], kh[2::2]
         ths = np.cumsum(np.concatenate([[th], h / 6 * (k1 + 4 * k2 + k4)]))
-        for i0 in range(0, c1 - c0, FRAME_BLOCK):
-            i1 = min(i0 + FRAME_BLOCK, c1 - c0)
-            k, km = k1[i0:i1], k2[i0:i1]
-            if u0 is None:
-                dz = np.exp(1j * ths[i0:i1]) * (1 + 2 * np.exp(0.5j * h * k)
-                                                + 2 * np.exp(0.5j * h * km) + np.exp(1j * h * km))
-                zs = np.cumsum(np.concatenate([[z], h / 6 * dz]))
-            else:
-                # quaternions that overflow on an unresolved curvature fail the drift check
-                with np.errstate(over="ignore", invalid="ignore"):
-                    zs = _frame_block(z, np.stack([k, km, km, k4[i0:i1]], axis=-1), h)
-                    _check_frame_drift(*zs)
-            out.append(zs[..., m - (c0 + i0) % m::m].copy())
-            z = zs[..., -1]
+        if u0 is None:
+            dz = np.exp(1j * ths[:-1]) * (1 + 2 * np.exp(0.5j * h * k1)
+                                          + 2 * np.exp(0.5j * h * k2) + np.exp(1j * h * k2))
+            zs = np.cumsum(np.concatenate([[z], h / 6 * dz]))
+        else:
+            # quaternions that overflow on an unresolved curvature fail the drift check
+            with np.errstate(over="ignore", invalid="ignore"):
+                zs = _frame_product(z, (k1, k2, k2, k4), h)
+                _check_frame_drift(*zs)
         # copies, so that the chunk's arrays are freed with it
         first = m - c0 % m if c0 else 0
+        out.append(zs[..., m - c0 % m::m].copy())
         kap.append(kh[2 * first::2 * m].copy())
         theta.append(ths[first::m].copy())
-        th = ths[-1]
+        th, z = ths[-1], zs[..., -1].copy()
+        # freed before the next chunk's arrays are formed
+        del sh, kh, k1, k2, k4, ths, zs
     return np.concatenate(kap), np.concatenate(theta), np.concatenate(out, axis=-1)
 
 
@@ -506,9 +512,13 @@ def elastica_first_integral(kappa, dkappa, a, b):
     return np.asarray(dkappa) ** 2 + 0.25 * k ** 4 + 0.5 * a * k ** 2 + b * k
 
 
-def _run_ode(f, k0, dk0, s_span, step, max_stored):
-    """RK4 on k'' = f(s, k) from (k0, dk0) at s_span[0]; returns the stored
-    s, k and k', or raises BlowUp when |k| exceeds BLOWUP_LIMIT or is nan."""
+def _run_ode(coeffs, k0, dk0, s_span, step, max_stored):
+    """RK4 on k'' = (p + q s) k + r k^3 + c, coeffs = (p, q, r, c), from
+    (k0, dk0) at s_span[0]; returns the stored s, k and k', or raises BlowUp
+    when |k| exceeds BLOWUP_LIMIT or is nan.
+
+    The step count is rounded up to a multiple of the storage stride, so the
+    stored samples, at most max_stored, end at s_span[1]."""
     s0, s1 = map(float, s_span)
     span = s1 - s0
     if not np.isfinite(span):
@@ -520,36 +530,40 @@ def _run_ode(f, k0, dk0, s_span, step, max_stored):
     _check_count("max_stored", max_stored, 2)
     h = step if step is not None else _default_step(span)
     nsteps = int(np.ceil(span / h))
-    h = span / nsteps
     store_every = max(1, int(np.ceil(nsteps / (max_stored - 1))))
-    nstored = nsteps // store_every + 1
-    out = np.empty((nstored, 2))
+    nstored = -(-nsteps // store_every) + 1
+    h = span / ((nstored - 1) * store_every)
+    p, q, r, c = map(float, coeffs)
+    ks, dks = [0.0] * nstored, [0.0] * nstored
     k, dk, s = float(k0), float(dk0), s0
-    out[0, 0], out[0, 1] = k, dk
-    hh, h6, m = 0.5 * h, h / 6.0, 1
-    for i in range(nsteps):
-        l1 = f(s, k)
-        k2 = dk + hh * l1
-        l2 = f(s + hh, k + hh * dk)
-        k3 = dk + hh * l2
-        l3 = f(s + hh, k + hh * k2)
-        k4 = dk + h * l3
-        l4 = f(s + h, k + h * k3)
-        k += h6 * (dk + 2 * k2 + 2 * k3 + k4)
-        dk += h6 * (l1 + 2 * l2 + 2 * l3 + l4)
-        s += h
-        if not abs(k) <= BLOWUP_LIMIT:
-            raise BlowUp(f"|kappa| exceeded {BLOWUP_LIMIT:.0e}")
-        if (i + 1) % store_every == 0:
-            out[m, 0], out[m, 1] = k, dk
-            m += 1
-    return s0 + h * store_every * np.arange(nstored), out[:, 0], out[:, 1]
+    ks[0], dks[0] = k, dk
+    hh, h6, stride = 0.5 * h, h / 6.0, range(store_every)
+    for m in range(1, nstored):
+        for _ in stride:
+            # the stage slopes l_j = k''(s_j, k_j), written out
+            w, x = p + q * s, k
+            l1 = r * x * x * x + w * x + c
+            k2 = dk + hh * l1
+            w, x = p + q * (s + hh), k + hh * dk
+            l2 = r * x * x * x + w * x + c
+            k3 = dk + hh * l2
+            x = k + hh * k2
+            l3 = r * x * x * x + w * x + c
+            k4 = dk + h * l3
+            w, x = p + q * (s + h), k + h * k3
+            l4 = r * x * x * x + w * x + c
+            k += h6 * (dk + 2 * k2 + 2 * k3 + k4)
+            dk += h6 * (l1 + 2 * l2 + 2 * l3 + l4)
+            s += h
+            if not abs(k) <= BLOWUP_LIMIT:
+                raise BlowUp(f"|kappa| exceeded {BLOWUP_LIMIT:.0e}")
+        ks[m], dks[m] = k, dk
+    return np.linspace(s0, s1, nstored), np.array(ks), np.array(dks)
 
 
 def elastica_ode(a, b, k0, dk0, s_span, step=None, max_stored=200_001) -> OdeSolution:
     """Integrate 2 k'' + k^3 + a k + b = 0 and monitor its first integral."""
-    s, k, dk = _run_ode(lambda s, k: -0.5 * (k * k * k + a * k + b),
-                        k0, dk0, s_span, step, max_stored)
+    s, k, dk = _run_ode((-0.5 * a, 0.0, -0.5, -0.5 * b), k0, dk0, s_span, step, max_stored)
     E = elastica_first_integral(k, dk, a, b)
     scale = max(float(np.max(np.abs(E))), 1.0)
     drift = float(np.max(np.abs(E - E[0]))) / scale
@@ -558,8 +572,7 @@ def elastica_ode(a, b, k0, dk0, s_span, step=None, max_stored=200_001) -> OdeSol
 
 def burstall_ode(a, b, k0, dk0, s_span, step=None, max_stored=200_001) -> OdeSolution:
     """Integrate k'' + k^3/2 = (a + b s) k (no conserved quantity)."""
-    s, k, dk = _run_ode(lambda s, k: (a + b * s) * k - 0.5 * k ** 3,
-                        k0, dk0, s_span, step, max_stored)
+    s, k, dk = _run_ode((a, b, -0.5, 0.0), k0, dk0, s_span, step, max_stored)
     return OdeSolution(a, b, s, k, dk)
 
 

@@ -174,6 +174,31 @@ def test_export_checks_arguments_before_building(monkeypatch, capsys):
     assert "error (export): export needs --obj and/or --csv" in capsys.readouterr().err
 
 
+def test_successive_runs_get_independent_namespaces(monkeypatch):
+    # the parser is built once per process; each run still parses into its
+    # own namespace, and flags of one run do not reach the next
+    import conwill.cli as cli
+
+    seen, built = [], []
+    for name in ("cmd_check_gradients", "cmd_certify"):
+        monkeypatch.setattr(cli, name, lambda args: seen.append(args) or 0)
+    make_parser = cli.make_parser
+    monkeypatch.setattr(cli, "make_parser", lambda: built.append(1) or make_parser())
+    cli._parser.cache_clear()
+    assert run(["check-gradients", "--builder", "plane", "--resolution", "32", "40",
+                "--steps", "1e-3", "2e-3", "--trials", "1"]) == 0
+    assert run(["certify", "--builder", "clifford", "--tol", "1e-3"]) == 0
+    assert run(["check-gradients", "--builder", "clifford"]) == 0
+    first, second, third = seen
+    assert len(built) == 1
+    assert (first.command, first.builder, first.resolution) == ("check-gradients", "plane", [32, 40])
+    assert (first.steps, first.trials) == ([1e-3, 2e-3], 1)
+    assert (second.command, second.builder, second.resolution) == ("certify", "clifford", (128,))
+    assert second.tol == 1e-3 and not hasattr(second, "steps") and not hasattr(second, "trials")
+    assert (third.resolution, third.steps, third.trials) == ((128,), (1e-4, 5e-5), 3)
+    assert not hasattr(first, "tol") and not hasattr(third, "tol")
+
+
 def test_resolution_bounds():
     code = run(["energy", "--builder", "clifford", "--resolution", "4"])
     assert code == 1

@@ -93,35 +93,36 @@ def _stepwise_su2(u0, kap, h):
 
 
 def test_frame_kernel_matches_stepwise_rk4():
-    # the chunked quaternion products of one block against plain per-step
-    # RK4, from a start that is not the identity: a partial chunk, one chunk
-    # and a bit, one block, and more steps than two blocks
-    from conwill.curves import FRAME_BLOCK, _frame_block
+    # the two-level quaternion scan of one march chunk against plain per-step
+    # RK4, from a start that is not the identity: one step, a perfect square
+    # and its neighbours (runs of ceil(sqrt(b)) steps, the last run full,
+    # short by one, or holding two of eight steps), a whole chunk, and more
+    from conwill.curves import KAPPA_CHUNK, _frame_product
 
     rng = np.random.default_rng(3)
     h = 2e-3
     u0 = np.array([0.5 + 0.1j, 0.7 - 0.5j])
     u0 = tuple(u0 / np.linalg.norm(u0))
 
-    for nsteps in (1, 31, 33, FRAME_BLOCK, 2 * FRAME_BLOCK + 300):
+    for nsteps in (1, 48, 49, 50, KAPPA_CHUNK, KAPPA_CHUNK + 300):
         kap = rng.uniform(-2.0, 2.0, (nsteps, 4))
-        q = _frame_block(u0, kap, h)
+        q = _frame_product(u0, kap.T, h)
         assert q.shape == (2, nsteps + 1)
         assert np.max(np.abs(q.T - _stepwise_su2(u0, kap, h))) < 1e-12
 
 
 def test_march_carries_frames_across_blocks():
     # the shared march on S^2 against per-step RK4 on its step grid: 32
-    # intervals of 313 steps, so samples fall inside the 10 blocks and the
-    # quaternion is carried from block to block
-    from conwill.curves import FRAME_BLOCK, _march
+    # intervals of 577 steps span more than two chunks, so samples fall
+    # inside the three chunks and the quaternion is carried from chunk to chunk
+    from conwill.curves import KAPPA_CHUNK, _march
 
     kfun = lambda s: 0.5 + 0.3 * np.sin(3 * s)
     u0 = np.array([0.5 + 0.1j, 0.7 - 0.5j])
     u0 = tuple(u0 / np.linalg.norm(u0))
     kap, theta, q = _march(kfun, 0.2, 3.0, 33, u0)
-    m, h = 313, 3.0 / (32 * 313)
-    assert 32 * m > 9 * FRAME_BLOCK
+    m, h = 577, 3.0 / (32 * 577)
+    assert 2 * KAPPA_CHUNK < 32 * m <= 3 * KAPPA_CHUNK
     kh = kfun(0.2 + 0.5 * h * np.arange(64 * m + 1))
     stages = np.stack([kh[:-1:2], kh[1::2], kh[1::2], kh[2::2]], axis=-1)
     assert q.shape == (2, 33)
@@ -133,9 +134,8 @@ def test_march_carries_frames_across_blocks():
 
 
 def test_march_memory_does_not_grow_with_the_span():
-    # 1e6 RK4 steps over (0, 1000): kappa and theta are formed one chunk of
-    # steps at a time and positions one block at a time, so the traced peak
-    # stays near one chunk's arrays
+    # 1e6 RK4 steps over (0, 1000): kappa, theta and positions are formed one
+    # chunk of steps at a time, so the traced peak stays near one chunk's arrays
     import tracemalloc
 
     kfun = lambda s: 0.3 + 0.2 * np.sin(s)
@@ -147,9 +147,31 @@ def test_march_memory_does_not_grow_with_the_span():
         tracemalloc.stop()
     assert peak <= 2 * 2 ** 20
     assert np.max(np.abs(c.kappa - kfun(c.s))) < 1e-15
-    # theta is carried across the 62 chunks: the tangents follow its closed form
+    # theta is carried across the 123 chunks: the tangents follow its closed form
     theta = 0.3 * c.s + 0.2 * (1.0 - np.cos(c.s))
     assert np.max(np.abs(c.tangent - np.stack([np.cos(theta), np.sin(theta)], axis=-1))) < 1e-9
+
+
+def test_sphere_march_memory_does_not_grow_with_the_span():
+    # the same 1e6 steps on S^2. While one chunk's step quaternions are
+    # formed, the march holds per step its half-step curvatures and their arc
+    # lengths (4 floats) and theta (1), and the step-quaternion kernel its
+    # six stage products and two complex results (10) with a few temporaries;
+    # with the curve's samples, the traced peak stays below 32 floats a step
+    import tracemalloc
+
+    from conwill.curves import KAPPA_CHUNK
+
+    kfun = lambda s: 0.3 + 0.2 * np.sin(s)
+    tracemalloc.start()
+    try:
+        c = integrate_curve(kfun, "Sphere2", (0.0, 1000.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 8 * KAPPA_CHUNK
+    assert np.max(np.abs(c.kappa - kfun(c.s))) < 1e-15
+    assert np.max(np.abs(np.einsum("ij,ij->i", c.position, c.tangent))) < 1e-12
 
 
 def test_step_matrices_match_stage_product():
@@ -167,7 +189,7 @@ def test_step_matrices_match_stage_product():
     A3 = (eye + h / 2 * A2) @ W[:, 2]
     A4 = (eye + h * A3) @ W[:, 3]
     ref = eye + h / 6 * (A1 + 2 * A2 + 2 * A3 + A4)
-    assert np.max(np.abs(_su2(*_step_quaternions(kap, h)) - ref)) < 1e-15
+    assert np.max(np.abs(_su2(*_step_quaternions(kap.T, h)) - ref)) < 1e-15
 
 
 def test_plane_matches_stepwise_rk4():
@@ -212,6 +234,53 @@ def test_elastica_blowup():
     # fixed step cannot resolve an extremely stiff start and overflows
     with pytest.raises(BlowUp):
         elastica_ode(0.0, 0.0, 1e5, 0.0, (0.0, 1.0))
+
+
+def test_ode_samples_end_at_the_span():
+    # 10^4 steps stored every 1667th: the step count is rounded up to 6 * 1667,
+    # so the last of the 7 samples lies at s = 1 and is not dropped
+    sol = elastica_ode(0.2, 0.4, 1.0, 0.0, (0.0, 1.0), max_stored=7)
+    assert len(sol.s) == 7 and sol.s[0] == 0.0 and sol.s[-1] == 1.0
+    assert np.max(np.abs(np.diff(sol.s) - 1.0 / 6)) < 1e-15
+    full = elastica_ode(0.2, 0.4, 1.0, 0.0, (0.0, 1.0))
+    assert len(full.s) == 10_001 and full.s[-1] == 1.0
+    assert abs(sol.kappa[-1] - full.kappa[-1]) < 1e-12
+    assert abs(sol.dkappa[-1] - full.dkappa[-1]) < 1e-12
+    forced = burstall_ode(0.2, 0.02, 1.0, 0.0, (0.0, 10.3), max_stored=1000)
+    assert len(forced.s) <= 1000 and forced.s[-1] == 10.3
+
+
+# the eight ODE catalogue entries (a, b, k0, dk0) of perfbench/workloads.py, span 4.4
+ODE_CATALOGUE = [(1.0, 0.5, 1.2, 0.0), (0.8, 0.3, 1.5, 0.1), (1.2, 0.4, 0.9, -0.2),
+                 (0.5, 0.5, 1.8, 0.0), (1.0, 0.0, 1.0, 0.3), (1.5, 0.6, 1.3, 0.0),
+                 (0.9, 0.2, 2.0, -0.1), (1.1, 0.7, 0.7, 0.2)]
+
+
+@pytest.mark.parametrize("a, b, k0, dk0", ODE_CATALOGUE)
+def test_elastica_ode_matches_callable_rk4_bitwise(a, b, k0, dk0):
+    # the stepper with the coefficients written out against RK4 on
+    # k'' = f(s, k) with f = -(k^3 + a k + b) / 2 as a callable: the scalings
+    # by -1/2 are exact, so kappa and kappa' agree bit for bit
+    f = lambda s, k: -0.5 * (k * k * k + a * k + b)
+    n = 10_000
+    h = 4.4 / n
+    k, dk, s = k0, dk0, 0.0
+    ks, dks = [k], [dk]
+    for _ in range(n):
+        l1 = f(s, k)
+        k2 = dk + 0.5 * h * l1
+        l2 = f(s + 0.5 * h, k + 0.5 * h * dk)
+        k3 = dk + 0.5 * h * l2
+        l3 = f(s + 0.5 * h, k + 0.5 * h * k2)
+        k4 = dk + h * l3
+        l4 = f(s + h, k + h * k3)
+        k += h / 6.0 * (dk + 2 * k2 + 2 * k3 + k4)
+        dk += h / 6.0 * (l1 + 2 * l2 + 2 * l3 + l4)
+        s += h
+        ks.append(k)
+        dks.append(dk)
+    sol = elastica_ode(a, b, k0, dk0, (0.0, 4.4))
+    assert np.array_equal(sol.kappa, ks) and np.array_equal(sol.dkappa, dks)
 
 
 def test_burstall_footnote_run():
