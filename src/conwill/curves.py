@@ -15,9 +15,10 @@ theta stages do not depend on the state, so theta and (x, y) are cumulative
 sums of the RK4 stage formula. On the sphere the frame is the rotation R(u)
 of a unit quaternion u, and F' = F K(kappa) lifts to the linear equation
 u' = u (kappa i + k) / 2 in SU(2). One RK4 step of it is a quaternion,
-u_{i+1} = u_i M_i, written out from the four stage curvatures of the step
-(`_step_quaternions`); quaternions are stored as the complex pairs (a, c)
-of [[a, -conj(c)], [c, conj(a)]]. `_frame_product` multiplies out the b
+u_{i+1} = u_i M_i, written out from the curvatures at the start, middle and
+end of the step, the middle one serving as both the second and the third
+RK4 stage (`_step_quaternions`); quaternions are stored as the complex
+pairs (a, c) of [[a, -conj(c)], [c, conj(a)]]. `_frame_product` multiplies out the b
 step quaternions of a chunk by a two-level scan: a sequential prefix
 product inside runs of ceil(sqrt(b)) steps, all runs at once, then the
 quaternion carried over the run totals in Python complex; so a chunk costs
@@ -51,19 +52,25 @@ and kappa(s) a periodic spline through (s(theta_j), k(theta_j)). An orbit
 too close to its separatrix for the period sum or for the arc-length
 antiderivative, or too close to the axis +-J for the azimuth sum, raises
 NearSeparatrix.
+
+scipy (CubicSpline, next_fast_len, cumulative_simpson, brentq) is imported
+inside the functions that use it, so importing this module, and the package
+with it, loads numpy only; the first spline, parametric curve or shooting
+run pays the scipy import once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isqrt
-from typing import Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.fft import next_fast_len
-from scipy.interpolate import CubicSpline
 
 from .errors import BlowUp, NearSeparatrix, NoSolutionInBox, StepTooLarge
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 PLANE = "Plane"
 SPHERE2 = "Sphere2"
@@ -104,8 +111,9 @@ def _qmul(a1, c1, a2, c2):
 
 
 def _step_quaternions(kap, h):
-    """RK4 step quaternions (a, c), each (b,), of u' = u omega / 2 from the four
-    stage curvatures kap, arrays (b,) each.
+    """RK4 step quaternions (a, c), each (b,), of u' = u omega / 2 from the
+    stage curvatures kap = (kappa(s), kappa(s + h/2), kappa(s + h)), arrays
+    (b,) each; the half-step curvature is both the second and third stage.
 
     The stage vectors o_j = (kappa_j, 0, 1) act at half rate, so with g = h/2
     one step is u -> u M for M = 1 + g/6 S1 + g^2/6 S2 + g^3/12 S3 +
@@ -114,19 +122,19 @@ def _step_quaternions(kap, h):
     o_j lie in the x-z plane, so o_i o_j = -d_ij + e_ij j with the dot
     products d_ij = kappa_i kappa_j + 1 and e_ij = kappa_j - kappa_i, and
     j (x, 0, z) = (z, 0, -x): the even terms give the w and y parts of M, the
-    odd terms its x and z parts.
+    odd terms its x and z parts. With o3 = o2, e23 = 0 and its terms drop.
     """
-    x1, x2, x3, x4 = kap
-    d12, d23, d34 = x1 * x2 + 1.0, x2 * x3 + 1.0, x3 * x4 + 1.0
-    e12, e23, e34 = x2 - x1, x3 - x2, x4 - x3
+    x1, x2, x4 = kap
+    d12, d22, d24 = x1 * x2 + 1.0, x2 * x2 + 1.0, x2 * x4 + 1.0
+    e12, e24 = x2 - x1, x4 - x2
     g = 0.5 * h
     c1, c2, c3, c4 = g / 6.0, g * g / 6.0, g ** 3 / 12.0, g ** 4 / 24.0
     a = np.empty(np.shape(x1), dtype=complex)
     c = np.empty_like(a)
-    a.real = 1.0 - c2 * (d12 + d23 + d34) + c4 * (d12 * d34 - e12 * e34)
-    a.imag = 6.0 * c1 - c3 * (d12 + d23 + e12 * x3 + e23 * x4)
-    c.real = c2 * (e12 + e23 + e34) - c4 * (d12 * e34 + d34 * e12)
-    c.imag = c1 * (x1 + 2 * (x2 + x3) + x4) - c3 * (d12 * x3 + d23 * x4 - e12 - e23)
+    a.real = 1.0 - c2 * (d12 + d22 + d24) + c4 * (d12 * d24 - e12 * e24)
+    a.imag = 6.0 * c1 - c3 * (d12 + d22 + e12 * x2)
+    c.real = c2 * (e12 + e24) - c4 * (d12 * e24 + d24 * e12)
+    c.imag = c1 * (x1 + 4.0 * x2 + x4) - c3 * (d12 * x2 + d22 * x4 - e12)
     return a, c
 
 
@@ -163,7 +171,8 @@ def _frame_columns(a, c):
 def _frame_product(u, kap, h):
     """RK4 on the SU(2) lift u' = u (kappa i + k) / 2 of the sphere frame
     equation F' = F K(kappa) from the start quaternion u = (a0, c0) over b
-    steps with the four stage curvatures kap, arrays (b,) each. Returns the
+    steps with the stage curvatures kap = (kappa(s), kappa(s + h/2),
+    kappa(s + h)) of `_step_quaternions`, arrays (b,) each. Returns the
     quaternions (2, b + 1), the pairs (a, c) before step 0 and after each
     step; they are not renormalized.
 
@@ -245,7 +254,7 @@ def _march(kfun, s0, span, n_samples, u0=None):
         else:
             # quaternions that overflow on an unresolved curvature fail the drift check
             with np.errstate(over="ignore", invalid="ignore"):
-                zs = _frame_product(z, (k1, k2, k2, k4), h)
+                zs = _frame_product(z, (k1, k2, k4), h)
                 _check_frame_drift(*zs)
         # copies, so that the chunk's arrays are freed with it
         first = m - c0 % m if c0 else 0
@@ -288,6 +297,8 @@ class CurvatureCurve:
     def _spline(self, name: str, values: np.ndarray) -> CubicSpline:
         key = name
         if key not in self._splines:
+            from scipy.interpolate import CubicSpline
+
             if self.closed:
                 ss = np.append(self.s, self.s[0] + self.length)
                 vv = np.concatenate([values, values[:1]], axis=0)
@@ -353,6 +364,8 @@ def _finish_curve(ambient, s, kappa, pos, tan, nor=None, theta=None):
         nor = None if nor is None else nor[:-1]
     c = CurvatureCurve(ambient, s, kappa, pos, tan, nor, closed, gap)
     if ambient == PLANE:
+        from scipy.interpolate import CubicSpline
+
         if closed:
             L = c.length
             slope = 2 * np.pi * round((theta[-1] - theta[0]) / (2 * np.pi)) / L
@@ -400,6 +413,8 @@ def integrate_curve(
     if callable(kappa):
         kfun = kappa
     else:
+        from scipy.interpolate import CubicSpline
+
         karr = np.asarray(kappa, dtype=float)
         kgrid = np.linspace(s0, s1, len(karr))
         kfun = CubicSpline(kgrid, karr)
@@ -454,6 +469,7 @@ def curve_from_parametric(
     speeds = np.linalg.norm(np.asarray(dgamma(td)), axis=-1)
     # cumulative arc length via Simpson on the dense grid
     from scipy.integrate import cumulative_simpson
+    from scipy.interpolate import CubicSpline
 
     sd = np.asarray(cumulative_simpson(speeds, x=td, initial=0.0))
     L = float(sd[-1])
@@ -499,6 +515,8 @@ class OdeSolution:
     energy_drift: float = float("nan")
 
     def kappa_spline(self) -> CubicSpline:
+        from scipy.interpolate import CubicSpline
+
         return CubicSpline(self.s, self.kappa)
 
     def as_callable(self):
@@ -661,6 +679,9 @@ def _orbit_curvature(a, b, k0, h):
     period (it repeats past T), and the other turning point k1, the sample
     half a turn on.
     """
+    from scipy.fft import next_fast_len
+    from scipy.interpolate import CubicSpline
+
     T, orbit = _theta_orbit(a, b, k0)
     theta0 = 0.5 * np.pi if k0 ** 3 + a * k0 + b > 0 else -0.5 * np.pi
     M = PERIOD_NODES

@@ -15,6 +15,10 @@ deformed chart. In R^3 the differences are linear in the positions,
 D(f + t u xi) = D f + t D(u xi): D f is the chart's cached position stage
 and D(u xi) is formed once per block for every step. In S^3 each block of cos(t u) f + sin(t u) xi is
 differenced as it is.
+
+Only `conformal_completion_revolution` needs scipy (a CubicSpline
+antiderivative), and it imports it when called, so importing this module
+loads numpy only.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from ._stencils import (
     HALO,
@@ -348,6 +351,8 @@ def conformal_completion_revolution(s: ParamSurface, u: np.ndarray) -> Variation
     from the left margin. Outside the support psi is constant, and constant
     multiples of d/dx are themselves conformal fields on such charts.
     """
+    from scipy.interpolate import CubicSpline
+
     if not s.metadata.get("is_revolution"):
         raise NotRotationallySymmetric("surface was not built as a revolution chart")
     u = _check_field(s.grid, u)

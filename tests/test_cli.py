@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -335,3 +337,38 @@ def _check_pool_caches(monkeypatch, tmp_path, builder, stages):
     for name in ("deriv", "stage"):
         assert after[name].keys() == before[name].keys()
         assert all(after[name][k] is before[name][k] for k in before[name])
+
+
+GUARD_SCRIPT = """
+import contextlib, io, sys
+import conwill, conwill.cli
+from conwill.cli import run
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+with contextlib.redirect_stdout(io.StringIO()):
+    assert run(["certify", "--builder", "homogeneous-torus", "--resolution", "32"]) == 0
+    assert run(["check-gradients", "--builder", "revolution-torus", "--resolution", "16",
+                "--trials", "1", "--out", "g.csv"]) == 0
+    assert run(["build", "--builder", "revolution-sphere-band", "--resolution", "16",
+                "--out", "band"]) == 0
+    assert run(["build", "--builder", "plane", "--resolution", "16", "--out", "plane"]) == 0
+    assert scipy_modules() == [], scipy_modules()
+    assert run(["build", "--builder", "cylinder-ellipse", "--resolution", "16",
+                "--out", "ellipse"]) == 0
+    assert "scipy.interpolate" in sys.modules
+"""
+
+
+def test_analytic_charts_do_not_load_scipy(tmp_path):
+    # the package and the CLI import numpy only; certify, check-gradients and
+    # build on analytic charts never load scipy, and the first spline curve
+    # (the ellipse cylinder) does
+    import conwill
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(conwill.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, CONWILL_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", GUARD_SCRIPT], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

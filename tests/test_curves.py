@@ -105,10 +105,10 @@ def test_frame_kernel_matches_stepwise_rk4():
     u0 = tuple(u0 / np.linalg.norm(u0))
 
     for nsteps in (1, 48, 49, 50, KAPPA_CHUNK, KAPPA_CHUNK + 300):
-        kap = rng.uniform(-2.0, 2.0, (nsteps, 4))
+        kap = rng.uniform(-2.0, 2.0, (nsteps, 3))
         q = _frame_product(u0, kap.T, h)
         assert q.shape == (2, nsteps + 1)
-        assert np.max(np.abs(q.T - _stepwise_su2(u0, kap, h))) < 1e-12
+        assert np.max(np.abs(q.T - _stepwise_su2(u0, kap[:, [0, 1, 1, 2]], h))) < 1e-12
 
 
 def test_march_carries_frames_across_blocks():
@@ -156,7 +156,7 @@ def test_sphere_march_memory_does_not_grow_with_the_span():
     # the same 1e6 steps on S^2. While one chunk's step quaternions are
     # formed, the march holds per step its half-step curvatures and their arc
     # lengths (4 floats) and theta (1), and the step-quaternion kernel its
-    # six stage products and two complex results (10) with a few temporaries;
+    # five stage products and two complex results (9) with a few temporaries;
     # with the curve's samples, the traced peak stays below 32 floats a step
     import tracemalloc
 
@@ -176,13 +176,14 @@ def test_sphere_march_memory_does_not_grow_with_the_span():
 
 def test_step_matrices_match_stage_product():
     # the closed-form step quaternions against the RK4 stages of
-    # U' = U Omega_j / 2 multiplied out as 2x2 complex matrices
+    # U' = U Omega_j / 2 multiplied out as 2x2 complex matrices, with the
+    # half-step curvature as both the second and the third stage
     from conwill.curves import _step_quaternions
 
     rng = np.random.default_rng(5)
     h = 1e-2
-    kap = rng.uniform(-3.0, 3.0, (500, 4))
-    W = _omega(kap) / 2
+    kap = rng.uniform(-3.0, 3.0, (500, 3))
+    W = _omega(kap[:, [0, 1, 1, 2]]) / 2
     eye = np.eye(2)
     A1 = W[:, 0]
     A2 = (eye + h / 2 * A1) @ W[:, 1]
@@ -190,6 +191,38 @@ def test_step_matrices_match_stage_product():
     A4 = (eye + h * A3) @ W[:, 3]
     ref = eye + h / 6 * (A1 + 2 * A2 + 2 * A3 + A4)
     assert np.max(np.abs(_su2(*_step_quaternions(kap.T, h)) - ref)) < 1e-15
+
+
+def _four_stage_quaternions(kap, h):
+    """The step quaternions written out from four independent stage
+    curvatures kap = (x1, x2, x3, x4), the form the three-curvature kernel
+    specializes to x3 = x2."""
+    x1, x2, x3, x4 = kap
+    d12, d23, d34 = x1 * x2 + 1.0, x2 * x3 + 1.0, x3 * x4 + 1.0
+    e12, e23, e34 = x2 - x1, x3 - x2, x4 - x3
+    g = 0.5 * h
+    c1, c2, c3, c4 = g / 6.0, g * g / 6.0, g ** 3 / 12.0, g ** 4 / 24.0
+    a = np.empty(np.shape(x1), dtype=complex)
+    c = np.empty_like(a)
+    a.real = 1.0 - c2 * (d12 + d23 + d34) + c4 * (d12 * d34 - e12 * e34)
+    a.imag = 6.0 * c1 - c3 * (d12 + d23 + e12 * x3 + e23 * x4)
+    c.real = c2 * (e12 + e23 + e34) - c4 * (d12 * e34 + d34 * e12)
+    c.imag = c1 * (x1 + 2 * (x2 + x3) + x4) - c3 * (d12 * x3 + d23 * x4 - e12 - e23)
+    return a, c
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0, 1e4])
+def test_step_quaternions_equal_four_stage_form(scale):
+    # dropping the terms of e23 = 0 and writing 2 (x2 + x2) as 4 x2 changes
+    # no bit of the step quaternions
+    from conwill.curves import _step_quaternions
+
+    rng = np.random.default_rng(11)
+    for h in (1e-4, 2e-3, 0.1):
+        kap = rng.uniform(-scale, scale, (3, 100_000))
+        a, c = _step_quaternions(kap, h)
+        ra, rc = _four_stage_quaternions(kap[[0, 1, 1, 2]], h)
+        assert np.array_equal(a, ra) and np.array_equal(c, rc)
 
 
 def test_plane_matches_stepwise_rk4():

@@ -237,6 +237,28 @@ def test_certified_residual_convergence(closed_elastica):
     assert np.log2(residuals[1] / residuals[2]) > 2.0
 
 
+def test_compact_not_critical_is_not_a_grid_effect():
+    # on the revolution torus (R, a) = (2, 0.5) the area residual is an
+    # obstruction: it stays at 8.08937 under grid doubling, while the
+    # Willmore residual is discretization error that falls at order >= 3.5
+    from conwill.builders import surface_of_revolution, torus_profile
+
+    area, will = [], []
+    for n in (32, 64, 128):
+        s = surface_of_revolution(torus_profile(2.0, 0.5), nu=n, nv=n)
+        basis = make_qd_basis(s)
+        area.append(solve_multiplier(s, AREA, basis))
+        will.append(solve_multiplier(s, WILLMORE, basis))
+    assert [c.verdict for c in area] == ["not-critical"] * 3
+    assert [c.verdict for c in will] == ["critical"] * 3
+    res = np.array([c.residual_l2 for c in area])
+    assert abs(res[0] - 8.08937) < 1e-5
+    assert np.max(np.abs(res - res[0])) <= 1e-6 * res[0]
+    res = [c.residual_l2 for c in will]
+    assert np.log2(res[0] / res[1]) >= 3.5
+    assert np.log2(res[1] / res[2]) >= 3.5
+
+
 def test_compact_soundness_random_conformal_variations():
     """Certified-critical compact surface: <grad F, u> vanishes for exact
     conformal variations. Built from a potential: X = (chi_x, -chi_y) has
