@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from conwill.builders import homogeneous_torus, plane_patch
 from conwill.conformal_ops import hopf_differential
 from conwill.export import (
+    _GATHER_SHARE,
     FLT,
+    _value_table,
     _write_rows,
     stereographic_project,
     write_curve_csv,
@@ -197,6 +199,76 @@ def test_write_rows_matches_percent_on_edge_values():
     # %d of doubles: integral ones, fractions (truncated) and ones beyond 10^18
     whole = np.array([-0.0, 0.0, 3.0, -3.0, 2.5, -2.5, 1e17, 1e18, -1e18, 1e300, 2.0 ** 60])
     _check_exact("%d\n", whole[:, None])
+
+
+# Columns with few distinct values are formatted once per value and gathered
+# (`_value_table`); these tables repeat values so that they take that path.
+
+def _gathered(conv, cols):
+    return _value_table(conv, np.asarray(cols).reshape(len(cols), -1)) is not None
+
+
+def test_write_rows_gathers_signed_zeros_nans_infs_and_ties():
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+                     0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF], dtype=np.uint64).view(np.float64)
+    values = np.concatenate([[0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-5, 1e17, 0.5],
+                             nans, 10.0 ** 15 + np.array([0.25, 0.75, 1.25])])  # exact ties
+    col = np.tile(values, 1200)  # 20400 rows: three blocks
+    rng = np.random.default_rng(7)
+    table = np.column_stack([col, rng.permutation(col), -col])
+    assert _gathered(".17g", col)
+    _check_exact("%.17g,%.17g;%.17g\n", table)
+    # the distinct values are keyed on their bits: 0.0 and -0.0 keep their own cells
+    assert _written("%.17g %.17g\n", np.array([[0.0, -0.0]] * 4)) == "0 -0\n" * 4
+
+
+def test_write_rows_gather_rule_edge():
+    n = 4000
+    rng = np.random.default_rng(11)
+    u = int(_GATHER_SHARE * n)
+    for count, gathered in [(u, True), (u + 1, False)]:
+        values = rng.standard_normal(count) * 10.0 ** rng.integers(-8, 20, count)
+        col = rng.permutation(np.resize(values, n))
+        assert len(np.unique(col)) == count
+        assert _gathered(".17g", col) is gathered
+        _check_exact("%.17g|%.17g\n", np.column_stack([col, col[::-1]]))
+
+
+def test_write_rows_narrow_int_columns_near_int64_limits():
+    top = np.int64(2 ** 63 - 1) - np.arange(40, dtype=np.int64)
+    bottom = np.int64(-2 ** 63) + np.arange(40, dtype=np.int64)
+    mid = np.arange(-20, 20, dtype=np.int64)
+    for col in (top, bottom, mid):
+        col = np.tile(col, 50)
+        assert _gathered("d", col)
+        _check_exact("%d;%d\n", np.column_stack([col, col[::-1]]))
+    # max - min overflows int64 (it is computed with Python ints): formatted block by block
+    wide = np.tile(np.concatenate([top, bottom]), 50)
+    assert not _gathered("d", wide)
+    _check_exact("%d\n", wide[:, None])
+    _check_exact("%d,%d\n", np.column_stack([np.tile(top, 50), np.tile(bottom, 50)]))
+    huge = np.tile(np.uint64(2 ** 64 - 1) - np.arange(40, dtype=np.uint64), 50)
+    assert not _gathered("d", huge)
+    _check_exact("%d\n", huge[:, None])
+
+
+def test_write_rows_float_int_columns():
+    integral = np.tile([-3.0, -0.0, 0.0, 1.0, 2.0, 17.0], 300)
+    fractional = np.tile([-2.5, -0.5, 0.5, 2.9999999999999996, -7.75], 300)
+    large = np.tile([1e18, 1e18 + 128, 1e18 + 256], 300)  # cells by `%`
+    for col in (integral, fractional, large):
+        assert _gathered("d", col)
+        _check_exact("%d %d\n", np.column_stack([col, -col]))
+    i, j = np.indices((96, 90)).reshape(2, -1).astype(float)
+    assert _gathered("d", np.column_stack([i, j]))
+    _check_exact("%d,%d,%.17g\n", np.column_stack([i, j, np.sin(i) * np.cos(j)]))
+
+
+def test_write_rows_object_table_keeps_its_path():
+    rows = [("area", 1e-4, 0.1, -0.0, 3.0e-300), ("willmore", 0.0, 2.0 / 3.0, np.nan, 1e17)] * 300
+    table = np.array(rows, dtype=object)
+    assert not _gathered(".17g", table[:, 1])
+    _check_exact("%s," + ",".join([FLT] * 4) + "\n", table)
 
 
 def test_write_rows_rejects_other_formats():
