@@ -122,9 +122,11 @@ def _add_builder_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--extent", type=float, default=2.0)
 
 
-JOB_KEYS = {"builder", "resolution", "r1", "r2", "radius", "rx", "ry", "R",
-            "a_minor", "kappa", "a", "b", "k0", "dk0", "span", "extent",
-            "functional", "basis_degree", "tol", "seed", "out"}
+JOB_REALS = {"r1", "r2", "radius", "rx", "ry", "R", "a_minor", "kappa", "a", "b", "k0", "dk0",
+             "span", "extent"}
+JOB_INTS = {"basis_degree", "seed"}
+JOB_STRINGS = {"builder", "functional", "out"}
+JOB_KEYS = JOB_REALS | JOB_INTS | JOB_STRINGS | {"resolution", "tol"}
 
 
 def load_job(path) -> dict:
@@ -134,6 +136,13 @@ def load_job(path) -> dict:
     if unknown:
         raise ConfigError(f"unknown job keys: {sorted(unknown)}")
     # exact JSON types: a bool is not a number here
+    for key, val in job.items():
+        if key in JOB_REALS and not (type(val) in (int, float) and -np.inf < val < np.inf):
+            raise ConfigError(f"{key} must be a finite real number, got {val!r}")
+        if key in JOB_INTS and type(val) is not int:
+            raise ConfigError(f"{key} must be an integer, got {val!r}")
+        if key in JOB_STRINGS and type(val) is not str:
+            raise ConfigError(f"{key} must be a string, got {val!r}")
     if "tol" in job and not (type(job["tol"]) in (int, float) and 0 < job["tol"] < np.inf):
         raise ConfigError(f"tolerance must be a positive real number, got {job['tol']!r}")
     if "resolution" in job:

@@ -9,7 +9,8 @@ Gradients (as 2-forms, paired with normal variations u by <omega, u>):
 The Willmore energy is int (H^2 + Kbar) dsigma with Kbar the ambient
 sectional curvature (0 in R^3, 1 in S^3); in R^3 it coincides with int H^2.
 The values read only the chart stages they need (W for the area, W and xi
-for the volume, W and H for the Willmore energy), never `fundamental_data`.
+for the volume, W and H for the Willmore energy), never `fundamental_data`;
+each asks for its deepest stage first, so one pass over the chart fills them.
 Enclosed volume is only evaluated for closed surfaces in R^3, via the
 divergence theorem V = 1/3 int <f, xi> dsigma; its gradient form dsigma is
 available everywhere.
@@ -23,9 +24,7 @@ from .errors import NotClosed, WrongSpaceForm
 from .geom_core import (
     EUCLIDEAN3,
     ParamSurface,
-    _first_stage,
-    _normal_stage,
-    _second_stage,
+    _stages,
     integrate_2form,
     laplace_beltrami,
 )
@@ -44,13 +43,13 @@ def _check_kind(kind: str) -> str:
 
 
 def area(s: ParamSurface) -> float:
-    *_, W = _first_stage(s)
+    *_, W = _stages(s, "first")
     return integrate_2form(s, W)
 
 
 def willmore_energy(s: ParamSurface) -> float:
-    *_, W = _first_stage(s)
-    *_, H = _second_stage(s)
+    *_, H = _stages(s, "second")
+    *_, W = _stages(s, "first")
     kbar = s.space_form.sectional_curvature
     return integrate_2form(s, (H ** 2 + kbar) * W)
 
@@ -98,8 +97,9 @@ def enclosed_volume(s: ParamSurface) -> float:
         raise WrongSpaceForm("enclosed volume is only defined in R^3")
     if not is_closed_surface(s):
         raise NotClosed("surface has genuinely open ends")
-    *_, W = _first_stage(s)
-    integrand = np.einsum("ijk,ijk->ij", s.position, _normal_stage(s)) * W
+    xi = _stages(s, "normal")
+    *_, W = _stages(s, "first")
+    integrand = np.einsum("ijk,ijk->ij", s.position, xi) * W
     return integrate_2form(s, integrand) / 3.0
 
 

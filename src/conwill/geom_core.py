@@ -21,21 +21,22 @@ less read the stages directly: the functional values in `functionals` never
 build the 2x2 fields, and the area never differentiates to second order.
 A surface shared between threads must have its stages filled first.
 
-The stages come in row blocks (`_stencils.row_blocks`, about BLOCK_NODES
-nodes each), so every temporary is block-sized and stays in cache. The first
-pass forms the first form and runs both gates on the whole chart; only then
-does a second pass form the normal, the second form and, for
-`fundamental_data`, the assembled fields. Each pass reads the position
-derivatives one block at a time (`_derivative_blocks`): a chart with
-derivative callbacks calls them on the block's rows and never holds a
-whole-chart derivative field; a chart without them differences its positions
-once for the whole chart and keeps those five fields. Every per-node scalar
-field a chart keeps is a row of one (25, nu, nv) array, the chart's slab
-(`SLAB_ROWS`), allocated by the first stage: its rows are touched only when a
-stage writes them, and one large array is not handed back to the allocator
-and faulted in again field by field. Only xi has an array of its own. So a
-callback chart holds its positions, its slab and xi, and a whole-chart
-derivative only when a caller asks `ParamSurface.derivative` for it.
+The first three stages come from one pass over row blocks (`_stages`;
+`_stencils.row_blocks`, about BLOCK_NODES nodes each), so every temporary is
+block-sized and stays in cache. The pass forms every stage still missing up
+to the one asked for, and for `fundamental_data` the assembled fields; the
+gates read the whole chart and are checked after the last block. A pass
+reads the position derivatives one block at a time (`_derivative_blocks`):
+a callback is called on the block's rows, and any other derivative is the
+block's positions differenced with their halo rows (`_position_rows`, the
+only place positions are differenced, which the whole-chart `derivative`,
+the position stage and `variations` call too). No chart keeps a derivative
+field. Every per-node scalar field a chart keeps is a row of one
+(25, nu, nv) array, the chart's slab (`SLAB_ROWS`), allocated by the first
+stage: its rows are touched only when a stage writes them, and one large
+array is not handed back to the allocator and faulted in again field by
+field. Only xi has an array of its own. So a chart holds its positions, its
+slab and xi, and in R^3 the position stage once a deformation asks for it.
 
 Field conventions used throughout the package:
 
@@ -59,7 +60,15 @@ from typing import Optional
 
 import numpy as np
 
-from ._stencils import diff_uniform, quadrature_weights, row_blocks
+from ._stencils import (
+    HALO,
+    _diff_block,
+    _diff_padded,
+    _wrap_pad,
+    diff_uniform,
+    quadrature_weights,
+    row_blocks,
+)
 from .errors import (
     DegenerateImmersion,
     GridMismatch,
@@ -231,7 +240,6 @@ class ParamSurface:
         self.conformal = conformal
         self.quotient_seam = quotient_seam
         self.metadata = dict(metadata or {})
-        self._deriv_cache: dict[str, np.ndarray] = {}
         self._stage_cache: dict[str, object] = {}
         self._slab: Optional[np.ndarray] = None
         self._fund: Optional[FundamentalData] = None
@@ -258,33 +266,19 @@ class ParamSurface:
         return "analytic-callback" if self.has_analytic_derivatives else "fourth-order-central-differences"
 
     def derivative(self, which: str) -> np.ndarray:
-        """Whole-chart position derivative field, cached; which in
-        {fu, fv, fuu, fuv, fvv}. The stages do not call this on a chart with
-        callbacks (`_derivative_blocks`), so those are cached only when a
-        caller asks."""
-        if which in self._deriv_cache:
-            return self._deriv_cache[which]
+        """Whole-chart position derivative field, formed at each call; which
+        in {fu, fv, fuu, fuv, fvv}. Its callback on the open mesh if the chart
+        has one, else the positions differenced over all rows (`_position_rows`).
+        The stages do not call this (`_derivative_blocks`)."""
+        if which not in DERIVATIVES:
+            raise ValueError(f"unknown derivative {which!r}")
         g = self.grid
         if which in self.callbacks:
-            arr = _callback_rows(self, which, *g.open_mesh())
-        else:
-            if self.quotient_seam:
-                raise GridMismatch("cannot finite-difference positions across a quotient seam")
-            p = self.position
-            if which == "fu":
-                arr = diff_uniform(p, g.hu, 1, g.periodic_u, axis=0)
-            elif which == "fv":
-                arr = diff_uniform(p, g.hv, 1, g.periodic_v, axis=1)
-            elif which == "fuu":
-                arr = diff_uniform(p, g.hu, 2, g.periodic_u, axis=0)
-            elif which == "fvv":
-                arr = diff_uniform(p, g.hv, 2, g.periodic_v, axis=1)
-            elif which == "fuv":
-                arr = diff_uniform(self.derivative("fu"), g.hv, 1, g.periodic_v, axis=1)
-            else:
-                raise ValueError(f"unknown derivative {which!r}")
-        self._deriv_cache[which] = arr
-        return arr
+            return _callback_rows(self, which, *g.open_mesh())
+        if self.quotient_seam:
+            raise GridMismatch("cannot finite-difference positions across a quotient seam")
+        rows, lo = _halo_rows(g, 0, g.nu)
+        return _position_rows(self.position[rows], g, lo, lo + g.nu, (which,))[which]
 
     def fundamental_data(self) -> "FundamentalData":
         if self._fund is None:
@@ -484,42 +478,109 @@ def _assemble(blk: np.ndarray) -> None:
     blk[_E2L] = 0.5 * (E + Gm)
 
 
+def _halo_rows(g: Grid2D, r0: int, r1: int) -> tuple[np.ndarray, int]:
+    """(rows, lo) of the row block r0:r1 of g: rows indexes the block with up
+    to HALO rows on each side, wrapped on a periodic u axis and clipped at the
+    ends of an open one, so that the block starts at rows[lo]."""
+    if g.periodic_u:
+        return np.arange(r0 - HALO, r1 + HALO) % g.nu, HALO
+    start = max(r0 - HALO, 0)
+    return np.arange(start, min(r1 + HALO, g.nu)), r0 - start
+
+
+def _position_rows(ext: np.ndarray, g: Grid2D, lo: int, hi: int,
+                   names: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """The position derivatives named in names of the rows ext[lo:hi] of a
+    row block with its halo (`_halo_rows`): the one place where positions,
+    deformed or not, are differenced.
+
+    The rows have the bits diff_uniform gives on the whole chart, except the
+    two end columns of an open v axis, whose one-sided stencils are a BLAS
+    product over the block's rows that may round differently for another
+    row count. On a periodic v axis fv and fvv read one wrap-padded copy of
+    the block.
+    That copy and the halo rows are dropped before fuv pads fu, so a whole
+    chart is held in one padded copy at a time.
+    """
+    d = {}
+    v_names = [k for k in ("fv", "fvv") if k in names]
+    if v_names:
+        blk = ext[lo:hi]
+        vp = _wrap_pad(blk, 1) if g.periodic_v else None
+        for k in v_names:
+            d[k] = (_diff_padded(vp, g.hv, len(k) - 1, 1) if g.periodic_v
+                    else diff_uniform(blk, g.hv, len(k) - 1, False, axis=1))
+        del blk, vp
+    fu = _diff_block(ext, g.hu, 1, lo, hi) if "fu" in names or "fuv" in names else None
+    if "fuu" in names:
+        d["fuu"] = _diff_block(ext, g.hu, 2, lo, hi)
+    del ext
+    if "fuv" in names:
+        d["fuv"] = diff_uniform(fu, g.hv, 1, g.periodic_v, axis=1)
+    if "fu" in names:
+        d["fu"] = fu
+    return d
+
+
 def _derivative_blocks(s: ParamSurface, names: tuple[str, ...]):
     """(b, d) per row block b = slice(r0, r1) of s (`row_blocks`), d the rows
     b of each position derivative named in names.
 
-    A derivative that s has cached is sliced. One that s has a callback for
-    is that callback on the rows b of the open mesh, so it is never held for
-    the whole chart. Any other is differenced once on the whole chart and
-    cached (`ParamSurface.derivative`), and the R^3 position stage shares it.
+    A derivative that s has a callback for is that callback on the rows b of
+    the open mesh; the others are the block's positions differenced with
+    their halo (`_position_rows`). No whole-chart derivative field is formed.
     """
-    U, V = s.grid.open_mesh()
-    whole = {k: s.derivative(k) for k in names
-             if k in s._deriv_cache or k not in s.callbacks}
-    for r0, r1 in row_blocks(s.grid.nu, s.grid.nv):
+    g = s.grid
+    U, V = g.open_mesh()
+    differenced = tuple(k for k in names if k not in s.callbacks)
+    for r0, r1 in row_blocks(g.nu, g.nv):
         b = slice(r0, r1)
-        yield b, {k: whole[k][b] if k in whole else _callback_rows(s, k, U[b], V)
-                  for k in names}
+        d = {}
+        if differenced:
+            rows, lo = _halo_rows(g, r0, r1)
+            d = _position_rows(s.position[rows], g, lo, lo + r1 - r0, differenced)
+        for k in names:
+            if k in s.callbacks:
+                d[k] = _callback_rows(s, k, U[b], V)
+        yield b, d
 
 
-def _first_stage(s: ParamSurface) -> tuple[np.ndarray, ...]:
-    """E, F, G, W^2 = EG - F^2 and W of the induced metric, gated and cached.
+STAGES = ("first", "normal", "second", "assembled")
 
-    The first pass over row blocks (`_derivative_blocks`): it allocates the
-    chart's slab and fills these rows of it. Raises DegenerateImmersion for
-    nearly collinear tangents and NotConformal for a chart flagged conformal
-    whose metric is not; both gates read the whole chart after the last
-    block.
+
+def _stages(s: ParamSurface, upto: str):
+    """Fill the stages of s up to `upto` (of STAGES) that are not cached, in
+    one pass over row blocks (`_derivative_blocks`), and return stage `upto`.
+
+    * first  -- E, F, G, W^2 = EG - F^2 and W, in the slab it allocates;
+    * normal -- the unit normal xi, times the orientation flag; in S^3 the
+      ambient 4-vector orthogonal to f, f_u and f_v;
+    * second -- e, f, g and the mean curvature H (`_second_form`);
+    * assembled -- the rest of the slab (`_assemble`), formed at each call
+      and not cached (returns None).
+
+    The gates of the first stage (DegenerateImmersion, and NotConformal for a
+    chart flagged conformal) read the whole chart, so they are checked after
+    the last block and nothing is cached when one fails. Earlier blocks of
+    such a chart may divide by zero, so the pass runs under errstate.
     """
-    stage = s._stage_cache.get("first")
-    if stage is None:
-        slab = np.empty((SLAB_ROWS, s.grid.nu, s.grid.nv))
-        E, F, Gm, W2, W = slab[_G2], slab[_G2 + 1], slab[_G2 + 3], slab[_W2], slab[_W]
-        w2_min, eg_max, res = np.inf, 0.0, 0.0
-        for b, d in _derivative_blocks(s, ("fu", "fv")):
-            # a chart that fails the immersion gate may divide by zero or take
-            # the root of a negative W^2 before the gate reads the last block
-            with np.errstate(divide="ignore", invalid="ignore"):
+    cache = s._stage_cache
+    if upto in cache:
+        return cache[upto]
+    depth = STAGES.index(upto)
+    new_first = "first" not in cache
+    new_xi = depth >= 1 and "normal" not in cache
+    new_second = depth >= 2 and "second" not in cache
+    slab = np.empty((SLAB_ROWS, s.grid.nu, s.grid.nv)) if new_first else s._slab
+    E, F, Gm, W2, W = slab[_G2], slab[_G2 + 1], slab[_G2 + 3], slab[_W2], slab[_W]
+    e, f2, g2, H = slab[_II], slab[_II + 1], slab[_II + 3], slab[_H]
+    xi = np.empty(s.position.shape) if new_xi else cache.get("normal")
+    names = (("fu", "fv") if new_first or new_xi else ()) + (
+        ("fuu", "fuv", "fvv") if new_second else ())
+    w2_min, eg_max, res = np.inf, 0.0, 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for b, d in _derivative_blocks(s, names):
+            if new_first:
                 E[b], F[b], Gm[b] = _first_form(d["fu"], d["fv"])
                 EG = E[b] * Gm[b]
                 np.subtract(EG, F[b] * F[b], out=W2[b])
@@ -528,95 +589,53 @@ def _first_stage(s: ParamSurface) -> tuple[np.ndarray, ...]:
                 eg_max = np.maximum(eg_max, np.max(EG))
                 if s.conformal:
                     res = np.maximum(res, _conformality_residual(E[b], F[b], Gm[b]))
+            if new_xi:
+                if s.space_form.kind == EUCLIDEAN3:
+                    _cross3(d["fu"], d["fv"], out=xi[b])
+                else:
+                    _cross4(s.position[b], d["fu"], d["fv"], out=xi[b])
+                _unit_normal(xi[b], s.orientation)
+            if new_second:
+                e[b], f2[b], g2[b], H[b] = _second_form(E[b], F[b], Gm[b], W2[b], xi[b],
+                                                        d["fuu"], d["fuv"], d["fvv"])
+            if upto == "assembled":
+                _assemble(slab[:, b])
+    if new_first:
         _check_immersion(w2_min, eg_max)
         if s.conformal:
             res = s._residual = float(res)
             if res > CONFORMAL_GATE:
                 raise NotConformal(f"chart flagged conformal but residual is {res:.3e}")
         s._slab = slab
-        stage = s._stage_cache["first"] = (E, F, Gm, W2, W)
-    return stage
-
-
-def _second_pass(s: ParamSurface, upto: str) -> None:
-    """Fill the stages after the first up to `upto`, one of "normal",
-    "second" and "assembled", in one pass over row blocks.
-
-    The first stage and its gates come before, so nothing here divides on a
-    chart that fails them. Stages already cached are read, not formed again.
-    The unit normal is xi, times the orientation flag; for Sphere3 charts it
-    lies in T_f S^3: the ambient 4-vector orthogonal to f, f_u and f_v.
-    """
-    E, F, Gm, W2, _ = _first_stage(s)
-    slab = s._slab
-    xi = s._stage_cache.get("normal")
-    new_xi = xi is None
-    names = ()
+        cache["first"] = (E, F, Gm, W2, W)
     if new_xi:
-        xi = np.empty(s.position.shape)
-        names = ("fu", "fv")
-    new_second = upto != "normal" and "second" not in s._stage_cache
+        cache["normal"] = xi
     if new_second:
-        names += ("fuu", "fuv", "fvv")
-        e, f2, g2, H = slab[_II], slab[_II + 1], slab[_II + 3], slab[_H]
-    for b, d in _derivative_blocks(s, names):
-        if new_xi:
-            if s.space_form.kind == EUCLIDEAN3:
-                _cross3(d["fu"], d["fv"], out=xi[b])
-            else:
-                _cross4(s.position[b], d["fu"], d["fv"], out=xi[b])
-            _unit_normal(xi[b], s.orientation)
-        if new_second:
-            e[b], f2[b], g2[b], H[b] = _second_form(E[b], F[b], Gm[b], W2[b], xi[b],
-                                                    d["fuu"], d["fuv"], d["fvv"])
-        if upto == "assembled":
-            _assemble(slab[:, b])
-    if new_xi:
-        s._stage_cache["normal"] = xi
-    if new_second:
-        s._stage_cache["second"] = (e, f2, g2, H)
-
-
-def _normal_stage(s: ParamSurface) -> np.ndarray:
-    """Unit normal xi, times the orientation flag, cached (`_second_pass`)."""
-    if "normal" not in s._stage_cache:
-        _second_pass(s, "normal")
-    return s._stage_cache["normal"]
-
-
-def _second_stage(s: ParamSurface) -> tuple[np.ndarray, ...]:
-    """Second-form coefficients e, f, g and the mean curvature H, cached
-    (`_second_pass`, `_second_form`)."""
-    if "second" not in s._stage_cache:
-        _second_pass(s, "second")
-    return s._stage_cache["second"]
+        cache["second"] = (e, f2, g2, H)
+    return cache.get(upto)
 
 
 def _position_stage(s: ParamSurface) -> dict[str, np.ndarray]:
-    """The five position derivatives differenced from the positions, cached.
-
-    A chart without derivative callbacks already differences its positions,
-    and the stage shares those arrays; otherwise they are formed here from a
-    positions-only copy of the chart, whatever its callbacks return.
-    """
+    """The five position derivatives differenced from the positions over all
+    rows in one call (`_position_rows`), whatever the callbacks, cached."""
     stage = s._stage_cache.get("positions")
     if stage is None:
-        src = s
-        if any(k in s.callbacks for k in DERIVATIVES):
-            src = ParamSurface(s.space_form, s.grid, s.position)
-        stage = s._stage_cache["positions"] = {k: src.derivative(k) for k in DERIVATIVES}
+        g = s.grid
+        rows, lo = _halo_rows(g, 0, g.nu)
+        stage = s._stage_cache["positions"] = _position_rows(
+            s.position[rows], g, lo, lo + g.nu, DERIVATIVES)
     return stage
 
 
 def fundamental_data(s: ParamSurface) -> FundamentalData:
     """Assemble metric, shape operator, curvatures, normal, area form, J.
 
-    The first stage and its gates, then one pass over row blocks that forms
-    the normal and second-form stages still missing and assembles the rest
-    of the slab (`_assemble`). For Sphere3 charts G is the extrinsic det A;
-    the induced intrinsic curvature is G + 1.
+    One pass over row blocks that forms the stages still missing, with the
+    gates of the first, and assembles the rest of the slab (`_stages`). For
+    Sphere3 charts G is the extrinsic det A; the induced intrinsic curvature
+    is G + 1.
     """
-    _second_pass(s, "assembled")
+    _stages(s, "assembled")
     slab = s._slab
     return FundamentalData(
         g=_endo(slab[_G2:_G2 + 4]), II=_endo(slab[_II:_II + 4]), A=_endo(slab[_A:_A + 4]),

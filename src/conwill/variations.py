@@ -10,11 +10,12 @@ positions with finite differences, which is what the analytic rate formulas
 
 `fd_functional_derivative` evaluates the functional on all its deformed
 charts in one pass over the chart's row blocks (`_stencils.row_blocks`),
-each with two halo rows along u, so no whole-grid field is formed per
-deformed chart. In R^3 the differences are linear in the positions,
-D(f + t u xi) = D f + t D(u xi): D f is the chart's cached position stage
-and D(u xi) is formed once per block for every step. In S^3 each block of cos(t u) f + sin(t u) xi is
-differenced as it is.
+each with two halo rows along u (`geom_core._halo_rows`), so no whole-grid
+field is formed per deformed chart. Blocks are differenced by the stages'
+own differencer (`geom_core._position_rows`). In R^3 the differences are
+linear in the positions, D(f + t u xi) = D f + t D(u xi): D f is the chart's
+cached position stage and D(u xi) is formed once per block for every step.
+In S^3 each block of cos(t u) f + sin(t u) xi is differenced as it is.
 
 Only `conformal_completion_revolution` needs scipy (a CubicSpline
 antiderivative), and it imports it when called, so importing this module
@@ -28,15 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._stencils import (
-    HALO,
-    MARGIN,
-    _diff_block,
-    _diff_padded,
-    _wrap_pad,
-    diff_uniform,
-    row_blocks,
-)
+from ._stencils import MARGIN, diff_uniform, row_blocks
 from .conformal_ops import delta_op, dbar_vector_field
 from .errors import DegenerateDeformation, NotClosed, NotRotationallySymmetric, WrongSpaceForm
 from .functionals import AREA, VOLUME, WILLMORE, _ends_collapse, _ring_index, gradient
@@ -50,6 +43,8 @@ from .geom_core import (
     _cross3,
     _cross4,
     _first_form,
+    _halo_rows,
+    _position_rows,
     _position_stage,
     _second_form,
     _unit_normal,
@@ -123,16 +118,15 @@ def deform(s: ParamSurface, u: np.ndarray, t: float) -> ParamSurface:
                         metadata={"deformed_from": s.metadata.get("builder")})
 
 
-def _deformed_tangents(s: ParamSurface, u: np.ndarray, du: np.ndarray,
-                       dv: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact coordinate tangents of the deformed surface.
+def _deformed_tangents(s: ParamSurface, fu: np.ndarray, fv: np.ndarray, u: np.ndarray,
+                       du: np.ndarray, dv: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact coordinate tangents of the deformed surface from those of s.
 
     Uses d xi = -df(A _) (valid in R^3 and, for the tangential-to-S^3
     normal, in S^3), so no position differencing enters; du, dv are the
     chart derivatives of u.
     """
     fd = s.fundamental_data()
-    fu, fv = s.derivative("fu"), s.derivative("fv")
     xi_u = -(fd.A[..., 0, 0, None] * fu + fd.A[..., 1, 0, None] * fv)
     xi_v = -(fd.A[..., 0, 1, None] * fu + fd.A[..., 1, 1, None] * fv)
     if s.space_form.kind == EUCLIDEAN3:
@@ -174,6 +168,7 @@ def jdot_fd_check(
         dv = diff_uniform(u, g.hv, 1, g.periodic_v, axis=1)
     analytic = jdot_normal(s, u)
     J0 = s.fundamental_data().J
+    fu, fv = s.derivative("fu"), s.derivative("fv")
 
     def norm(R):
         mag2 = np.einsum("...ij,...ij->...", R, R)
@@ -181,7 +176,7 @@ def jdot_fd_check(
 
     quotients, errors = [], []
     for t in steps:
-        Jt = _j_from_tangents(*_deformed_tangents(s, u, du, dv, t))
+        Jt = _j_from_tangents(*_deformed_tangents(s, fu, fv, u, du, dv, t))
         q = (Jt - J0) / t
         quotients.append(q)
         errors.append(norm(q - analytic))
@@ -229,47 +224,15 @@ def fd_functional_derivative(
 def prepare_deformations(s: ParamSurface) -> None:
     """Fill every stage of s that fd_functional_derivative reads, so worker
     threads can share s: its fundamental data and, in R^3, its position
-    stage. A chart with derivative callbacks is left without whole-chart
-    derivative fields; the trials never read them."""
+    stage, the chart's only whole-chart derivative fields."""
     s.fundamental_data()
     if s.space_form.kind == EUCLIDEAN3 and not s.quotient_seam:
         _position_stage(s)
 
 
-def _row_blocks(g):
-    """(r0, r1, rows, lo) per row block of the grid (`row_blocks`): the block
-    is rows r0:r1 of the chart, and rows indexes it with its halo, wrapped on
-    a periodic u axis and clipped at the ends of an open one, so that it
-    starts at rows[lo]."""
-    for r0, r1 in row_blocks(g.nu, g.nv):
-        if g.periodic_u:
-            yield r0, r1, np.arange(r0 - HALO, r1 + HALO) % g.nu, HALO
-        else:
-            start = max(r0 - HALO, 0)
-            yield r0, r1, np.arange(start, min(r1 + HALO, g.nu)), r0 - start
-
-
-def _block_derivatives(ext, g, lo, hi, second):
-    """fu, fv (and fuu, fuv, fvv when second) of the rows ext[lo:hi] of a
-    block with its halo, as diff_uniform forms them on the whole chart. On a
-    periodic v axis fv and fvv read one wrap-padded copy of the block."""
-    blk = ext[lo:hi]
-    if g.periodic_v:
-        vp = _wrap_pad(blk, 1)
-        dv = lambda order: _diff_padded(vp, g.hv, order, 1)
-    else:
-        dv = lambda order: diff_uniform(blk, g.hv, order, False, axis=1)
-    d = {"fu": _diff_block(ext, g.hu, 1, lo, hi), "fv": dv(1)}
-    if second:
-        d["fuu"] = _diff_block(ext, g.hu, 2, lo, hi)
-        d["fuv"] = diff_uniform(d["fu"], g.hv, 1, g.periodic_v, axis=1)
-        d["fvv"] = dv(2)
-    return d
-
-
 def _deformed_values(s: ParamSurface, kind: str, u: np.ndarray, ts) -> list[float]:
     """value(deform(s, u, t), kind) for every t in ts, in one pass over row
-    blocks (`_row_blocks`), with the errors deform and value raise.
+    blocks (`row_blocks`), with the errors deform and value raise.
 
     The immersion gate and, for the volume of an open chart, the closed-end
     test read the whole deformed chart: min W^2, max EG and the bounding box
@@ -284,7 +247,7 @@ def _deformed_values(s: ParamSurface, kind: str, u: np.ndarray, ts) -> list[floa
     xi = s.fundamental_data().xi
     wu, wv = s.quadrature()
     kbar = s.space_form.sectional_curvature
-    second = kind == WILLMORE
+    names = ("fu", "fv") + (("fuu", "fuv", "fvv") if kind == WILLMORE else ())
     check_ends = kind == VOLUME and not (g.periodic_u and g.periodic_v)
     n = len(ts)
     total, w2_min, eg_max = np.zeros(n), np.full(n, np.inf), np.zeros(n)
@@ -293,11 +256,12 @@ def _deformed_values(s: ParamSurface, kind: str, u: np.ndarray, ts) -> list[floa
         Df = _position_stage(s)
     # a chart that fails the immersion gate may divide by zero first
     with np.errstate(divide="ignore", invalid="ignore"):
-        for r0, r1, rows, lo in _row_blocks(g):
+        for r0, r1 in row_blocks(g.nu, g.nv):
+            rows, lo = _halo_rows(g, r0, r1)
             hi = lo + r1 - r0
             u_ext, xi_ext = u[rows], xi[rows]
             if euclid:
-                dU = _block_derivatives(u_ext[..., None] * xi_ext, g, lo, hi, second)
+                dU = _position_rows(u_ext[..., None] * xi_ext, g, lo, hi, names)
             else:
                 p_ext = s.position[rows]
             for i, t in enumerate(ts):
@@ -310,7 +274,7 @@ def _deformed_values(s: ParamSurface, kind: str, u: np.ndarray, ts) -> list[floa
                     p_t = np.cos(ang) * p_ext + np.sin(ang) * xi_ext
                     pos = p_t[lo:hi]
                     _check_on_sphere(pos)
-                    d = _block_derivatives(p_t, g, lo, hi, second)
+                    d = _position_rows(p_t, g, lo, hi, names)
                 E, F, Gm = _first_form(d["fu"], d["fv"])
                 EG = E * Gm
                 W2 = EG - F * F

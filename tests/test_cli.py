@@ -152,17 +152,27 @@ def test_build_from_job_file(tmp_path, capsys):
     ("tol", "1e-5"),
     ("tol", 0),
     ("tol", True),
+    ("r1", "x"),
+    ("extent", True),
+    ("R", None),
+    ("span", float("nan")),
+    ("seed", 1.5),
+    ("basis_degree", False),
+    ("out", 5),
+    ("builder", ["plane"]),
+    ("functional", 1),
 ])
 def test_job_file_rejects_malformed_values(tmp_path, capsys, key, value):
+    """A job value of the wrong JSON type (a bool is not a number) or out of
+    range is a configuration error that names its key, not a traceback."""
     job = tmp_path / "job.json"
     job.write_text(json.dumps({key: value}))
     code = run(["build", "--builder", "plane", "--spec", str(job),
                 "--out", str(tmp_path / "surf")])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error (build):")
-    assert ("resolution" if key == "resolution" else "tolerance") in err
-    assert not (tmp_path / "surf.obj").exists()
+    assert err.startswith(f"error (build): {'tolerance' if key == 'tol' else key}")
+    assert not list(tmp_path.glob("surf*"))
 
 
 def test_export_checks_arguments_before_building(monkeypatch, capsys):
@@ -289,8 +299,7 @@ def test_check_gradients_rejects_bad_arguments(tmp_path, capsys, extra):
 
 def test_check_gradients_pool_leaves_shared_caches_alone(monkeypatch, tmp_path):
     """The warm-up fills every stage of the shared surface before the pool starts,
-    so no worker thread adds or replaces a cache entry. A callback chart reads
-    its derivatives per row block and holds none of them."""
+    so no worker thread adds or replaces a cache entry."""
     _check_pool_caches(monkeypatch, tmp_path, "homogeneous-torus", {"first", "normal", "second"})
 
 
@@ -311,7 +320,7 @@ def _check_pool_caches(monkeypatch, tmp_path, builder, stages):
     lock = threading.Lock()
 
     def caches(s):
-        return {"deriv": dict(s._deriv_cache), "stage": dict(s._stage_cache), "fund": s._fund}
+        return {"stage": dict(s._stage_cache), "fund": s._fund}
 
     def keep(args):
         shared.append(build(args))
@@ -331,12 +340,10 @@ def _check_pool_caches(monkeypatch, tmp_path, builder, stages):
                 "--trials", "3", "--out", str(tmp_path / "g.csv")]) == 0
     assert threads and threading.get_ident() not in threads
     before, after = seen[0], caches(shared[0])
-    assert before["deriv"] == {}
     assert set(before["stage"]) == stages
     assert before["fund"] is not None and after["fund"] is before["fund"]
-    for name in ("deriv", "stage"):
-        assert after[name].keys() == before[name].keys()
-        assert all(after[name][k] is before[name][k] for k in before[name])
+    assert after["stage"].keys() == before["stage"].keys()
+    assert all(after["stage"][k] is before["stage"][k] for k in before["stage"])
 
 
 GUARD_SCRIPT = """

@@ -150,10 +150,8 @@ def test_values_match_fundamental_data_integrals(revolution_torus, homog_torus, 
 def test_value_reads_only_the_stages_it_needs(revolution_torus):
     d = deform(revolution_torus, _bump(revolution_torus), 1e-3)
     area(d)
-    assert set(d._deriv_cache) == {"fu", "fv"}
     assert set(d._stage_cache) == {"first"}
     enclosed_volume(d)
-    assert set(d._deriv_cache) == {"fu", "fv"}
     assert set(d._stage_cache) == {"first", "normal"}
     for kind in (AREA, VOLUME, WILLMORE):
         value(d, kind)

@@ -31,7 +31,7 @@ from conwill.geom_core import (
     _cross4,
     _first_form,
     _mul2,
-    _second_stage,
+    _stages,
     anticommutator_defect,
     integrate_2form,
     laplace_beltrami,
@@ -274,6 +274,26 @@ def test_periodic_diff_matches_roll_reference(shape, order, axis):
     assert np.max(np.abs(got - _roll_diff(v, h, order, axis))) <= tol
 
 
+@pytest.mark.parametrize("periodic_u, periodic_v", [(True, True), (True, False),
+                                                    (False, True), (False, False)])
+def test_derivative_is_whole_chart_diff_uniform(periodic_u, periodic_v):
+    """Without callbacks, derivative(k) has the bits of diff_uniform over the
+    whole chart, f_uv as the v-difference of f_u, on either kind of axis."""
+    g = Grid2D(40, 24, 2.0, 1.5, periodic_u, periodic_v)
+    U, V = g.mesh()
+    s = ParamSurface(R3, g, np.stack([np.cos(U) * (2 + np.sin(V)), np.sin(U) * V,
+                                      np.exp(0.3 * U * V)], axis=-1))
+    fu = diff_uniform(s.position, g.hu, 1, periodic_u, axis=0)
+    want = {"fu": fu, "fv": diff_uniform(s.position, g.hv, 1, periodic_v, axis=1),
+            "fuu": diff_uniform(s.position, g.hu, 2, periodic_u, axis=0),
+            "fuv": diff_uniform(fu, g.hv, 1, periodic_v, axis=1),
+            "fvv": diff_uniform(s.position, g.hv, 2, periodic_v, axis=1)}
+    for k, arr in want.items():
+        assert np.array_equal(s.derivative(k), arr), k
+    with pytest.raises(ValueError):
+        s.derivative("fuuu")
+
+
 def test_cross3_matches_numpy():
     a, b = np.random.default_rng(4).normal(size=(2, 30, 20, 3))
     tol = 4 * np.finfo(float).eps * np.max(np.abs(a)) * np.max(np.abs(b))
@@ -329,15 +349,15 @@ def test_conformality_residual_without_first_stage():
 
 @pytest.mark.parametrize("blocks", [1, 4])
 def test_conformality_residual_holds_no_field(monkeypatch, blocks):
-    # a callback chart: the residual before any stage keeps no derivative
-    # field and no stage, and equals the whole-chart value bit for bit
+    # a callback chart: the residual before any stage keeps no stage, and
+    # equals the whole-chart value bit for bit
     if blocks > 1:
         monkeypatch.setattr(_stencils, "BLOCK_NODES", 1)
     s = surface_of_revolution(torus_profile(2.0, 0.7), nu=64, nv=48)
     assert {"fu", "fv"} <= set(s.callbacks)
     assert len(row_blocks(64, 48)) == blocks
     res = s.conformality_residual()
-    assert not s._deriv_cache and not s._stage_cache and s._slab is None
+    assert not s._stage_cache and s._slab is None
     assert res == _conformality_residual(*_first_form(s.derivative("fu"), s.derivative("fv")))
 
 
@@ -424,8 +444,7 @@ def _fresh(request, name):
 
 
 def _chart_data(s):
-    first, second = [tuple(a.copy() for a in stage(s))
-                     for stage in (geom_core._first_stage, _second_stage)]
+    first, second = [tuple(a.copy() for a in _stages(s, stage)) for stage in ("first", "second")]
     fd = s.fundamental_data()
     return first, second, fd, s.conformality_residual()
 
@@ -440,8 +459,8 @@ def test_blocked_pass_matches_one_block(request, monkeypatch, name):
     assert len(row_blocks(one.grid.nu, one.grid.nv)) == 1
     # one block, whole chart: fundamental data before any stage is asked for
     fd1 = one.fundamental_data()
-    want = ([a.copy() for a in geom_core._first_stage(one)],
-            [a.copy() for a in _second_stage(one)], fd1, one.conformality_residual())
+    want = ([a.copy() for a in _stages(one, "first")],
+            [a.copy() for a in _stages(one, "second")], fd1, one.conformality_residual())
 
     monkeypatch.setattr(_stencils, "BLOCK_NODES", 1)
     blocked = _fresh(request, name)
@@ -468,18 +487,18 @@ def test_fundamental_data_is_one_slab(revolution_torus):
     assert slab.shape == (geom_core.SLAB_ROWS, s.grid.nu, s.grid.nv)
     for key in FD_FIELDS:
         assert np.shares_memory(getattr(fd, key), slab) == (key != "xi"), key
-    for arr in geom_core._first_stage(s) + _second_stage(s):
+    for arr in _stages(s, "first") + _stages(s, "second"):
         assert np.shares_memory(arr, slab)
 
 
 def test_stages_fill_only_what_is_asked(revolution_torus):
     s = revolution_torus.with_orientation(revolution_torus.orientation)
-    geom_core._first_stage(s)
+    _stages(s, "first")
     assert set(s._stage_cache) == {"first"}
-    geom_core._normal_stage(s)
+    _stages(s, "normal")
     assert set(s._stage_cache) == {"first", "normal"}
     xi = s._stage_cache["normal"]
-    _second_stage(s)
+    _stages(s, "second")
     assert s._stage_cache["normal"] is xi and s._fund is None
     first = s._stage_cache["first"]
     s.fundamental_data()

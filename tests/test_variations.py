@@ -21,12 +21,17 @@ from conwill.errors import (
     WrongSpaceForm,
 )
 from conwill.functionals import AREA, VOLUME, WILLMORE, gradient, value
-from conwill.geom_core import _position_stage, anticommutator_defect, integrate_2form
+from conwill.geom_core import (
+    DERIVATIVES,
+    _halo_rows,
+    _position_rows,
+    _position_stage,
+    anticommutator_defect,
+    integrate_2form,
+)
 from conwill.variations import (
     Variation,
-    _block_derivatives,
     _deformed_values,
-    _row_blocks,
     conformal_completion_revolution,
     conformality_residual,
     deform,
@@ -269,7 +274,8 @@ def test_deformed_values_match_deformed_charts(pass_charts, monkeypatch, name, b
     # blocks of 14, not a multiple of the 16 block rows)
     if budget is not None:
         monkeypatch.setattr(_stencils, "BLOCK_NODES", budget)
-        assert len(list(_row_blocks(pass_charts[name][0].grid))) > 1
+        g = pass_charts[name][0].grid
+        assert len(_stencils.row_blocks(g.nu, g.nv)) > 1
     s, u, kinds = pass_charts[name]
     for kind in kinds:
         got = _deformed_values(s, kind, u, STEPS)
@@ -292,8 +298,9 @@ def test_linear_stencils_match_deformed_positions(pass_charts, monkeypatch, name
              "fuv": 2.25 / (g.hu * g.hv), "fvv": 16 / 3 / g.hv ** 2}
     for t in STEPS:
         explicit = deform(s, u, t)  # positions only, so it differences them
-        for r0, r1, rows, lo in _row_blocks(g):
-            dU = _block_derivatives(u[rows][..., None] * xi[rows], g, lo, lo + r1 - r0, True)
+        for r0, r1 in _stencils.row_blocks(g.nu, g.nv):
+            rows, lo = _halo_rows(g, r0, r1)
+            dU = _position_rows(u[rows][..., None] * xi[rows], g, lo, lo + r1 - r0, DERIVATIVES)
             for k, dk in dU.items():
                 want = explicit.derivative(k)
                 err = np.max(np.abs(Df[k][r0:r1] + t * dk - want[r0:r1]))
@@ -351,7 +358,7 @@ def test_immersion_gate_reads_whole_deformed_chart(monkeypatch):
     # different blocks, and neither block fails on its own.
     monkeypatch.setattr(_stencils, "BLOCK_NODES", 640)
     s = plane_patch(2.0, 1.5, 48, 40)
-    assert [r0 for r0, *_ in _row_blocks(s.grid)] == [0, 16, 32]
+    assert [r0 for r0, _ in _stencils.row_blocks(s.grid.nu, s.grid.nv)] == [0, 16, 32]
     ramp = np.maximum(np.arange(48) - 17, 0) * s.grid.hu
     u = np.repeat(ramp[:, None], 40, axis=1)
     with pytest.raises(DegenerateImmersion):
