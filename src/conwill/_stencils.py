@@ -2,7 +2,11 @@
 
 Fourth-order accuracy throughout: central 5-point stencils in the interior
 and on periodic axes, one-sided stencils of matching order at open
-boundaries.
+boundaries. Every derivative of sampled values is one call of `_diff_rows`,
+which sums the taps of each node's stencil elementwise: `diff_uniform` on
+a whole axis (wrap-padded when it is periodic) and `geom_core` on the rows
+of a row block with its halo, which therefore have the bits of the whole
+chart.
 """
 
 from __future__ import annotations
@@ -14,55 +18,16 @@ HALO = 2  # half-width of the central stencils: the rows a block reads on each s
 BLOCK_NODES = 16384  # chart nodes per row block of the passes over a chart (`row_blocks`)
 
 
-def fornberg_weights(x0: float, xs: np.ndarray, m: int) -> np.ndarray:
-    """Weights of the m-th derivative at x0 from samples at nodes xs.
-
-    Standard recursive construction; exact for polynomials up to degree
-    len(xs) - 1.
-    """
-    xs = np.asarray(xs, dtype=float)
-    n = len(xs)
-    w = np.zeros((m + 1, n))
-    w[0, 0] = 1.0
-    c1 = 1.0
-    c4 = xs[0] - x0
-    for i in range(1, n):
-        mn = min(i, m)
-        c2 = 1.0
-        c5 = c4
-        c4 = xs[i] - x0
-        for j in range(i):
-            c3 = xs[i] - xs[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    w[k, i] = c1 * (k * w[k - 1, i - 1] - c5 * w[k, i - 1]) / c2
-                w[0, i] = -c1 * c5 * w[0, i - 1] / c2
-            for k in range(mn, 0, -1):
-                w[k, j] = ((xs[i] - x0) * w[k, j] - k * w[k - 1, j]) / c3
-            w[0, j] = (xs[i] - x0) * w[0, j] / c3
-        c1 = c2
-    return w[m]
-
-
 # central 4th-order stencils on a unit-spacing grid
 _C1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 _C2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 
-_NPTS = {1: 5, 2: 6}  # one-sided stencil width for 4th-order accuracy
-
-
-def _boundary_weights(order: int) -> np.ndarray:
-    """One-sided stencil table for the first two nodes (rows 0, 1)."""
-    npts = _NPTS[order]
-    rows = []
-    for i in range(2):
-        rows.append(fornberg_weights(float(i), np.arange(npts, dtype=float), order))
-    return np.array(rows)
-
-
-_B1 = _boundary_weights(1)
-_B2 = _boundary_weights(2)
+# one-sided 4th-order stencils of the first two nodes of an open axis (rows
+# 0, 1), over its first five (order 1) or six (order 2) nodes: the weights
+# of Fornberg's recursion (Math. Comp. 51, 1988) as exact rationals
+_B1 = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0], [-3.0, -10.0, 18.0, -6.0, 1.0]]) / 12.0
+_B2 = np.array([[45.0, -154.0, 214.0, -156.0, 61.0, -10.0],
+                [10.0, -15.0, -4.0, 14.0, -6.0, 1.0]]) / 12.0
 
 
 def diff_uniform(values: np.ndarray, h: float, order: int, periodic: bool, axis: int = 0) -> np.ndarray:
@@ -77,24 +42,10 @@ def diff_uniform(values: np.ndarray, h: float, order: int, periodic: bool, axis:
     n = v.shape[axis]
     if n < 8:
         raise ValueError("need at least 8 samples along the differentiated axis")
+    axis %= v.ndim
     if periodic:
-        axis %= v.ndim
-        return _diff_padded(_wrap_pad(v, axis), h, order, axis)
-    cw = _C1 if order == 1 else _C2
-    v = np.moveaxis(v, axis, 0)
-    out = np.zeros_like(v)
-    for k, c in zip(range(-2, 3), cw):
-        if c != 0.0:
-            out[2:n - 2] += c * v[2 + k:n - 2 + k]
-    bw = _B1 if order == 1 else _B2
-    npts = bw.shape[1]
-    for i in range(2):
-        out[i] = np.tensordot(bw[i], v[:npts], axes=(0, 0))
-        # mirrored stencil at the far end; odd orders flip sign
-        sign = -1.0 if order == 1 else 1.0
-        out[n - 1 - i] = sign * np.tensordot(bw[i], v[n - npts:][::-1], axes=(0, 0))
-    out /= h ** order
-    return np.moveaxis(out, 0, axis)
+        return _diff_rows(_wrap_pad(v, axis), h, order, axis, HALO, n + HALO)
+    return _diff_rows(v, h, order, axis, 0, n)
 
 
 def row_blocks(nu: int, nv: int) -> list[tuple[int, int]]:
@@ -102,20 +53,6 @@ def row_blocks(nu: int, nv: int) -> list[tuple[int, int]]:
     rows each (at least 16), in blocks of nearly equal size."""
     nb = -(-nu // max(16, BLOCK_NODES // nv))
     return [(i * nu // nb, (i + 1) * nu // nb) for i in range(nb)]
-
-
-def _diff_block(ext: np.ndarray, h: float, order: int, lo: int, hi: int) -> np.ndarray:
-    """Derivative along axis 0 of the rows ext[lo:hi] of a row block.
-
-    ext holds the block and up to HALO rows on each side (wrapped on a
-    periodic axis). A side with HALO rows takes the central stencil; a side
-    without halo (lo == 0 or hi == len(ext)) is the end of an open axis and
-    takes its one-sided stencils. The rows equal those of diff_uniform on
-    the whole axis.
-    """
-    if lo == HALO and hi == ext.shape[0] - HALO:
-        return _diff_padded(ext, h, order, 0)
-    return diff_uniform(ext, h, order, False, axis=0)[lo:hi]
 
 
 def _wrap_pad(v: np.ndarray, axis: int) -> np.ndarray:
@@ -126,21 +63,46 @@ def _wrap_pad(v: np.ndarray, axis: int) -> np.ndarray:
                           axis=axis)
 
 
-def _diff_padded(vp: np.ndarray, h: float, order: int, axis: int) -> np.ndarray:
-    """Derivative at the n = len - 4 inner nodes of an axis padded by two
-    nodes at each end: the sum of c_k vp[i + 2 + k], divided by h^order.
+def _diff_rows(v: np.ndarray, h: float, order: int, axis: int, lo: int, hi: int) -> np.ndarray:
+    """Derivative at the nodes lo:hi of v along axis (>= 0), the two ends of
+    v being the ends of an open axis: the one place sampled values are
+    differenced.
 
-    Each stencil tap is a slice of vp, so no shifted copy is made.
+    A node with HALO nodes on each side takes the central stencil, the sum of
+    c_k v[i + k], each tap a slice of v; a node nearer an end takes its
+    one-sided stencil, mirrored at the far end (odd orders flip sign), summed
+    tap by tap as well. So a node reads only the nodes of its stencil, and
+    the rows of a block with its halo (or a wrap-padded periodic axis) have
+    the bits of the whole axis.
     """
-    n = vp.shape[axis] - 2 * HALO
+    n = v.shape[axis]
     pre = (slice(None),) * axis
+
+    def nodes(a, b):
+        return v[pre + (slice(a, b),)]
+
+    shape = list(v.shape)
+    shape[axis] = hi - lo
+    out = np.empty(shape)
+    c0, c1 = max(lo, HALO), min(hi, n - HALO)  # the central nodes
     cw = _C1 if order == 1 else _C2
-    taps = [(c, vp[pre + (slice(2 + k, 2 + k + n),)]) for k, c in zip(range(-2, 3), cw) if c != 0.0]
-    c, tap = taps[0]
-    out = c * tap
-    tmp = np.empty_like(out)
+    taps = [(c, nodes(c0 + k, c1 + k)) for k, c in zip(range(-HALO, HALO + 1), cw) if c != 0.0]
+    mid = out[pre + (slice(c0 - lo, c1 - lo),)]
+    np.multiply(taps[0][0], taps[0][1], out=mid)
+    tmp = np.empty_like(mid)
     for c, tap in taps[1:]:
-        out += np.multiply(c, tap, out=tmp)
+        mid += np.multiply(c, tap, out=tmp)
+    bw = _B1 if order == 1 else _B2
+    sign = -1.0 if order == 1 else 1.0
+    for i in [*range(lo, min(hi, HALO)), *range(max(lo, n - HALO), hi)]:
+        if i < HALO:
+            w, js = bw[i], range(bw.shape[1])
+        else:  # the mirror image of node n - 1 - i
+            w, js = sign * bw[n - 1 - i], range(n - 1, n - 1 - bw.shape[1], -1)
+        cell = out[pre + (slice(i - lo, i - lo + 1),)]
+        np.multiply(w[0], nodes(js[0], js[0] + 1), out=cell)
+        for c, j in zip(w[1:], js[1:]):
+            cell += c * nodes(j, j + 1)
     out /= h ** order
     return out
 

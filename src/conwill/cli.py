@@ -102,8 +102,8 @@ def build_surface(args) -> "builders.ParamSurface":
     raise ConfigError(f"unknown builder {name!r}")
 
 
-def _add_builder_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--builder", choices=BUILDERS, required=True)
+def _add_builder_args(p: argparse.ArgumentParser, builder_required: bool = True) -> None:
+    p.add_argument("--builder", choices=BUILDERS, required=builder_required)
     p.add_argument("--resolution", type=int, nargs="+", default=(128,),
                    help="grid nodes (one value for both axes, or NU NV)")
     p.add_argument("--r1", type=float, default=0.6)
@@ -163,6 +163,8 @@ def _apply_job(args, job: dict) -> None:
 def cmd_build(args) -> int:
     if args.spec:
         _apply_job(args, load_job(args.spec))
+    if args.builder is None:
+        raise ConfigError("build needs --builder or a --spec job file with a builder")
     s = build_surface(args)
     out = args.out or "surface"
     export.write_obj(out + ".obj", s)
@@ -385,8 +387,8 @@ def make_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="build a surface and write OBJ/CSV/JSON artifacts")
-    _add_builder_args(p)
-    p.add_argument("--spec", help="JSON job file overriding the flags")
+    _add_builder_args(p, builder_required=False)
+    p.add_argument("--spec", help="JSON job file overriding the flags; it may name the builder")
     p.add_argument("--out", default="surface")
 
     p = sub.add_parser("energy", help="area / Willmore / volume table with one refinement")
@@ -437,11 +439,12 @@ def _parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if getattr(args, "tol", 1.0) <= 0:
-            raise ConfigError("tolerances must be positive")
+        if not 0 < getattr(args, "tol", 1.0) < np.inf:
+            raise ConfigError("tolerances must be positive and finite")
         # looked up at each call, so a wrapped or replaced cmd_* is the one run
         return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except ConwillError as exc:
+    # bad argument values the package refuses, and files it cannot open or write
+    except (ConwillError, ValueError, OSError) as exc:
         print(f"error ({args.command}): {exc}", file=sys.stderr)
         return 1
 

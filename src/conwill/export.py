@@ -25,19 +25,19 @@ the digits Python's `%` writes:
 A %d cell is the decimal digits of its integer value. Python's `%` still
 writes single cells: inf and nan; a %.17g whose product lies within 2^-20
 of a half-integer (an exact tie, which rounds to even, or a near one); a %d
-of a value that is not an integer below 10^18 in magnitude, or of any
-object column; and every %s cell.
+of a value that is not an integer below 10^18 in magnitude; every %s cell
+and every cell of an object column.
 
 Each distinct value is formatted once. The charts are built from separable
 and rotationally symmetric factors, so most columns repeat a few values.
-Before its first block, `_write_rows` sorts the float64 bits of each numeric
-%.17g column (so 0.0 and -0.0 stay apart). A column whose distinct values
-are at most `_GATHER_SHARE` of its rows is formatted for those values
-only, and every block gathers its cells with one `np.take`; a column of
-mostly distinct values is formatted block by block. The %d columns of a
-table share one table, the cells of min..max, when max - min is below the
-row count: OBJ faces and the CSV `i,j` columns. Object columns (the
-check-gradients table) are formatted block by block.
+Before its first block, `_write_rows` forms a table of cells for each
+column and the row of each value in it, and every block gathers its cells
+with one `np.take`. A numeric %.17g column is keyed on its sorted float64
+bits (so 0.0 and -0.0 stay apart). The %d columns of a table share one
+table: the cells of min..max when max - min is below the row count (OBJ
+faces and the CSV `i,j` columns, which a sort would cost 25 times as much),
+otherwise the cells of their sorted distinct values. A %s column and an
+object column (the check-gradients table) have one cell per row.
 """
 
 from __future__ import annotations
@@ -269,14 +269,13 @@ def _by_percent(out: np.ndarray, idx: np.ndarray, text: list[str]) -> np.ndarray
 
 
 def _d_cells(col: np.ndarray) -> np.ndarray:
-    """%d of each value of col, as the rows of a NUL-padded uint8 matrix."""
+    """%d of each value of the numeric col, as the rows of a NUL-padded uint8
+    matrix."""
     v = np.asarray(col)
     if v.dtype.kind == "f":
         ok = (np.abs(v) < 1e18) & (v == np.trunc(v))
-    elif v.dtype.kind in "iub":
+    else:
         ok = (v > -10 ** 18) & (v < 10 ** 18)
-    else:  # objects: every cell by `%`
-        v, ok = np.zeros(len(v)), np.zeros(len(v), dtype=bool)
     u = np.where(ok, np.abs(v), 0).astype(np.int64)
     width = len(str(int(u.max())))
     quads = -(-width // 4)
@@ -292,21 +291,10 @@ def _d_cells(col: np.ndarray) -> np.ndarray:
     return _by_percent(out, by_percent, ["%d" % val for val in col[by_percent].tolist()])
 
 
-_CELLS = {".17g": _g17_cells, "d": _d_cells,
-          "s": lambda col: _text_cells(["%s" % v for v in col.tolist()])}
-
-# A %.17g column is formatted once per distinct value and gathered when its
-# distinct values are at most this share of its rows. Per 65536-row column,
-# sort and NUL removal included, formatting block by block took 148 ns a
-# row and gathering 68 ns a row plus 128 ns a distinct value: the two cross
-# at 0.62-0.64 (docs/notes.md).
-_GATHER_SHARE = 0.6
-
-
-def _formatted(conv: str, values: np.ndarray) -> np.ndarray:
-    """The cells of `values`, formatted a block at a time, in one matrix as
-    wide as the widest block."""
-    parts = [_CELLS[conv](values[i:i + _BLOCK_ROWS]) for i in range(0, len(values), _BLOCK_ROWS)]
+def _formatted(cells_of, values: np.ndarray) -> np.ndarray:
+    """cells_of(values) (`_g17_cells` or `_d_cells`), formatted a block at a
+    time, in one matrix as wide as the widest block."""
+    parts = [cells_of(values[i:i + _BLOCK_ROWS]) for i in range(0, len(values), _BLOCK_ROWS)]
     out = np.zeros((len(values), max(p.shape[1] for p in parts)), dtype=np.uint8)
     for i, p in enumerate(parts):
         out[i * _BLOCK_ROWS:i * _BLOCK_ROWS + len(p), :p.shape[1]] = p
@@ -314,35 +302,39 @@ def _formatted(conv: str, values: np.ndarray) -> np.ndarray:
 
 
 def _value_table(conv: str, cols: np.ndarray):
-    """(cells, index): the cells of the values in the numeric columns `cols`
-    and the row of each value of cols in them, or None when the columns are
-    formatted block by block."""
-    if conv == "s" or cols.dtype.kind not in "iuf" or not cols.size:
-        return None
+    """(cells, index): a matrix of cells and, for each value of the nonempty
+    columns `cols`, its row in it.
+
+    Numeric columns have one cell per distinct value: %.17g values keyed on
+    their float64 bits, %d values on their integer part, the cells of
+    min..max when that range is narrower than the column. Other columns (%s,
+    and every object column) have one cell per value, from Python's `%`.
+    """
+    if conv == "s" or cols.dtype.kind not in "iuf":
+        cells = _text_cells([("%" + conv) % v for v in cols.ravel().tolist()])
+        return cells, np.arange(cols.size).reshape(cols.shape)
     if conv == "d":
         v = np.trunc(cols) if cols.dtype.kind == "f" else cols  # '%d' % x is '%d' % int(x)
         lo, hi = v.min(), v.max()
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            return None
-        lo, hi = int(lo), int(hi)  # Python ints: hi - lo does not overflow
-        if hi - lo >= len(v) or lo < -2 ** 63 or hi >= 2 ** 63:
-            return None
-        index = v - lo if v.dtype.kind == "f" else v.astype(np.int64) - lo  # exact, below len(v)
-        return (_formatted("d", np.arange(hi - lo + 1, dtype=np.int64) + lo),
-                index.astype(np.min_scalar_type(hi - lo)))
+        if np.isfinite(lo) and np.isfinite(hi) and -2 ** 63 <= int(lo) and int(hi) < 2 ** 63 \
+                and int(hi) - int(lo) < len(v):  # Python ints: hi - lo does not overflow
+            lo, hi = int(lo), int(hi)
+            index = v - lo if v.dtype.kind == "f" else v.astype(np.int64) - lo  # exact, below len(v)
+            return (_formatted(_d_cells, np.arange(hi - lo + 1, dtype=np.int64) + lo),
+                    index.astype(np.min_scalar_type(hi - lo)))
+        distinct, index = np.unique(v, return_inverse=True)
+        return _formatted(_d_cells, distinct), index.reshape(cols.shape)
     bits = np.ascontiguousarray(cols, dtype=np.float64).view(np.uint64).ravel()  # 0.0, -0.0 apart
     order = np.argsort(bits)
     ranked = bits[order]
     first = np.empty(len(ranked), dtype=bool)
     first[0] = True
     np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
-    if np.count_nonzero(first) > _GATHER_SHARE * len(ranked):
-        return None
     distinct = ranked[first].view(np.float64)
     index = np.empty(len(ranked), dtype=np.min_scalar_type(len(distinct) - 1))
     first[0] = False  # ranked[i] is distinct[cumsum(first)[i]]
     index[order] = np.cumsum(first, dtype=index.dtype)
-    return _formatted(".17g", distinct), index.reshape(cols.shape)
+    return _formatted(_g17_cells, distinct), index.reshape(cols.shape)
 
 
 def _write_rows(fh, row_fmt: str, table: np.ndarray) -> None:
@@ -350,12 +342,12 @@ def _write_rows(fh, row_fmt: str, table: np.ndarray) -> None:
     %.17g, %d and %s (and %% for a percent sign), byte for byte as
     `row_fmt % tuple(row)`.
 
-    A numeric %.17g or %d column with few distinct values is formatted once
-    per value (`_value_table`), and each block gathers its cells; the other
-    columns are formatted block by block. A block of rows becomes one uint8
-    matrix with the literal bytes and the NUL-padded cells side by side,
-    written without its NULs; text (literals and %s cells) must therefore
-    hold no NUL.
+    Each column's cells are formatted before the first block
+    (`_value_table`): all %d columns share one table, every other column has
+    its own. A block of rows gathers its cells with one `np.take` per column
+    and becomes one uint8 matrix with the literal bytes and the NUL-padded
+    cells side by side, written without its NULs; text (literals and %s
+    cells) must therefore hold no NUL.
     """
     literals, specs, pos = [""], [], 0
     for match in _SPEC.finditer(row_fmt):
@@ -370,22 +362,20 @@ def _write_rows(fh, row_fmt: str, table: np.ndarray) -> None:
     literals[-1] += row_fmt[pos:]
     if table.ndim != 2 or table.shape[1] != len(specs):
         raise TypeError(f"{len(specs)} conversions in {row_fmt!r} for a table of shape {table.shape}")
+    if not len(table):
+        return
     lits = [np.frombuffer(s.encode(), dtype=np.uint8) for s in literals]
-    # all %d columns share one table, each %.17g column has its own
     values = [None] * len(specs)
     ints = [c for c, conv in enumerate(specs) if conv == "d"]
-    for cols in [ints] + [[c] for c, conv in enumerate(specs) if conv == ".17g"]:
-        found = _value_table(specs[cols[0]], table[:, cols]) if cols else None
-        if found is not None:
+    for cols in [ints] + [[c] for c, conv in enumerate(specs) if conv != "d"]:
+        if cols:
+            cells, index = _value_table(specs[cols[0]], table[:, cols])
             for i, c in enumerate(cols):
-                values[c] = found[0], found[1][:, i]
+                values[c] = cells, index[:, i]
     for start in range(0, len(table), _BLOCK_ROWS):
         stop = start + _BLOCK_ROWS
-        block = table[start:stop]
-        cells = [_CELLS[conv](block[:, c]) if values[c] is None
-                 else np.take(values[c][0], values[c][1][start:stop], axis=0)
-                 for c, conv in enumerate(specs)]
-        rows = np.empty((len(block), sum(map(len, lits)) + sum(cell.shape[1] for cell in cells)),
+        cells = [np.take(table_cells, index[start:stop], axis=0) for table_cells, index in values]
+        rows = np.empty((len(table[start:stop]), sum(map(len, lits)) + sum(c.shape[1] for c in cells)),
                         dtype=np.uint8)
         at = 0
         for lit, cell in zip(lits, cells + [None]):

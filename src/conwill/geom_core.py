@@ -30,13 +30,15 @@ reads the position derivatives one block at a time (`_derivative_blocks`):
 a callback is called on the block's rows, and any other derivative is the
 block's positions differenced with their halo rows (`_position_rows`, the
 only place positions are differenced, which the whole-chart `derivative`,
-the position stage and `variations` call too). No chart keeps a derivative
-field. Every per-node scalar field a chart keeps is a row of one
-(25, nu, nv) array, the chart's slab (`SLAB_ROWS`), allocated by the first
-stage: its rows are touched only when a stage writes them, and one large
-array is not handed back to the allocator and faulted in again field by
-field. Only xi has an array of its own. So a chart holds its positions, its
-slab and xi, and in R^3 the position stage once a deformation asks for it.
+the position stage and `variations` call too), with the bits of the whole
+chart whatever the block shape: each node's stencil reads only its own
+nodes (`_stencils._diff_rows`). No chart keeps a derivative field. Every
+per-node scalar field a chart keeps is a row of one (25, nu, nv) array,
+the chart's slab (`SLAB_ROWS`), allocated by the first stage: its rows are
+touched only when a stage writes them, and one large array is not handed
+back to the allocator and faulted in again field by field. Only xi has an
+array of its own. So a chart holds its positions, its slab and xi, and in
+R^3 the position stage once a deformation asks for it.
 
 Field conventions used throughout the package:
 
@@ -62,8 +64,7 @@ import numpy as np
 
 from ._stencils import (
     HALO,
-    _diff_block,
-    _diff_padded,
+    _diff_rows,
     _wrap_pad,
     diff_uniform,
     quadrature_weights,
@@ -492,28 +493,24 @@ def _position_rows(ext: np.ndarray, g: Grid2D, lo: int, hi: int,
                    names: tuple[str, ...]) -> dict[str, np.ndarray]:
     """The position derivatives named in names of the rows ext[lo:hi] of a
     row block with its halo (`_halo_rows`): the one place where positions,
-    deformed or not, are differenced.
+    deformed or not, are differenced, each derivative by one call of
+    `_stencils._diff_rows`.
 
-    The rows have the bits diff_uniform gives on the whole chart, except the
-    two end columns of an open v axis, whose one-sided stencils are a BLAS
-    product over the block's rows that may round differently for another
-    row count. On a periodic v axis fv and fvv read one wrap-padded copy of
-    the block.
+    The rows have the bits diff_uniform gives on the whole chart. On a
+    periodic v axis fv and fvv read one wrap-padded copy of the block.
     That copy and the halo rows are dropped before fuv pads fu, so a whole
     chart is held in one padded copy at a time.
     """
     d = {}
     v_names = [k for k in ("fv", "fvv") if k in names]
     if v_names:
-        blk = ext[lo:hi]
-        vp = _wrap_pad(blk, 1) if g.periodic_v else None
+        blk, j0 = (_wrap_pad(ext[lo:hi], 1), HALO) if g.periodic_v else (ext[lo:hi], 0)
         for k in v_names:
-            d[k] = (_diff_padded(vp, g.hv, len(k) - 1, 1) if g.periodic_v
-                    else diff_uniform(blk, g.hv, len(k) - 1, False, axis=1))
-        del blk, vp
-    fu = _diff_block(ext, g.hu, 1, lo, hi) if "fu" in names or "fuv" in names else None
+            d[k] = _diff_rows(blk, g.hv, len(k) - 1, 1, j0, j0 + g.nv)
+        del blk
+    fu = _diff_rows(ext, g.hu, 1, 0, lo, hi) if "fu" in names or "fuv" in names else None
     if "fuu" in names:
-        d["fuu"] = _diff_block(ext, g.hu, 2, lo, hi)
+        d["fuu"] = _diff_rows(ext, g.hu, 2, 0, lo, hi)
     del ext
     if "fuv" in names:
         d["fuv"] = diff_uniform(fu, g.hv, 1, g.periodic_v, axis=1)

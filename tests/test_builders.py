@@ -426,11 +426,7 @@ def _stage_fields(s):
 def test_blockwise_callbacks_match_cached_derivatives(request, monkeypatch, name):
     """Stages that call the callbacks once per row block of one row's nodes
     have the bits of a one-block pass, and so do the stages of the chart's
-    positions-only copy, which difference each block with its halo.
-
-    On an open v axis the one-sided stencils of the two columns at each end
-    are a BLAS matrix-vector product over the block's rows, whose rounding
-    depends on how many rows it is given; those columns agree to rounding."""
+    positions-only copy, which difference each block with its halo."""
     monkeypatch.setattr(_stencils, "BLOCK_NODES", 1 << 30)
     s = _fresh(request, name)
     charts = [(s, s.with_orientation(s.orientation))]
@@ -440,14 +436,27 @@ def test_blockwise_callbacks_match_cached_derivatives(request, monkeypatch, name
     monkeypatch.setattr(_stencils, "BLOCK_NODES", 1)
     assert len(_stencils.row_blocks(s.grid.nu, s.grid.nv)) > 1
     for (_, blocked), ref in zip(charts, want):
-        exact = bool(blocked.callbacks) or blocked.grid.periodic_v
         for got, exp in zip(_stage_fields(blocked), ref):
-            if exact:
-                assert np.array_equal(got, exp)
-            else:
-                assert np.array_equal(got[:, 2:-2], exp[:, 2:-2])
-                assert np.allclose(got, exp, rtol=1e-10, atol=1e-10)
+            assert np.array_equal(got, exp)
         assert blocked._stage_cache.keys() == {"first", "normal", "second"}
+
+
+def test_open_v_positions_only_blocks_match_one_block(monkeypatch):
+    """A positions-only torus open in v, in row blocks of 13, 13 and 14 rows:
+    every stage field has the bits of the one-block pass, the one-sided v
+    stencils of the end columns included."""
+    t = surface_of_revolution(torus_profile(2.0, 0.5), nu=40, nv=32)
+    grid = dataclasses.replace(t.grid, periodic_v=False)
+
+    def chart():
+        return ParamSurface(t.space_form, grid, t.position, orientation=t.orientation)
+
+    monkeypatch.setattr(_stencils, "BLOCK_NODES", 1 << 30)
+    want = _stage_fields(chart())
+    monkeypatch.setattr(_stencils, "BLOCK_NODES", 1)
+    assert _stencils.row_blocks(40, 32) == [(0, 13), (13, 26), (26, 40)]
+    for got, exp in zip(_stage_fields(chart()), want):
+        assert np.array_equal(got, exp)
 
 
 @pytest.mark.parametrize("name", CALLBACK_CHARTS)

@@ -101,14 +101,16 @@ def test_build_writes_artifacts(tmp_path, capsys):
     assert summary["conformality_residual"] < 1e-8
 
 
-def test_determinism(tmp_path, capsys):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
+def test_determinism(tmp_path, capsys, monkeypatch):
+    """The same arguments give the same bytes, also with another number of
+    worker threads."""
     argv = ["check-gradients", "--builder", "homogeneous-torus", "--resolution", "32",
             "--trials", "2", "--seed", "7"]
-    assert run(argv + ["--out", str(a)]) == 0
-    assert run(argv + ["--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    outs = [tmp_path / f"{name}.csv" for name in ("a", "b", "one", "two")]
+    for out, threads in zip(outs, ["2", "2", "1", "2"]):
+        monkeypatch.setenv("CONWILL_THREADS", threads)
+        assert run(argv + ["--out", str(out)]) == 0
+    assert len({out.read_bytes() for out in outs}) == 1
 
 
 def test_verify_identities(capsys):
@@ -136,10 +138,19 @@ def test_build_from_job_file(tmp_path, capsys):
     job.write_text(json.dumps({"builder": "homogeneous-torus", "r1": 0.6,
                                "r2": 0.8, "resolution": [32, 32]}))
     out = tmp_path / "surf"
-    code = run(["build", "--builder", "plane", "--spec", str(job), "--out", str(out)])
+    code = run(["build", "--spec", str(job), "--out", str(out)])
     assert code == 0
     summary = json.loads((tmp_path / "surf.json").read_text())
     assert summary["builder"] == "homogeneous-torus"
+
+
+def test_build_needs_a_builder(tmp_path, capsys):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"resolution": 16}))
+    for spec in ([], ["--spec", str(job)]):
+        assert run(["build", "--out", str(tmp_path / "surf")] + spec) == 1
+        assert capsys.readouterr().err.startswith("error (build): build needs --builder")
+    assert not list(tmp_path.glob("surf*"))
 
 
 @pytest.mark.parametrize("key, value", [
@@ -241,6 +252,24 @@ def test_bad_tolerance():
     code = run(["certify", "--builder", "clifford", "--resolution", "32",
                 "--tol", "-1"])
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--builder", "clifford", "--resolution", "32", "--functional", "willmore",
+     "--tol", "nan"],
+    ["certify", "--builder", "clifford", "--resolution", "32", "--tol", "inf"],
+    ["curve", "--ode", "elastica", "--a", "1", "--b", "0", "--k0", "1", "--span", "-1"],
+    ["check-gradients", "--builder", "plane", "--resolution", "16", "--seed", "-1"],
+    ["build", "--builder", "plane", "--resolution", "16", "--extent", "-1"],
+    ["build", "--builder", "plane", "--resolution", "16", "--out", "{tmp}/nodir/surface"],
+])
+def test_bad_values_are_errors_not_tracebacks(tmp_path, monkeypatch, capsys, argv):
+    """A value the package refuses (its ValueError) or a path it cannot write
+    (OSError) ends as `error (<command>): ...` with exit code 1."""
+    monkeypatch.chdir(tmp_path)
+    assert run([a.format(tmp=tmp_path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error ({argv[0]}): ")
 
 
 def test_threads_env(monkeypatch):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conwill.builders import homogeneous_torus, plane_patch
 from conwill.conformal_ops import hopf_differential
 from conwill.export import (
-    _GATHER_SHARE,
     FLT,
     _value_table,
     _write_rows,
@@ -201,11 +200,13 @@ def test_write_rows_matches_percent_on_edge_values():
     _check_exact("%d\n", whole[:, None])
 
 
-# Columns with few distinct values are formatted once per value and gathered
-# (`_value_table`); these tables repeat values so that they take that path.
+# Every numeric column is formatted once per distinct value and gathered
+# (`_value_table`); these tables repeat values, or do not, around the share
+# of distinct values where formatting block by block used to take over.
 
-def _gathered(conv, cols):
-    return _value_table(conv, np.asarray(cols).reshape(len(cols), -1)) is not None
+def _table_rows(conv, cols):
+    """The cells `_value_table` forms for the columns cols."""
+    return len(_value_table(conv, np.asarray(cols).reshape(len(cols), -1))[0])
 
 
 def test_write_rows_gathers_signed_zeros_nans_infs_and_ties():
@@ -216,21 +217,20 @@ def test_write_rows_gathers_signed_zeros_nans_infs_and_ties():
     col = np.tile(values, 1200)  # 20400 rows: three blocks
     rng = np.random.default_rng(7)
     table = np.column_stack([col, rng.permutation(col), -col])
-    assert _gathered(".17g", col)
+    # the distinct values are keyed on their bits: each nan, 0.0 and -0.0 has its own cell
+    assert _table_rows(".17g", col) == len(values)
     _check_exact("%.17g,%.17g;%.17g\n", table)
-    # the distinct values are keyed on their bits: 0.0 and -0.0 keep their own cells
     assert _written("%.17g %.17g\n", np.array([[0.0, -0.0]] * 4)) == "0 -0\n" * 4
 
 
-def test_write_rows_gather_rule_edge():
+def test_write_rows_mostly_distinct_columns():
     n = 4000
     rng = np.random.default_rng(11)
-    u = int(_GATHER_SHARE * n)
-    for count, gathered in [(u, True), (u + 1, False)]:
+    for count in (int(0.6 * n), int(0.6 * n) + 1, n):
         values = rng.standard_normal(count) * 10.0 ** rng.integers(-8, 20, count)
         col = rng.permutation(np.resize(values, n))
         assert len(np.unique(col)) == count
-        assert _gathered(".17g", col) is gathered
+        assert _table_rows(".17g", col) == count
         _check_exact("%.17g|%.17g\n", np.column_stack([col, col[::-1]]))
 
 
@@ -240,15 +240,15 @@ def test_write_rows_narrow_int_columns_near_int64_limits():
     mid = np.arange(-20, 20, dtype=np.int64)
     for col in (top, bottom, mid):
         col = np.tile(col, 50)
-        assert _gathered("d", col)
+        assert _table_rows("d", col) == 40  # the cells of min..max
         _check_exact("%d;%d\n", np.column_stack([col, col[::-1]]))
-    # max - min overflows int64 (it is computed with Python ints): formatted block by block
+    # max - min overflows int64 (it is computed with Python ints): the distinct values
     wide = np.tile(np.concatenate([top, bottom]), 50)
-    assert not _gathered("d", wide)
+    assert _table_rows("d", wide) == 80
     _check_exact("%d\n", wide[:, None])
     _check_exact("%d,%d\n", np.column_stack([np.tile(top, 50), np.tile(bottom, 50)]))
     huge = np.tile(np.uint64(2 ** 64 - 1) - np.arange(40, dtype=np.uint64), 50)
-    assert not _gathered("d", huge)
+    assert _table_rows("d", huge) == 40
     _check_exact("%d\n", huge[:, None])
 
 
@@ -256,19 +256,21 @@ def test_write_rows_float_int_columns():
     integral = np.tile([-3.0, -0.0, 0.0, 1.0, 2.0, 17.0], 300)
     fractional = np.tile([-2.5, -0.5, 0.5, 2.9999999999999996, -7.75], 300)
     large = np.tile([1e18, 1e18 + 128, 1e18 + 256], 300)  # cells by `%`
-    for col in (integral, fractional, large):
-        assert _gathered("d", col)
+    huge = np.tile([1e300, -1e300, 2.5], 300)  # min..max is wider than the column
+    for col in (integral, fractional, large, huge):
         _check_exact("%d %d\n", np.column_stack([col, -col]))
+    assert _table_rows("d", huge) == 3
     i, j = np.indices((96, 90)).reshape(2, -1).astype(float)
-    assert _gathered("d", np.column_stack([i, j]))
+    assert _table_rows("d", np.column_stack([i, j])) == 96
     _check_exact("%d,%d,%.17g\n", np.column_stack([i, j, np.sin(i) * np.cos(j)]))
 
 
 def test_write_rows_object_table_keeps_its_path():
     rows = [("area", 1e-4, 0.1, -0.0, 3.0e-300), ("willmore", 0.0, 2.0 / 3.0, np.nan, 1e17)] * 300
     table = np.array(rows, dtype=object)
-    assert not _gathered(".17g", table[:, 1])
+    assert _table_rows(".17g", table[:, 1]) == len(rows)  # one cell per row, by `%`
     _check_exact("%s," + ",".join([FLT] * 4) + "\n", table)
+    _check_exact("%d,%s\n", np.array([(3, "a"), (2.5, "b"), (-7, "c")], dtype=object))
 
 
 def test_write_rows_rejects_other_formats():

@@ -274,6 +274,22 @@ def test_periodic_diff_matches_roll_reference(shape, order, axis):
     assert np.max(np.abs(got - _roll_diff(v, h, order, axis))) <= tol
 
 
+@pytest.mark.parametrize("order, degree", [(1, 4), (2, 5)])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_open_diff_is_exact_on_polynomials(order, degree, axis):
+    """On an open axis every node, the two at each end included, takes a
+    stencil exact for polynomials of degree 4 (order 1) or 5 (order 2)."""
+    rng = np.random.default_rng(degree + 10 * axis)
+    h, x = 0.25, -1.3 + 0.25 * np.arange(12)
+    p = np.polynomial.Polynomial(rng.uniform(-1.0, 1.0, degree + 1))
+    w = rng.uniform(0.5, 2.0, 9)
+    v, want = np.outer(p(x), w), np.outer(p.deriv(order)(x), w)
+    if axis:
+        v, want = v.T, want.T
+    got = diff_uniform(v, h, order, False, axis=axis)
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("periodic_u, periodic_v", [(True, True), (True, False),
                                                     (False, True), (False, False)])
 def test_derivative_is_whole_chart_diff_uniform(periodic_u, periodic_v):
