@@ -55,6 +55,15 @@ def _check_resolution(n: int) -> int:
     return n
 
 
+def _ellipse(rx: float, ry: float) -> "curves.CurvatureCurve":
+    return curves.curve_from_parametric(
+        "Plane",
+        lambda t: np.stack([rx * np.cos(t), ry * np.sin(t)], axis=-1),
+        lambda t: np.stack([-rx * np.sin(t), ry * np.cos(t)], axis=-1),
+        lambda t: np.stack([-rx * np.cos(t), -ry * np.sin(t)], axis=-1),
+        (0.0, 2 * np.pi))
+
+
 def build_surface(args) -> "builders.ParamSurface":
     if not 1 <= len(args.resolution) <= 2:
         raise ConfigError(f"resolution takes one or two values, got {args.resolution}")
@@ -70,13 +79,7 @@ def build_surface(args) -> "builders.ParamSurface":
                                        (0.0, 2 * np.pi * args.radius))
         return builders.cylinder_over_curve(curve, (-args.extent, args.extent), nu, nv)
     if name == "cylinder-ellipse":
-        rx, ry = args.rx, args.ry
-        curve = curves.curve_from_parametric(
-            "Plane",
-            lambda t: np.stack([rx * np.cos(t), ry * np.sin(t)], axis=-1),
-            lambda t: np.stack([-rx * np.sin(t), ry * np.cos(t)], axis=-1),
-            lambda t: np.stack([-rx * np.cos(t), -ry * np.sin(t)], axis=-1),
-            (0.0, 2 * np.pi))
+        curve = _ellipse(args.rx, args.ry)
         return builders.cylinder_over_curve(curve, (-args.extent, args.extent), nu, nv)
     if name == "cylinder-burstall":
         sol = curves.burstall_ode(args.a, args.b, args.k0, args.dk0, (0.0, args.span))
@@ -161,8 +164,6 @@ def _apply_job(args, job: dict) -> None:
 
 
 def cmd_build(args) -> int:
-    if args.spec:
-        _apply_job(args, load_job(args.spec))
     if args.builder is None:
         raise ConfigError("build needs --builder or a --spec job file with a builder")
     s = build_surface(args)
@@ -342,13 +343,7 @@ def cmd_verify_identities(args) -> int:
 
     s = builders.homogeneous_torus(0.6, 0.8, 128, 128)
     checks.append(("hopf-diff identity (torus)", _hopf_identity_error(s), 1e-7))
-    ell = curves.curve_from_parametric(
-        "Plane",
-        lambda t: np.stack([2 * np.cos(t), np.sin(t)], axis=-1),
-        lambda t: np.stack([-2 * np.sin(t), np.cos(t)], axis=-1),
-        lambda t: np.stack([-2 * np.cos(t), -np.sin(t)], axis=-1),
-        (0.0, 2 * np.pi))
-    cyl = builders.cylinder_over_curve(ell, (-1.0, 1.0), 256, 32)
+    cyl = builders.cylinder_over_curve(_ellipse(2.0, 1.0), (-1.0, 1.0), 256, 32)
     checks.append(("hopf-diff identity (cylinder)", _hopf_identity_error(cyl), 1e-7))
 
     # fibration-torus energy identity on the Clifford torus
@@ -439,8 +434,14 @@ def _parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if getattr(args, "spec", None):
+            _apply_job(args, load_job(args.spec))
         if not 0 < getattr(args, "tol", 1.0) < np.inf:
             raise ConfigError("tolerances must be positive and finite")
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
+        if not os.path.isdir(os.path.dirname(getattr(args, "out", None) or "") or "."):
+            raise ConfigError(f"--out {args.out}: no such directory")
         # looked up at each call, so a wrapped or replaced cmd_* is the one run
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     # bad argument values the package refuses, and files it cannot open or write

@@ -28,10 +28,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._stencils import diff_uniform
-from .errors import ConfigError, EmptyBasis, GridMismatch, NonHolomorphicBasis, NotAnticommuting
+from .errors import (ConfigError, EmptyBasis, GridMismatch, NonHolomorphicBasis, NotAnticommuting,
+                     SingularBasis)
 from .geom_core import ParamSurface, _check_field, _mul2, anticommutator_defect, integrate_2form
 
 ANTICOMMUTE_TOL = 1e-9
+GRAM_COND_LIMIT = 1e12      # condition number bound of the basis Gram matrix G
 ISOTHERMIC_HOLO_TOL = 1e-6  # dbar_residual bound of a basis element in the isothermic test
 
 
@@ -212,13 +214,12 @@ def _weighted_design(s: ParamSurface, basis: Sequence[QuadraticDifferential],
     holomorphic basis on s.
 
     sw = sqrt(wu wv dsigma), so |sw * density| is the L2(dsigma) norm of a
-    density. Column i of D (N x k) is sw delta_star(q_i) / dsigma, so D^T D
-    is the Gram matrix of the delta_star image. With q_i weighted as
-    sw phi_i / e^{2 lambda}, G (k x k) = Re <q_i, q_j>, formed from the real
-    and imaginary parts together as one real product; its diagonal holds
-    |q_i|^2. Each basis element is written straight into its row of Q and of
-    D^T; no stack of the basis is formed. Raises GridMismatch or
-    NonHolomorphicBasis (dbar_residual > holo_tol max(1, |q|)).
+    density. Column i of D (N x k) is sw delta_star(q_i) / dsigma. With q_i
+    weighted as sw phi_i / e^{2 lambda}, G (k x k) = Re <q_i, q_j>, formed
+    from the real and imaginary parts together as one real product; its
+    diagonal holds |q_i|^2. Each basis element is written straight into its
+    row of Q and of D^T; no stack of the basis is formed. Raises GridMismatch
+    or NonHolomorphicBasis (dbar_residual > holo_tol max(1, |q|)).
     """
     if any(q.surface is not s for q in basis):
         raise GridMismatch("basis element belongs to a different surface")
@@ -246,6 +247,20 @@ def _weighted_design(s: ParamSurface, basis: Sequence[QuadraticDifferential],
     return Dt.reshape(k, sw.size).T, G, sw
 
 
+def _factored_design(s: ParamSurface, basis: Sequence[QuadraticDifferential],
+                     holo_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """U, S, W = R^-1 V and sw, from G = R^T R (Cholesky) and D R^-1 = U diag(S) V^T (thin SVD)
+    of `_weighted_design`. SingularBasis if cond(G) = cond(R)^2 > GRAM_COND_LIMIT."""
+    D, G, sw = _weighted_design(s, basis, holo_tol)
+    sv = np.linalg.svd(G, compute_uv=False)  # empty for an empty basis
+    if np.any(sv[:1] >= GRAM_COND_LIMIT * sv[-1:]):
+        raise SingularBasis("quadratic-differential basis is numerically dependent")
+    Rinv = np.linalg.inv(np.linalg.cholesky(G).T)
+    D = D @ Rinv  # frees D before the SVD copies D R^-1
+    U, S, Vt = np.linalg.svd(D, full_matrices=False)
+    return U, S, Rinv @ Vt.T, sw
+
+
 @dataclass
 class IsothermicResult:
     verdict: str                     # "strongly-isothermic" | "not-strongly-isothermic" | "inconclusive"
@@ -266,19 +281,14 @@ def is_strongly_isothermic(
 ) -> IsothermicResult:
     """Search the basis span for q != 0 with delta_star(q) = 0.
 
-    Minimizes ||delta_star(q)||_{L2(dsigma)} / ||q|| over the real span; a
-    generalized smallest singular value below tol is a positive verdict, a
-    value above 10 tol a confident negative, anything between inconclusive.
+    Minimizes ||delta_star(q)||_{L2(dsigma)} / ||q|| over the real span of an
+    independent basis (else SingularBasis); a smallest singular value below
+    tol is a positive verdict, above 10 tol a confident negative, else inconclusive.
     """
-    from scipy.linalg import eigh
-
     if len(basis) == 0:
         raise EmptyBasis("strong-isothermicity test needs a basis")
-    D, G, _ = _weighted_design(s, basis, ISOTHERMIC_HOLO_TOL)
-    vals, vecs = eigh(D.T @ D, G)
-    lam = max(float(vals[0]), 0.0)
-    sigma = float(np.sqrt(lam))
-    c = vecs[:, 0]
+    _, S, W, _ = _factored_design(s, basis, ISOTHERMIC_HOLO_TOL)
+    sigma, c = float(S[-1]), W[:, -1]
     if sigma <= tol:
         phi = np.tensordot(c, np.array([q.phi for q in basis]), axes=1)
         qfound = QuadraticDifferential(s, phi, "isothermic-direction")

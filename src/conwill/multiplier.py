@@ -6,7 +6,9 @@ holomorphic quadratic differentials, up to the certification tolerance.
 Residuals are measured in L2(dsigma) after dividing the 2-forms by dsigma,
 so they are parametrization independent. The solve is least squares on the
 sqrt(w)-weighted design matrix (w = quadrature weight times dsigma, one
-column per basis element), taken by lstsq and not by normal equations.
+column per basis element), read from the SVD of `_factored_design`. Of the
+best fits it takes the q = sum c_i q_i of least L2 norm, so q does not depend
+on the basis of a span (on isothermic charts delta_star kills a direction).
 
 On compact charts (doubly periodic grids) the equation characterizes
 criticality both ways, so a large residual yields "not-critical". On open
@@ -24,13 +26,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .conformal_ops import QuadraticDifferential, _weighted_design, hopf_differential
-from .errors import NotCMC, SingularBasis
+from .conformal_ops import GRAM_COND_LIMIT, QuadraticDifferential, _factored_design, hopf_differential
+from .errors import NotCMC
 from .functionals import WILLMORE, _check_kind, gradient
 from .geom_core import ParamSurface
 
 DEFAULT_TOL = 1e-5
-GRAM_COND_LIMIT = 1e12
 UMBILIC_TOL = 1e-10
 HOLO_TOL = 1e-8             # dbar_residual bound of a basis element, relative to max(1, |q|)
 CMC_TOL = 1e-8              # spread of H relative to max(1, |mean H|) of a CMC surface
@@ -89,15 +90,13 @@ def solve_multiplier(
     _check_kind(kind)
     fd = s.fundamental_data()
     s.require_conformal()  # reads the residual that the first-form stage measured
-    D, G, sw = _weighted_design(s, basis, HOLO_TOL)
-    # independence of the basis itself (not of its delta_star image)
-    if len(basis) >= 2 and np.linalg.cond(G) > GRAM_COND_LIMIT:
-        raise SingularBasis("quadratic-differential basis is numerically dependent")
-
+    U, S, W, sw = _factored_design(s, basis, HOLO_TOL)
     g = (sw * gradient(s, kind) / fd.dsigma).ravel()
-    coeffs = np.linalg.lstsq(D, g, rcond=None)[0] if len(basis) else np.zeros(0)
+    r = int(np.sum(S > np.finfo(float).eps * g.size * S.max(initial=0.0)))  # roundoff rank cutoff
+    b = U[:, :r].T @ g
+    coeffs = W[:, :r] @ (b / S[:r])
     grad_norm = float(np.linalg.norm(g))
-    residual = float(np.linalg.norm(g - D @ coeffs))
+    residual = float(np.linalg.norm(g - U[:, :r] @ b))
 
     compact = s.grid.periodic_u and s.grid.periodic_v
     threshold = tol * max(1.0, grad_norm)

@@ -197,6 +197,35 @@ def test_export_checks_arguments_before_building(monkeypatch, capsys):
     assert "error (export): export needs --obj and/or --csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["check-gradients", "--builder", "plane", "--resolution", "16", "--seed", "-1"],
+     "--seed must be a non-negative integer, got -1"),
+    (["build", "--builder", "plane", "--resolution", "16", "--out", "nodir/surface"],
+     "--out nodir/surface: no such directory"),
+    (["build", "--spec", "job.json"], "--out nodir/job: no such directory"),
+    (["certify", "--builder", "plane", "--out", "nodir/cert.json"],
+     "--out nodir/cert.json: no such directory"),
+    (["check-gradients", "--builder", "plane", "--out", "nodir/g.csv"],
+     "--out nodir/g.csv: no such directory"),
+])
+def test_seed_and_output_directory_checked_before_building(tmp_path, monkeypatch, capsys,
+                                                           argv, message):
+    """A negative --seed and an --out in a missing directory (also one that a
+    job file names) are refused, naming the flag, before any surface is built."""
+    import conwill.cli as cli
+
+    def no_build(args):
+        raise AssertionError("build_surface called")
+
+    monkeypatch.setattr(cli, "build_surface", no_build)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "job.json").write_text(json.dumps({"builder": "plane", "out": "nodir/job"}))
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error ({argv[0]}): {message}\n"
+    assert sorted(os.listdir(tmp_path)) == ["job.json"]
+
+
 def test_successive_runs_get_independent_namespaces(monkeypatch):
     # the parser is built once per process; each run still parses into its
     # own namespace, and flags of one run do not reach the next
@@ -390,6 +419,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert run(["build", "--builder", "revolution-sphere-band", "--resolution", "16",
                 "--out", "band"]) == 0
     assert run(["build", "--builder", "plane", "--resolution", "16", "--out", "plane"]) == 0
+    s = conwill.homogeneous_torus(0.6, 0.8, 32, 32)
+    assert conwill.is_strongly_isothermic(s, conwill.make_qd_basis(s)).is_strongly_isothermic
     assert scipy_modules() == [], scipy_modules()
     assert run(["build", "--builder", "cylinder-ellipse", "--resolution", "16",
                 "--out", "ellipse"]) == 0
@@ -398,9 +429,9 @@ with contextlib.redirect_stdout(io.StringIO()):
 
 
 def test_analytic_charts_do_not_load_scipy(tmp_path):
-    # the package and the CLI import numpy only; certify, check-gradients and
-    # build on analytic charts never load scipy, and the first spline curve
-    # (the ellipse cylinder) does
+    # the package and the CLI import numpy only; certify, check-gradients,
+    # build and the strong-isothermicity test on analytic charts never load
+    # scipy, and the first spline curve (the ellipse cylinder) does
     import conwill
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(conwill.__file__)))

@@ -24,6 +24,7 @@ from conwill.errors import (
     GridMismatch,
     NonHolomorphicBasis,
     NotAnticommuting,
+    SingularBasis,
 )
 from conwill.geom_core import anticommutator_defect, integrate_2form
 
@@ -305,6 +306,15 @@ def test_isothermic_nonholomorphic_basis_raises(homog_torus):
 def test_isothermic_basis_on_other_surface_raises(homog_torus, clifford):
     with pytest.raises(GridMismatch):
         is_strongly_isothermic(homog_torus, make_qd_basis(clifford))
+
+
+@pytest.mark.parametrize("phis", [(1.0, 2.0), (0.0,)])
+def test_isothermic_dependent_basis_raises(homog_torus, phis):
+    # the same gate as solve_multiplier: {dz^2, 2 dz^2} spans one direction
+    # and {0 dz^2} none, so there is no unit-norm q to search over
+    basis = [QuadraticDifferential.constant(homog_torus, c) for c in phis]
+    with pytest.raises(SingularBasis):
+        is_strongly_isothermic(homog_torus, basis)
 
 
 @pytest.mark.parametrize("degree", [-3, 1.5])

@@ -164,6 +164,28 @@ def test_gram_cond_limit_semantics(homog_torus):
         solve_multiplier(homog_torus, AREA, [q, near])
 
 
+def test_zero_basis_element_rejected(homog_torus):
+    with pytest.raises(SingularBasis):
+        solve_multiplier(homog_torus, AREA, [QuadraticDifferential.constant(homog_torus, 0.0)])
+
+
+@pytest.mark.parametrize("chart", ["homog_torus", "revolution_torus"])
+@pytest.mark.parametrize("kind", [AREA, WILLMORE])
+def test_multiplier_does_not_depend_on_the_basis_of_its_span(request, chart, kind):
+    """Both tori are isothermic: delta_star kills one direction of the span of
+    {dz^2, i dz^2}, and the equation fixes q only modulo it. The solve returns
+    the q of least L2 norm, the same sum c_i q_i from every basis of the span."""
+    s = request.getfixturevalue(chart)
+    qs = []
+    for a, b in [(1.0, 1j), (1.0, 1.0 + 1j), (3.0, 0.5 - 2j)]:
+        basis = [QuadraticDifferential.constant(s, a), QuadraticDifferential.constant(s, b)]
+        c = solve_multiplier(s, kind, basis).coefficients
+        qs.append(c[0] * basis[0].phi + c[1] * basis[1].phi)
+    assert np.max(np.abs(qs[0])) > 0.05
+    for q in qs[1:]:
+        assert np.max(np.abs(q - qs[0])) < 1e-12
+
+
 def test_basis_on_other_surface_rejected(homog_torus, clifford):
     with pytest.raises(GridMismatch):
         solve_multiplier(homog_torus, AREA, make_qd_basis(clifford))
